@@ -67,6 +67,16 @@ class Catalog:
 
 def loads(text: str, path: str = "<catalog>") -> Catalog:
     nodes = catalogfile.parse(text, path)
+    try:
+        return _assemble(nodes, path)
+    except CatalogParseError as err:
+        if err.path == path:
+            raise
+        # the record builders see nodes only; name the file they came from
+        raise CatalogParseError(err.message, err.line, path) from err
+
+
+def _assemble(nodes: list[catalogfile.Node], path: str) -> Catalog:
     version = None
     groups: dict[str, CompactGroupRec] = {}
     deferred = []

@@ -33,6 +33,7 @@ class CatalogParseError(ValueError):
     """Syntax or validation error in a catalog file, with a line number."""
 
     def __init__(self, message: str, line: int, path: str = "<catalog>"):
+        self.message = message
         self.line = line
         self.path = path
         super().__init__(f"{path}:{line}: {message}")
@@ -91,6 +92,14 @@ class Node:
             )
         return v
 
+    def require_bool(self, key: str) -> bool:
+        v = self.require(key)
+        if not isinstance(v, bool):
+            raise CatalogParseError(
+                f"'{key}' must be true or false, got {v!r}", self.child(key).line
+            )
+        return v
+
     def require_list(self, key: str) -> list[Scalar]:
         node = self.child(key)
         if not isinstance(node.value, list):
@@ -110,30 +119,22 @@ class Node:
         return list(vals)
 
 
-_OPEN_RE = re.compile(r"^([A-Za-z_][\w-]*)\s*\{$")
-_PAIR_RE = re.compile(r"^([A-Za-z_][\w-]*)\s*:\s*(.+)$")
+# A line is '}', 'key {' or 'key: value'; after comment stripping it is
+# matched against this one pattern, which leaves the value stripped.
+_LINE_RE = re.compile(r"^([A-Za-z_][\w-]*)\s*(?:(\{)|:\s*(.+))$")
 _INT_RE = re.compile(r"^-?\d+$")
+# The longest prefix holding no '#' outside double quotes.  Every '"'
+# toggles quoting, and an unterminated quote runs to the end of the line.
+_UNCOMMENTED_RE = re.compile(r'(?:[^"#]+|"[^"]*"?)*')
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out).strip()
-
-
-def _parse_scalar(text: str, line: int) -> Scalar:
-    text = text.strip()
+def _parse_scalar(text: str, line: int, path: str) -> Scalar:
+    """Parse one stripped scalar."""
     if not text:
-        raise CatalogParseError("empty value", line)
-    if text.startswith('"'):
-        if not text.endswith('"') or len(text) < 2:
-            raise CatalogParseError(f"unterminated string {text!r}", line)
+        raise CatalogParseError("empty value", line, path)
+    if text[0] == '"':
+        if text[-1] != '"' or len(text) < 2:
+            raise CatalogParseError(f"unterminated string {text!r}", line, path)
         return text[1:-1]
     if _INT_RE.match(text):
         return int(text)
@@ -142,72 +143,70 @@ def _parse_scalar(text: str, line: int) -> Scalar:
     if text == "false":
         return False
     if '"' in text or "[" in text or "]" in text:
-        raise CatalogParseError(f"malformed value {text!r}", line)
+        raise CatalogParseError(f"malformed value {text!r}", line, path)
     return text
 
 
-def _split_list_items(body: str, line: int) -> list[str]:
-    items, cur, quoted = [], [], False
-    for ch in body:
-        if ch == '"':
-            quoted = not quoted
-            cur.append(ch)
-        elif ch == "," and not quoted:
-            items.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if quoted:
-        raise CatalogParseError("unterminated string in list", line)
-    items.append("".join(cur))
+def _split_list_items(body: str, line: int, path: str) -> list[str]:
+    """Split a list body at the commas outside double quotes."""
+    chunks = body.split('"')  # odd-numbered chunks are quoted
+    if len(chunks) % 2 == 0:
+        raise CatalogParseError("unterminated string in list", line, path)
+    items = chunks[0].split(",")
+    for i in range(1, len(chunks), 2):
+        after = chunks[i + 1].split(",")
+        items[-1] += f'"{chunks[i]}"{after[0]}'
+        items += after[1:]
     items = [s.strip() for s in items]
     if items == [""]:
         return []
     return items
 
 
-def _parse_value(text: str, line: int) -> Scalar | list[Scalar]:
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise CatalogParseError(f"unterminated list {text!r}", line)
+def _parse_value(text: str, line: int, path: str) -> Scalar | list[Scalar]:
+    """Parse one stripped value: a scalar or a one-line list."""
+    if text[0] == "[":
+        if text[-1] != "]":
+            raise CatalogParseError(f"unterminated list {text!r}", line, path)
         return [
-            _parse_scalar(item, line)
-            for item in _split_list_items(text[1:-1], line)
+            _parse_scalar(item, line, path)
+            for item in _split_list_items(text[1:-1], line, path)
         ]
-    return _parse_scalar(text, line)
+    return _parse_scalar(text, line, path)
 
 
 def parse(text: str, path: str = "<catalog>") -> list[Node]:
     """Parse catalog text into a list of top-level nodes."""
     root = Node(key="<root>", line=0, children=[])
     stack = [root]
+    children = root.children
+    match_line = _LINE_RE.match
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        if "#" in raw:
+            line = raw[: _UNCOMMENTED_RE.match(raw).end()].strip()
+        else:
+            line = raw.strip()
         if not line:
             continue
         if line == "}":
             if len(stack) == 1:
                 raise CatalogParseError("unmatched '}'", lineno, path)
             stack.pop()
+            children = stack[-1].children
             continue
-        m = _OPEN_RE.match(line)
-        if m:
-            node = Node(key=m.group(1), line=lineno, children=[])
-            stack[-1].children.append(node)
-            stack.append(node)
-            continue
-        m = _PAIR_RE.match(line)
-        if m:
-            try:
-                value = _parse_value(m.group(2), lineno)
-            except CatalogParseError as err:
-                raise CatalogParseError(str(err).split(": ", 1)[1], lineno, path)
-            stack[-1].children.append(
-                Node(key=m.group(1), line=lineno, value=value)
+        m = match_line(line)
+        if m is None:
+            raise CatalogParseError(
+                f"cannot parse line {raw.strip()!r}", lineno, path
             )
-            continue
-        raise CatalogParseError(f"cannot parse line {raw.strip()!r}", lineno, path)
+        key, opened, value = m.groups()
+        if opened:
+            node = Node(key, lineno, None, [])
+            children.append(node)
+            stack.append(node)
+            children = node.children
+        else:
+            children.append(Node(key, lineno, _parse_value(value, lineno, path)))
     if len(stack) > 1:
         raise CatalogParseError("unclosed block", stack[-1].line, path)
     return root.children

@@ -10,7 +10,8 @@ Four subcommands, each available as markdown (default) or JSON:
 
 Exit codes: 0 success, 1 verdict mismatch (table regression or
 ``--strict`` on a bounded result), 2 unknown name, 3 theorem-hypothesis
-violation, 4 catalog parse error.
+violation, 4 catalog parse error, 5 invalid argument (``--r`` or ``--m``
+below 1).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_MISMATCH = 1
 EXIT_UNKNOWN_NAME = 2
 EXIT_HYPOTHESIS = 3
 EXIT_CATALOG_ERROR = 4
+EXIT_INVALID_ARGUMENT = 5
 
 
 def _load_catalog(path: str | None) -> Catalog:
@@ -48,6 +50,12 @@ def _load_catalog(path: str | None) -> Catalog:
     except OSError as err:
         click.echo(f"catalog error: {err}", err=True)
         sys.exit(EXIT_CATALOG_ERROR)
+
+
+def _require_positive(option: str, value: int):
+    if value < 1:
+        click.echo(f"invalid argument: {option} must be >= 1, got {value}", err=True)
+        sys.exit(EXIT_INVALID_ARGUMENT)
 
 
 def _emit(record: dict, fmt: str, render_md):
@@ -298,6 +306,7 @@ def _resolve_space(catalog: Catalog, name: str):
 def classify(ctx, space, r, fmt):
     """Classify invariant structures on SPACE (e.g. 'S4:SO(5)') at
     twist rank r."""
+    _require_positive("--r", r)
     catalog = _load_catalog(ctx.obj["catalog_path"])
     rec = _resolve_space(catalog, space)
     try:
@@ -358,13 +367,15 @@ def spin_type(ctx, space, strict, fmt):
 
 @main.command()
 @click.argument("group")
-@click.option("--m", "m", type=int, required=True, help="Manifold dimension.")
-@click.option("--r", "r", type=int, required=True, help="Twist rank.")
+@click.option("--m", "m", type=int, required=True, help="Manifold dimension m >= 1.")
+@click.option("--r", "r", type=int, required=True, help="Twist rank r >= 1.")
 @_format_option
 @click.pass_context
 def holonomy(ctx, group, m, r, fmt):
     """Does the holonomy representation of GROUP on R^m lift at twist
     rank r?  Prints yes/no/unknown."""
+    _require_positive("--m", m)
+    _require_positive("--r", r)
     catalog = _load_catalog(ctx.obj["catalog_path"])
     try:
         verdict: HolonomyVerdict = holonomy_lift(catalog, group, m, r)

@@ -126,10 +126,18 @@ def so_group(k: int) -> CompactGroupRec:
 
 def _build_pi1(node: Node) -> FgAbGroup:
     free_rank = node.require_int("free_rank")
+    if free_rank < 0:
+        raise CatalogParseError(
+            f"free_rank must be >= 0, got {free_rank}", node.child("free_rank").line
+        )
     torsion = node.require_list("torsion")
     for d in torsion:
         if isinstance(d, bool) or not isinstance(d, int):
             raise CatalogParseError(f"torsion entries must be integers: {d!r}", node.line)
+        if d < 2:
+            raise CatalogParseError(
+                f"torsion entries must be >= 2, got {d}", node.child("torsion").line
+            )
     generators = tuple(node.str_list("generators"))
     try:
         return FgAbGroup(free_rank, tuple(torsion), generators)
@@ -149,8 +157,14 @@ def _build_ideal(node: Node) -> SimpleIdeal:
 
 
 def _build_algebra(node: Node) -> AlgebraProfile:
+    center_rank = node.require_int("center_rank")
+    if center_rank < 0:
+        raise CatalogParseError(
+            f"center_rank must be >= 0, got {center_rank}",
+            node.child("center_rank").line,
+        )
     return AlgebraProfile(
-        center_rank=node.require_int("center_rank"),
+        center_rank=center_rank,
         ideals=tuple(_build_ideal(c) for c in node.items("ideal")),
     )
 
@@ -160,7 +174,11 @@ def build_group(node: Node) -> CompactGroupRec:
         name=node.require_str("name"),
         pi1=_build_pi1(node.child("pi1")),
         algebra=_build_algebra(node.child("algebra")),
-        connected=bool(node.get("connected", True)),
+        connected=(
+            node.require_bool("connected")
+            if node.child("connected", required=False) is not None
+            else True
+        ),
         provenance=node.require_str("provenance"),
     )
     if not rec.provenance.strip():
@@ -177,8 +195,12 @@ def _validate_group(rec: CompactGroupRec, node: Node):
     """
     name = rec.name
     if name.startswith("SO(") and name.endswith(")"):
-        k = int(name[3:-1])
-        expected = so_group(k)
+        try:
+            expected = so_group(int(name[3:-1]))
+        except ValueError as err:
+            raise CatalogParseError(
+                f"group {name}: SO(k) needs an integer k >= 1", node.line
+            ) from err
         if rec.pi1 != expected.pi1 or rec.pi1.labels != expected.pi1.labels:
             raise CatalogParseError(
                 f"pi1 of {name} must match the standard value "
@@ -193,8 +215,14 @@ def _validate_group(rec: CompactGroupRec, node: Node):
             )
     for ideal in rec.algebra.ideals:
         if ideal.kind.startswith("so(") and ideal.kind.endswith(")"):
-            k = int(ideal.kind[3:-1])
-            ref = so_ideal(k)
+            try:
+                ref = so_ideal(int(ideal.kind[3:-1]))
+            except ValueError as err:
+                raise CatalogParseError(
+                    f"ideal {ideal.kind}: so(k) is simple only for an integer "
+                    f"k = 3 or k >= 5",
+                    node.line,
+                ) from err
             if (ideal.dim, ideal.min_orth_rep_dim) != (ref.dim, ref.min_orth_rep_dim):
                 raise CatalogParseError(
                     f"ideal {ideal.kind}: expected dim {ref.dim}, "

@@ -158,6 +158,8 @@ def parse_affine(text: str) -> AffineInt:
         else:
             num = int(m.group("num")) if m.group("num") else 1
             den = int(m.group("den")) if m.group("den") else 1
+            if den == 0:
+                raise ValueError(f"zero denominator in {text!r}")
             coeff += sign * Fraction(num, den)
     return AffineInt(coeff, offset)
 
@@ -279,7 +281,10 @@ def hom_rule_trace(a: AlgebraProfile, r: int) -> RuleTrace:
       representation of dimension <= r.
 
     Impossible when no nonzero quotient passes; the trace records why
-    each candidate dies, in kernel-scan order.
+    each candidate dies, in kernel-scan order.  For one set of ideals
+    only the dimension test depends on the centre dimension d, so the
+    centre dimensions d >= 1 fall into at most two runs, those that fit
+    and those that exceed; a run of several candidates is one line.
     """
     so_r_dim = r * (r - 1) // 2
     lines = [f"maps {describe_algebra(a)} -> so({r}) (dim {so_r_dim})"]
@@ -287,34 +292,46 @@ def hom_rule_trace(a: AlgebraProfile, r: int) -> RuleTrace:
     survivor_found = False
     for mask in range(1 << len(ideals)):
         kept = [ideals[i] for i in range(len(ideals)) if mask & (1 << i)]
-        for center_dim in range(a.center_rank + 1):
-            if not kept and center_dim == 0:
-                continue  # the zero quotient is the trivial homomorphism
-            qdim = center_dim + sum(i.dim for i in kept)
-            quotient = _describe_quotient(kept, center_dim)
-            if qdim > so_r_dim:
-                lines.append(
-                    f"quotient {quotient} (dim {qdim}) exceeds dim so({r})"
-                )
+        ideal_dim = sum(i.dim for i in kept)
+        fit = so_r_dim - ideal_dim  # the largest centre dimension that fits
+        runs = (
+            (0, 0 if kept else -1),  # the zero quotient is the trivial map
+            (1, min(a.center_rank, fit)),
+            (max(1, fit + 1), a.center_rank),
+        )
+        for lo, hi in runs:
+            if lo > hi:
                 continue
-            if r <= 2 and kept:
-                lines.append(
-                    f"quotient {quotient} is non-abelian but so({r}) is abelian"
-                )
-                continue
-            bad = [i for i in kept if i.min_orth_rep_dim > r]
-            if bad:
-                lines.append(
-                    f"quotient {quotient}: ideal {bad[0].kind} has no "
-                    f"nontrivial orthogonal representation below dim "
-                    f"{bad[0].min_orth_rep_dim} > {r}"
-                )
-                continue
-            lines.append(f"quotient {quotient} (dim {qdim}) cannot be ruled out")
-            survivor_found = True
+            line, survives = _quotient_outcome(kept, ideal_dim, lo, hi, r, so_r_dim)
+            lines.append(line)
+            survivor_found = survivor_found or survives
     if not survivor_found:
         lines.append("every nonzero quotient is excluded: only the zero map exists")
     return RuleTrace(impossible=not survivor_found, lines=tuple(lines))
+
+
+def _quotient_outcome(kept, ideal_dim, lo, hi, r, so_r_dim) -> tuple[str, bool]:
+    """One trace line for the quotients kept + R^d, lo <= d <= hi, which
+    share one outcome; True when they cannot be ruled out."""
+    if lo == hi:
+        quotient = _describe_quotient(kept, lo)
+        qdim = f"dim {ideal_dim + lo}"
+    else:
+        quotient = f"{_describe_quotient(kept, 'd')} for {lo} ≤ d ≤ {hi}"
+        qdim = f"dim {ideal_dim + lo} to {ideal_dim + hi}"
+    if ideal_dim + lo > so_r_dim:
+        return f"quotient {quotient} ({qdim}) exceeds dim so({r})", False
+    if r <= 2 and kept:
+        return f"quotient {quotient} is non-abelian but so({r}) is abelian", False
+    bad = [i for i in kept if i.min_orth_rep_dim > r]
+    if bad:
+        return (
+            f"quotient {quotient}: ideal {bad[0].kind} has no "
+            f"nontrivial orthogonal representation below dim "
+            f"{bad[0].min_orth_rep_dim} > {r}",
+            False,
+        )
+    return f"quotient {quotient} ({qdim}) cannot be ruled out", True
 
 
 def describe_algebra(a: AlgebraProfile) -> str:

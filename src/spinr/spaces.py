@@ -184,6 +184,8 @@ def build_holonomy(node: Node, groups) -> HolonomyRec:
     if g_name not in groups:
         raise CatalogParseError(f"holonomy record: unknown group {g_name}", node.line)
     m = node.require_int("m")
+    if m < 1:
+        raise CatalogParseError("holonomy record: dimension must be >= 1", node.line)
     h = _images_hom(groups[g_name].pi1, m, _int_list(node, "h_pi1_images"), node.line)
     return HolonomyRec(
         group=g_name,

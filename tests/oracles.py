@@ -2,16 +2,21 @@
 
 Everything here is deliberately naive: membership is decided by
 enumerating integer coefficient vectors over a box, with no shared code
-with the Smith-reduction path under test.
+with the Smith-reduction path under test; the catalog text is parsed
+one character at a time; the rule engine's kernel scan visits every
+centre dimension.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
 from spinr.abelian import AbElem, Subgroup
+from spinr.catalogfile import CatalogParseError, Node
+from spinr.repcat import RuleTrace, describe_algebra
 
 COEFF_BOX = 8  # coefficients searched over [-COEFF_BOX, COEFF_BOX]
 
@@ -125,3 +130,155 @@ def enumerate_torsion_subgroup(s: Subgroup) -> set[tuple[int, ...]]:
                     seen.add(nxt.coords)
                     frontier.append(nxt)
     return seen
+
+
+# --- reference catalog parser ------------------------------------------------
+#
+# The character-loop parser that ``spinr.catalogfile.parse`` replaced.  The
+# quoting rule it defines: every '"' toggles quoting, a '#' or ',' inside
+# quotes is data, and an unterminated quote runs to the end of the line.
+
+_REF_OPEN_RE = re.compile(r"^([A-Za-z_][\w-]*)\s*\{$")
+_REF_PAIR_RE = re.compile(r"^([A-Za-z_][\w-]*)\s*:\s*(.+)$")
+_REF_INT_RE = re.compile(r"^-?\d+$")
+
+
+def _ref_strip_comment(line: str) -> str:
+    out = []
+    quoted = False
+    for ch in line:
+        if ch == '"':
+            quoted = not quoted
+        if ch == "#" and not quoted:
+            break
+        out.append(ch)
+    return "".join(out).strip()
+
+
+def _ref_parse_scalar(text: str, line: int):
+    text = text.strip()
+    if not text:
+        raise CatalogParseError("empty value", line)
+    if text.startswith('"'):
+        if not text.endswith('"') or len(text) < 2:
+            raise CatalogParseError(f"unterminated string {text!r}", line)
+        return text[1:-1]
+    if _REF_INT_RE.match(text):
+        return int(text)
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    if '"' in text or "[" in text or "]" in text:
+        raise CatalogParseError(f"malformed value {text!r}", line)
+    return text
+
+
+def _ref_split_list_items(body: str, line: int) -> list[str]:
+    items, cur, quoted = [], [], False
+    for ch in body:
+        if ch == '"':
+            quoted = not quoted
+            cur.append(ch)
+        elif ch == "," and not quoted:
+            items.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    if quoted:
+        raise CatalogParseError("unterminated string in list", line)
+    items.append("".join(cur))
+    items = [s.strip() for s in items]
+    if items == [""]:
+        return []
+    return items
+
+
+def _ref_parse_value(text: str, line: int):
+    text = text.strip()
+    if text.startswith("["):
+        if not text.endswith("]"):
+            raise CatalogParseError(f"unterminated list {text!r}", line)
+        return [
+            _ref_parse_scalar(item, line)
+            for item in _ref_split_list_items(text[1:-1], line)
+        ]
+    return _ref_parse_scalar(text, line)
+
+
+def reference_parse(text: str, path: str = "<catalog>") -> list[Node]:
+    """Parse catalog text one character at a time."""
+    root = Node(key="<root>", line=0, children=[])
+    stack = [root]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _ref_strip_comment(raw)
+        if not line:
+            continue
+        if line == "}":
+            if len(stack) == 1:
+                raise CatalogParseError("unmatched '}'", lineno, path)
+            stack.pop()
+            continue
+        m = _REF_OPEN_RE.match(line)
+        if m:
+            node = Node(key=m.group(1), line=lineno, children=[])
+            stack[-1].children.append(node)
+            stack.append(node)
+            continue
+        m = _REF_PAIR_RE.match(line)
+        if m:
+            try:
+                value = _ref_parse_value(m.group(2), lineno)
+            except CatalogParseError as err:
+                raise CatalogParseError(str(err).split(": ", 1)[1], lineno, path)
+            stack[-1].children.append(
+                Node(key=m.group(1), line=lineno, value=value)
+            )
+            continue
+        raise CatalogParseError(f"cannot parse line {raw.strip()!r}", lineno, path)
+    if len(stack) > 1:
+        raise CatalogParseError("unclosed block", stack[-1].line, path)
+    return root.children
+
+
+# --- reference kernel scan -----------------------------------------------------
+
+def scan_hom_rule_trace(a, r: int) -> RuleTrace:
+    """The rule engine's kernel scan with one trace line per candidate
+    quotient, every centre dimension visited in turn."""
+    so_r_dim = r * (r - 1) // 2
+    lines = [f"maps {describe_algebra(a)} -> so({r}) (dim {so_r_dim})"]
+    ideals = list(a.ideals)
+    survivor_found = False
+    for mask in range(1 << len(ideals)):
+        kept = [ideals[i] for i in range(len(ideals)) if mask & (1 << i)]
+        for center_dim in range(a.center_rank + 1):
+            if not kept and center_dim == 0:
+                continue  # the zero quotient is the trivial homomorphism
+            qdim = center_dim + sum(i.dim for i in kept)
+            quotient = " + ".join(
+                [i.kind for i in kept] + ([f"R^{center_dim}"] if center_dim else [])
+            )
+            if qdim > so_r_dim:
+                lines.append(
+                    f"quotient {quotient} (dim {qdim}) exceeds dim so({r})"
+                )
+                continue
+            if r <= 2 and kept:
+                lines.append(
+                    f"quotient {quotient} is non-abelian but so({r}) is abelian"
+                )
+                continue
+            bad = [i for i in kept if i.min_orth_rep_dim > r]
+            if bad:
+                lines.append(
+                    f"quotient {quotient}: ideal {bad[0].kind} has no "
+                    f"nontrivial orthogonal representation below dim "
+                    f"{bad[0].min_orth_rep_dim} > {r}"
+                )
+                continue
+            lines.append(f"quotient {quotient} (dim {qdim}) cannot be ruled out")
+            survivor_found = True
+    if not survivor_found:
+        lines.append("every nonzero quotient is excluded: only the zero map exists")
+    return RuleTrace(impossible=not survivor_found, lines=tuple(lines))

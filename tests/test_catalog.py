@@ -1,0 +1,205 @@
+"""The loader as a whole: where its errors point, what it does with
+arbitrary edits of a valid catalog, and the generator that writes the
+bundled catalog."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinr.catalog import Catalog, load, loads
+from spinr.catalogfile import CatalogParseError
+
+ROOT = Path(__file__).resolve().parents[1]
+
+BASE = """catalog_version: 1
+group {
+  name: "SO(2)"
+  pi1 {
+    free_rank: 1
+    torsion: []
+    generators: ["alpha"]
+  }
+  algebra {
+    center_rank: 1
+  }
+  connected: true
+  provenance: "p"
+}
+group {
+  name: "SO(3)"
+  pi1 {
+    free_rank: 0
+    torsion: [2]
+    generators: ["alpha"]
+  }
+  algebra {
+    center_rank: 0
+    ideal {
+      kind: "so(3)"
+      dim: 3
+      min_orth_rep: 3
+      provenance: "p"
+    }
+  }
+  connected: true
+  provenance: "p"
+}
+group {
+  name: "T"
+  pi1 {
+    free_rank: 1
+    torsion: [3]
+    generators: ["a", "b"]
+  }
+  algebra {
+    center_rank: 2
+  }
+  provenance: "p"
+}
+repfamily {
+  name: "so2-circle-powers"
+  domain: "SO(2)"
+  target_r: 2
+  param {
+    name: "s"
+    constraint: "s in Z"
+  }
+  pi1_images: ["s"]
+  distinct_classes: "d"
+  certificate: "c"
+}
+repfamily {
+  name: "so3-identity"
+  domain: "SO(3)"
+  target_r: 3
+  labels: ["identity"]
+  pi1_images: ["1"]
+  extends_to: "O(3)"
+  distinct_classes: "d"
+  certificate: "c"
+}
+space {
+  name: "S2:SO(3)"
+  G: "SO(3)"
+  H: "SO(2)"
+  n: 2
+  sigma_pi1_images: [1]
+  provenance: "p"
+}
+holonomy {
+  group: "SO(2)"
+  m: 2
+  h_pi1_images: [1]
+  provenance: "p"
+}
+"""
+
+
+def test_base_catalog_loads():
+    cat = loads(BASE)
+    assert sorted(cat.groups) == ["SO(2)", "SO(3)", "T"]
+    assert len(cat.families) == 2
+
+
+# --- error locations -------------------------------------------------------------
+
+def _line_of(snippet: str, after: str = "") -> int:
+    return BASE[: BASE.index(snippet, BASE.index(after))].count("\n") + 1
+
+
+@pytest.mark.parametrize(
+    "old, new, after, reported_at, message",
+    [
+        # build_group: at the key
+        ("free_rank: 1", 'free_rank: "x"', "", "free_rank: 1",
+         "'free_rank' must be an integer, got 'x'"),
+        # build_family, build_space, build_holonomy: at the record
+        ('pi1_images: ["s"]', 'pi1_images: ["s/0"]', "", "repfamily {",
+         "zero denominator"),
+        ("n: 2", "n: 0", "space {", "space {", "dimension must be >= 1"),
+        ("m: 2", "m: 0", "holonomy {", "holonomy {", "dimension must be >= 1"),
+        # the family check against its domain group
+        ('pi1_images: ["1"]', 'pi1_images: ["1", "1"]', "so2-circle-powers",
+         "repfamily {", "2 images for 1"),
+    ],
+)
+def test_loader_errors_name_the_file_and_line(
+    tmp_path, old, new, after, reported_at, message
+):
+    at = BASE.index(old, BASE.index(after))
+    path = tmp_path / "c.txt"
+    path.write_text(BASE[:at] + new + BASE[at + len(old):], encoding="utf-8")
+    line = _line_of(reported_at, after)
+    with pytest.raises(CatalogParseError) as err:
+        load(str(path))
+    assert str(err.value).startswith(f"{path}:{line}: ")
+    assert message in str(err.value)
+    assert (err.value.path, err.value.line) == (str(path), line)
+
+
+def test_cross_validation_error_names_the_file(tmp_path):
+    # so(3) has no nonzero map into the abelian so(2), so a listed family
+    # at (SO(3), 2) contradicts the rule engine
+    text = BASE.replace("target_r: 3", "target_r: 2").replace(
+        'pi1_images: ["1"]', 'pi1_images: ["0"]'
+    )
+    path = tmp_path / "c.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CatalogParseError) as err:
+        load(str(path))
+    assert str(err.value).startswith(f"{path}:1: family so3-identity")
+
+
+# --- arbitrary edits of a valid catalog --------------------------------------------
+
+_VALUES = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.sampled_from(
+        ["x", '"x"', '""', "true", "false", '"false"', "[]", "[0]", "[1]", "[1, 2]",
+         "[-2]", '["a"]', '["a", "b"]', '"SO(x)"', '"SO(0)"', '"so(4)"', '"s/0"',
+         '"s/2"', '"0*s"', '"s"', '"T"', '"SO(2)"', '"SO(3)"', '"s = 1 mod 0"',
+         '"s odd"', '["s/0"]', '["s", "1"]', "100000", "[true]", "[0, 0]"]
+    ),
+)
+
+
+@st.composite
+def edited_catalogs(draw):
+    lines = BASE.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["value", "value", "value", "delete", "copy"]))
+        if action == "value" and ":" in lines[i]:
+            lines[i] = f"{lines[i].split(':')[0]}: {draw(_VALUES)}"
+        elif action == "delete":
+            del lines[i]
+        else:
+            lines.insert(i, lines[draw(st.integers(0, len(lines) - 1))])
+    return "\n".join(lines)
+
+
+@settings(max_examples=200)
+@given(edited_catalogs())
+def test_loads_returns_a_catalog_or_raises_catalog_parse_error(text):
+    try:
+        cat = loads(text, "fuzz.txt")
+    except CatalogParseError as err:
+        assert str(err).startswith("fuzz.txt:")
+    else:
+        assert isinstance(cat, Catalog)
+
+
+# --- the generator ---------------------------------------------------------------
+
+def test_generator_renders_the_bundled_catalog():
+    spec = importlib.util.spec_from_file_location(
+        "make_catalog", ROOT / "tools" / "make_catalog.py"
+    )
+    make_catalog = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_catalog)
+    bundled = (ROOT / "src" / "spinr" / "data" / "catalog.txt").read_text("utf-8")
+    assert make_catalog.render() == bundled
+    assert make_catalog.render() == bundled  # rendering twice starts afresh

@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_parse
 
 from spinr.catalogfile import CatalogParseError, parse
 
@@ -97,3 +100,85 @@ def test_repeated_block_keys_collected():
 def test_middle_dot_in_barewords():
     (node,) = parse("g {\n  name: Sp(2)·Sp(1)\n}\n")
     assert node.require_str("name") == "Sp(2)·Sp(1)"
+
+
+def test_require_bool_rejects_quoted_and_integer_flags():
+    (node,) = parse('b {\n  yes: true\n  no: false\n  quoted: "false"\n  one: 1\n}\n')
+    assert node.require_bool("yes") is True
+    assert node.require_bool("no") is False
+    for key, line in (("quoted", 4), ("one", 5)):
+        with pytest.raises(CatalogParseError) as err:
+            node.require_bool(key)
+        assert err.value.line == line
+        assert "must be true or false" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [
+        ('x: "a # b"  # tail', "a # b"),
+        ('x: ["a, b", c]  # "quoted" tail', ["a, b", "c"]),
+        ('x: [",", "#", ""]', [",", "#", ""]),
+        ("x:   7   # seven", 7),
+    ],
+)
+def test_quotes_protect_hash_and_comma(line, value):
+    (node,) = parse(line)
+    assert node.value == value
+    assert type(node.value) is type(value)
+
+
+def test_unterminated_quote_runs_to_end_of_line():
+    with pytest.raises(CatalogParseError) as err:
+        parse('x: "a # b')
+    assert str(err.value) == "<catalog>:1: unterminated string '\"a # b'"
+
+
+# --- the one-pass parser against the character-loop reference -------------------
+
+_JUNK = st.text(alphabet='"#,[]{}: ax1-', max_size=8)
+_KEY = st.sampled_from(["k", "key_1", "a-b", "Z", "1k", ""])
+_SCALAR = st.one_of(
+    st.sampled_from(
+        ["7", "-3", "true", "false", "word", "Sp(2)·Sp(1)", '"q"', '""',
+         '"a # b"', '"a, b"', '"', 'a"b', "[", "]", ""]
+    ),
+    _JUNK,
+)
+_LIST = st.tuples(
+    st.lists(_SCALAR, max_size=4).map(", ".join), st.sampled_from(["]", "", ",]"])
+).map(lambda t: f"[{t[0]}{t[1]}")
+_COMMENT = st.sampled_from(["", "  # note", ' # "q", [x]', "#"])
+_LINE = st.one_of(
+    st.sampled_from(["", "}", "  }"]),
+    st.tuples(_KEY, st.sampled_from([" {", "{", " {  # open"])).map("".join),
+    st.tuples(
+        st.sampled_from(["", "  "]),
+        _KEY,
+        st.sampled_from([": ", ":", " : "]),
+        st.one_of(_SCALAR, _LIST),
+        _COMMENT,
+    ).map("".join),
+    _JUNK,
+)
+catalog_like_text = st.lists(_LINE, max_size=10).map("\n".join)
+
+
+def _outcome(parser, text):
+    try:
+        return repr(parser(text, "fuzz.txt"))
+    except CatalogParseError as err:
+        return f"error: {err}"
+
+
+@settings(max_examples=200)
+@given(catalog_like_text)
+def test_parse_matches_reference_parser(text):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+def test_bundled_catalog_parses_as_the_reference_does():
+    from spinr.catalog import bundled_catalog_text
+
+    text = bundled_catalog_text()
+    assert repr(parse(text)) == repr(reference_parse(text))

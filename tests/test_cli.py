@@ -177,6 +177,22 @@ def test_catalog_env_var_override(tmp_path):
     assert res.exit_code == 4
 
 
+@pytest.mark.parametrize(
+    "args, option, value",
+    [
+        (("classify", "S4:SO(5)", "--r", "0"), "--r", 0),
+        (("classify", "S4:SO(5)", "--r", "-2", "--format", "json"), "--r", -2),
+        (("holonomy", "Sp(3)·Sp(1)", "--m", "0", "--r", "2"), "--m", 0),
+        (("holonomy", "Sp(3)·Sp(1)", "--m", "12", "--r", "0"), "--r", 0),
+    ],
+)
+def test_rank_and_dimension_below_one_exit_five(args, option, value):
+    res = run(*args)
+    assert res.exit_code == 5
+    assert res.stdout == ""
+    assert res.stderr == f"invalid argument: {option} must be >= 1, got {value}\n"
+
+
 # --- spin-type --------------------------------------------------------------------
 
 def test_spin_type_exact(schema):

@@ -120,6 +120,74 @@ def test_loader_rejects_unknown_record_type():
     assert "widget" in str(err.value)
 
 
+def _line_of(text: str, snippet: str) -> int:
+    return text[: text.index(snippet)].count("\n") + 1
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("torsion: [2]", "torsion: [0]", "torsion entries must be >= 2, got 0"),
+        ("torsion: [2]", "torsion: [2, -3]", "torsion entries must be >= 2, got -3"),
+        ("free_rank: 0", "free_rank: -1", "free_rank must be >= 0, got -1"),
+        ("center_rank: 0", "center_rank: -2", "center_rank must be >= 0, got -2"),
+        ("connected: true", 'connected: "false"', "'connected' must be true or false"),
+        ("connected: true", "connected: 0", "'connected' must be true or false"),
+    ],
+)
+def test_group_record_field_checks(old, new, message):
+    # renamed so that the SO(k) formula check does not fire first
+    bad = MINIMAL.replace('"SO(4)"', '"X"').replace(old, new)
+    with pytest.raises(CatalogParseError) as err:
+        loads(bad)
+    assert message in str(err.value)
+    assert err.value.line == _line_of(bad, new)
+
+
+def test_connected_flag_read_strictly():
+    assert not loads(MINIMAL.replace("connected: true", "connected: false")).lookup(
+        "SO(4)"
+    ).connected
+    assert loads(MINIMAL.replace("  connected: true\n", "")).lookup("SO(4)").connected
+
+
+def test_quoted_false_in_bundled_catalog_is_rejected():
+    from spinr.catalog import bundled_catalog_text
+    from spinr.spaces import HypothesisError, classify
+
+    text = bundled_catalog_text()
+    at = text.index("connected: true", text.index('name: "SO(4)"'))
+
+    def with_flag(flag):
+        return text[:at] + f"connected: {flag}" + text[at + len("connected: true"):]
+
+    # a bare false loads, and classify refuses the disconnected stabiliser
+    cat = loads(with_flag("false"))
+    with pytest.raises(HypothesisError):
+        classify(cat, cat.space("S4:SO(5)"), 3)
+    # a quoted "false" is a string, not a flag: the record is rejected
+    with pytest.raises(CatalogParseError) as err:
+        loads(with_flag('"false"'))
+    assert err.value.line == text[:at].count("\n") + 1
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"SO(4)"', '"SO(x)"', "group SO(x): SO(k) needs an integer k >= 1"),
+        ('"SO(4)"', '"SO(0)"', "group SO(0): SO(k) needs an integer k >= 1"),
+        ('kind: "so(3)"', 'kind: "so(x)"', "ideal so(x): so(k) is simple only"),
+        ('kind: "so(3)"', 'kind: "so(4)"', "ideal so(4): so(k) is simple only"),
+    ],
+)
+def test_malformed_so_names_raise_parse_errors(old, new, message):
+    base = MINIMAL if "SO" in old else MINIMAL.replace('"SO(4)"', '"X"')
+    bad = base.replace(old, new, 1)
+    with pytest.raises(CatalogParseError) as err:
+        loads(bad)
+    assert message in str(err.value)
+
+
 # --- bundled catalog sanity ---------------------------------------------------
 
 def test_bundled_groups_match_formulas(catalog):

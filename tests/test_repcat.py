@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import scan_hom_rule_trace
 
 from spinr.catalog import loads
 from spinr.catalogfile import CatalogParseError
@@ -133,6 +136,48 @@ def test_min_orth_rule_fires():
     assert not no_nontrivial_hom(g2, 7)
     trace = hom_rule_trace(g2, 6)
     assert "no nontrivial orthogonal representation" in str(trace)
+
+
+_IDEALS = st.builds(
+    SimpleIdeal,
+    kind=st.sampled_from(["so(3)", "su(3)", "sp(2)", "g2"]),
+    dim=st.integers(3, 14),
+    min_orth_rep_dim=st.integers(2, 8),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.builds(
+        AlgebraProfile,
+        center_rank=st.integers(0, 12),
+        ideals=st.lists(_IDEALS, max_size=3).map(tuple),
+    ),
+    st.integers(1, 9),
+)
+def test_rule_trace_verdict_matches_full_scan(algebra, r):
+    trace, scan = hom_rule_trace(algebra, r), scan_hom_rule_trace(algebra, r)
+    assert trace.impossible == scan.impossible
+    if algebra.center_rank <= 1:
+        assert trace == scan  # every run is one candidate: same wording
+    assert len(trace.lines) <= 3 * 2 ** len(algebra.ideals) + 2
+
+
+def test_rule_trace_identical_to_scan_on_bundled_groups(catalog):
+    for group in catalog.groups.values():
+        for r in range(1, 20):
+            trace = hom_rule_trace(group.algebra, r)
+            assert trace == scan_hom_rule_trace(group.algebra, r)
+
+
+def test_rule_trace_bounded_in_centre_rank():
+    trace = hom_rule_trace(AlgebraProfile(100000), 3)
+    assert not trace.impossible
+    assert trace.lines == (
+        "maps R^100000 -> so(3) (dim 3)",
+        "quotient R^d for 1 ≤ d ≤ 3 (dim 1 to 3) cannot be ruled out",
+        "quotient R^d for 4 ≤ d ≤ 100000 (dim 4 to 100000) exceeds dim so(3)",
+    )
 
 
 # --- enumeration -------------------------------------------------------------------------

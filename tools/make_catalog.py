@@ -201,7 +201,9 @@ HALF_DIAG_CITE = (
 )
 
 
-def main():
+def render() -> str:
+    """The full catalog text."""
+    lines.clear()
     emit("# Catalog of compact connected Lie groups, orthogonal representation")
     emit("# families, homogeneous sphere realisations and holonomy records.")
     emit("# Regenerate with tools/make_catalog.py; edits here are data edits.")
@@ -522,10 +524,15 @@ def main():
         "exceptional Spin(7) holonomy: Spin(7) is simply connected",
     )
 
+    return "\n".join(lines).rstrip() + "\n"
+
+
+def main():
+    text = render()
     os.makedirs(os.path.dirname(OUT), exist_ok=True)
     with open(OUT, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines).rstrip() + "\n")
-    print(f"wrote {OUT} ({len(lines)} lines)")
+        fh.write(text)
+    print(f"wrote {OUT} ({len(text.splitlines())} lines)")
 
 
 if __name__ == "__main__":
