@@ -135,9 +135,6 @@ def cyclic(order: int, label: str = "g") -> FgAbGroup:
     return FgAbGroup(0, (order,), (label,))
 
 
-TRIVIAL_GROUP = FgAbGroup(0, (), ())
-
-
 @dataclass(frozen=True)
 class AbElem:
     """Element of an FgAbGroup, stored as one integer per generator."""

@@ -12,7 +12,7 @@ variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from . import catalogfile
@@ -39,6 +39,16 @@ class Catalog:
     spaces: dict[str, HomSpaceRec]
     holonomies: dict[tuple[str, int], HolonomyRec]
     path: str = "<catalog>"
+    # (domain, target_r) -> the families listed there, in file order
+    _families_by_target: dict[tuple[str, int], tuple[OrthRepFamily, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        index: dict[tuple[str, int], list[OrthRepFamily]] = {}
+        for fam in self.families:
+            index.setdefault((fam.domain, fam.target_r), []).append(fam)
+        self._families_by_target = {k: tuple(v) for k, v in index.items()}
 
     def lookup(self, name: str) -> CompactGroupRec:
         key = normalize_name(name)
@@ -60,9 +70,8 @@ class Catalog:
         return self.holonomies[key]
 
     def families_at(self, domain: str, r: int) -> tuple[OrthRepFamily, ...]:
-        return tuple(
-            f for f in self.families if f.domain == domain and f.target_r == r
-        )
+        """The families listed at (domain, r), in file order."""
+        return self._families_by_target.get((domain, r), ())
 
 
 def loads(text: str, path: str = "<catalog>") -> Catalog:

@@ -137,18 +137,16 @@ def spin_lift_query(sigma_pi1: AbHom, n: int) -> LiftQuery:
 def inclusion_pi1(r: int, s: int) -> AbHom:
     """Map induced on pi1 by the top-left block inclusion SO(r) -> SO(s).
 
-    Identity (as Z2 -> Z2) for 3 <= r < s, mod-2 for r = 2 < s... with
-    the one genuinely infinite case r = 2, s = 2 excluded by s > r, and
-    the zero map out of the trivial pi1(SO(1)).
+    The zero map out of the trivial pi1(SO(1)).  Otherwise s >= 3, so
+    the codomain is Z2 and the generator goes to its generator: the
+    identity Z2 -> Z2 for r >= 3, and for r = 2 the winding number
+    reduced mod 2.
     """
     if s <= r:
         raise ValueError(f"inclusion needs s > r, got r={r}, s={s}")
     dom, cod = so_pi1(r), so_pi1(s)
     if r == 1:
         return zero_hom(dom, cod)
-    if r == 2:
-        # winding number reduces mod 2 once a third dimension exists
-        return AbHom(dom, cod, (cod.elem([1]),))
     return AbHom(dom, cod, (cod.elem([1]),))
 
 

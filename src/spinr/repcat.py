@@ -429,9 +429,8 @@ def enumerate_homs(catalog, H: str, r: int) -> EnumResult:
     exists; otherwise callers must propagate the uncertainty.
     """
     group = catalog.lookup(H)
-    listed = [
-        f for f in catalog.families if f.domain == H and f.target_r == r
-    ]
+    H = group.name  # the catalog's spelling, e.g. '·' for an ASCII '.'
+    listed = catalog.families_at(H, r)
     families = (trivial_family(H, r, group.pi1.rank), *listed)
     if listed:
         if any(f.incomplete for f in listed):

@@ -4,7 +4,8 @@ Everything here is deliberately naive: membership is decided by
 enumerating integer coefficient vectors over a box, with no shared code
 with the Smith-reduction path under test; the catalog text is parsed
 one character at a time; the rule engine's kernel scan visits every
-centre dimension.
+centre dimension; the spin-type scan runs the full classification at
+every rank.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from spinr.abelian import AbElem, Subgroup
 from spinr.catalogfile import CatalogParseError, Node
 from spinr.repcat import RuleTrace, describe_algebra
+from spinr.spaces import SpinTypeResult, canonical_structure, classify
 
 COEFF_BOX = 8  # coefficients searched over [-COEFF_BOX, COEFF_BOX]
 
@@ -282,3 +284,25 @@ def scan_hom_rule_trace(a, r: int) -> RuleTrace:
     if not survivor_found:
         lines.append("every nonzero quotient is excluded: only the zero map exists")
     return RuleTrace(impossible=not survivor_found, lines=tuple(lines))
+
+
+def scan_invariant_spin_type(catalog, space) -> SpinTypeResult:
+    """The least twist rank from a full `classify` (lift test of every
+    family, the trivial one included) at every rank r <= n."""
+    first_uncertain = None
+    for r in range(1, space.n + 1):
+        c = classify(catalog, space, r)
+        if not c.is_empty():
+            status = "exact" if first_uncertain is None else "bounded"
+            lo = r if first_uncertain is None else first_uncertain
+            return SpinTypeResult(space.name, status, lo, r, c.classes)
+        if not c.complete and first_uncertain is None:
+            first_uncertain = r
+    if first_uncertain is None:
+        raise RuntimeError(
+            f"no invariant structure found for {space.name} up to r = "
+            f"{space.n} despite complete enumerations; catalog data is "
+            f"inconsistent with the existence theorem"
+        )
+    witnesses = canonical_structure(catalog, space).classes if space.n >= 3 else ()
+    return SpinTypeResult(space.name, "bounded", first_uncertain, space.n, witnesses)

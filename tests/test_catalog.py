@@ -104,6 +104,18 @@ def test_base_catalog_loads():
     assert len(cat.families) == 2
 
 
+def test_families_at_matches_a_scan_of_every_family(catalog):
+    so3_family = BASE[BASE.index('repfamily {\n  name: "so3-identity"') : BASE.index("space {")]
+    two_at_so3 = loads(BASE + so3_family.replace("so3-identity", "so3-again"))
+    assert len(two_at_so3.families_at("SO(3)", 3)) == 2
+    for cat in (catalog, two_at_so3):
+        pairs = {(f.domain, f.target_r) for f in cat.families}
+        for domain, r in pairs | {("SO(5)", 99), ("nowhere", 2)}:
+            assert cat.families_at(domain, r) == tuple(
+                f for f in cat.families if f.domain == domain and f.target_r == r
+            )
+
+
 # --- error locations -------------------------------------------------------------
 
 def _line_of(snippet: str, after: str = "") -> int:

@@ -5,7 +5,10 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from spinr.catalog import loads
 from spinr.cli import main
+from spinr.spaces import HypothesisError, holonomy_lift
+from test_spaces import BOUNDED_CATALOG
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +111,7 @@ def test_classify_ascii_dot_name(schema):
     assert record["result"]["count"] == 1
 
 
-def test_classify_disconnected_stabiliser_exit_three(tmp_path):
-    catalog_text = """
+DISCONNECTED_CATALOG = """
 catalog_version: 1
 
 group {
@@ -146,6 +148,13 @@ group {
   provenance: "test data"
 }
 
+holonomy {
+  group: "Twisty"
+  m: 3
+  h_pi1_images: [1]
+  provenance: "test data"
+}
+
 space {
   name: "X3:Big"
   G: "Big"
@@ -155,11 +164,29 @@ space {
   provenance: "test data"
 }
 """
+
+
+def test_classify_disconnected_stabiliser_exit_three(tmp_path):
     path = tmp_path / "cat.txt"
-    path.write_text(catalog_text, encoding="utf-8")
+    path.write_text(DISCONNECTED_CATALOG, encoding="utf-8")
     res = run("--catalog", str(path), "classify", "X3:Big", "--r", "1")
     assert res.exit_code == 3
     assert "connected" in res.stderr
+
+
+def test_holonomy_disconnected_group_exit_three(tmp_path):
+    cat = loads(DISCONNECTED_CATALOG)
+    with pytest.raises(HypothesisError, match="Twisty is not connected"):
+        holonomy_lift(cat, "Twisty", 3, 1)
+    path = tmp_path / "cat.txt"
+    path.write_text(DISCONNECTED_CATALOG, encoding="utf-8")
+    res = run("--catalog", str(path), "holonomy", "Twisty", "--m", "3", "--r", "3")
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == (
+        "hypothesis violation: holonomy group Twisty is not connected; the "
+        "lifting criterion requires a connected holonomy group\n"
+    )
 
 
 def test_catalog_parse_error_exit_four(tmp_path):
@@ -258,3 +285,47 @@ def test_holonomy_markdown():
 def test_holonomy_missing_record_exit_two():
     res = run("holonomy", "SO(5)", "--m", "99", "--r", "2")
     assert res.exit_code == 2
+
+
+def test_holonomy_ascii_dot_name_finds_the_families():
+    dotted = run_json("holonomy", "Sp(3).Sp(1)", "--m", "12", "--r", "3", "--format", "json")
+    exact = run_json("holonomy", "Sp(3)·Sp(1)", "--m", "12", "--r", "3", "--format", "json")
+    assert dotted == exact
+    assert dotted["result"]["verdict"] == "yes"
+
+
+# --- the exit-code contract ---------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "catalog_text, args, code",
+    [
+        (BOUNDED_CATALOG, ("spin-type", "X3:Ambient", "--strict"), 1),
+        (None, ("classify", "S42:E8", "--r", "1"), 2),
+        (None, ("holonomy", "SO(5)", "--m", "99", "--r", "2"), 2),
+        (DISCONNECTED_CATALOG, ("classify", "X3:Big", "--r", "1"), 3),
+        (DISCONNECTED_CATALOG, ("spin-type", "X3:Big"), 3),
+        (DISCONNECTED_CATALOG, ("holonomy", "Twisty", "--m", "3", "--r", "1"), 3),
+        ("catalog_version: 1\ngroup {\n  name oops\n}\n", ("table1",), 4),
+        (None, ("classify", "S4:SO(5)", "--r", "0"), 5),
+        (None, ("holonomy", "SO(5)", "--m", "-1", "--r", "2"), 5),
+        (None, ("classify", "S4:SO(5)"), 6),
+        (None, ("holonomy", "SO(5)", "--m", "5"), 6),
+        (None, ("classify", "S4:SO(5)", "--r", "x"), 6),
+        (None, ("table1", "--format", "xml"), 6),
+        (None, ("table1", "--bogus"), 6),
+        (None, ("--bogus", "table1"), 6),
+        (None, ("no-such-command",), 6),
+        (None, (), 6),
+    ],
+)
+def test_failure_modes_exit_with_their_documented_code(tmp_path, catalog_text, args, code):
+    if catalog_text is not None:
+        path = tmp_path / "cat.txt"
+        path.write_text(catalog_text, encoding="utf-8")
+        args = ("--catalog", str(path), *args)
+    res = run(*args)
+    assert res.exit_code == code
+    assert isinstance(res.exception, SystemExit)  # no exception escaped
+    assert "Traceback" not in res.stderr
+    if code != 1:  # a bounded --strict result is reported on stdout only
+        assert res.stderr.strip()

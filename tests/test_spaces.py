@@ -1,5 +1,11 @@
-import pytest
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import scan_invariant_spin_type
 from spinr.catalog import loads
 from spinr.lifting import LiftQuery, induce, lifts
 from spinr.repcat import enumerate_homs
@@ -12,6 +18,9 @@ from spinr.spaces import (
     invariant_spin_type,
     parity_nonzero,
 )
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from gencat import scale_catalog  # noqa: E402  (the benchmark's sphere generator)
 
 
 # --- classify -------------------------------------------------------------------
@@ -152,6 +161,223 @@ def test_spin_type_bound_within_dimension(catalog):
         assert 1 <= res.lo <= res.hi <= space.n
 
 
+# --- the spin-type scan against a full classification at every rank ----------------
+
+def test_spin_type_scan_matches_oracle_on_bundled_catalog(catalog):
+    for space in catalog.spaces.values():
+        assert invariant_spin_type(catalog, space) == scan_invariant_spin_type(
+            catalog, space
+        ), space.name
+
+
+def test_spin_type_scan_matches_oracle_on_generated_spheres():
+    cat = loads(scale_catalog(200, 1).text, "scale.txt")
+    for n in range(1, 200):
+        space = cat.space(f"S{n}:SO({n + 1})")
+        assert invariant_spin_type(cat, space) == scan_invariant_spin_type(
+            cat, space
+        ), space.name
+
+
+def _pi1_image(draw, order: int, r: int) -> int:
+    """An image of a generator of the given order (0: free) in
+    pi1(SO(r)) that keeps the induced map well defined."""
+    if r == 1 or (order and (r == 2 or order % 2)):
+        return 0
+    return draw(st.integers(-3, 3) if r == 2 else st.integers(0, 1))
+
+
+def _quoted(items) -> str:
+    return ", ".join(f'"{item}"' for item in items)
+
+
+def _group_block(name, orders, center, ideal, connected):
+    free = sum(1 for d in orders if d == 0)
+    torsion = ", ".join(str(d) for d in orders if d)
+    gens = _quoted(f"g{i}" for i in range(len(orders)))
+    ideal_block = (
+        '    ideal {\n      kind: "so(3)"\n      dim: 3\n      min_orth_rep: 3\n'
+        '      provenance: "adjoint"\n    }\n'
+        if ideal
+        else ""
+    )
+    return (
+        f'group {{\n  name: "{name}"\n  pi1 {{\n    free_rank: {free}\n'
+        f"    torsion: [{torsion}]\n    generators: [{gens}]\n  }}\n"
+        f"  algebra {{\n    center_rank: {center}\n{ideal_block}  }}\n"
+        f'  connected: {"true" if connected else "false"}\n'
+        f'  provenance: "generated"\n}}\n'
+    )
+
+
+@st.composite
+def small_catalogs(draw, parameterized: bool = False):
+    """One space X over a generated stabiliser H with a nonzero centre,
+    so the rule engine cannot rule out a map at any rank r >= 2, and a
+    few families listed at random ranks: finite or parameterised, some
+    incomplete, possibly one named "trivial".  With `parameterized`,
+    every family (at least one) has an integer parameter."""
+    orders = [0] * draw(st.integers(int(parameterized), 2)) + draw(
+        st.lists(st.sampled_from([2, 3, 4]), max_size=2)
+    )
+    n = draw(st.integers(1, 7))
+    blocks = [
+        "catalog_version: 1\n",
+        _group_block(
+            "H", orders, draw(st.integers(1, 2)), draw(st.booleans()),
+            draw(st.sampled_from([True] * 9 + [False])),
+        ),
+        _group_block("Ambient", [], 3, False, True),
+    ]
+    ranks = draw(st.lists(st.integers(2, n + 1), min_size=int(parameterized), max_size=4))
+    trivial_at = draw(st.sampled_from([None, *range(len(ranks))]))
+    for k, r in enumerate(ranks):
+        name = "trivial" if k == trivial_at else f"fam{k}"
+        if parameterized or (0 in orders and draw(st.booleans())):
+            images = [
+                draw(st.sampled_from(["s", "2*s", "s+1", "3*s"]))
+                if d == 0
+                else str(_pi1_image(draw, d, r))
+                for d in orders
+            ]
+            constraint = draw(st.sampled_from(["s in Z", "s even", "s odd", "s = 2 mod 4"]))
+            kind = f'  param {{\n    name: "s"\n    constraint: "{constraint}"\n  }}\n'
+        else:
+            images = [str(_pi1_image(draw, d, r)) for d in orders]
+            labels = ["a", "b"][: draw(st.integers(1, 2))]
+            kind = f"  labels: [{_quoted(labels)}]\n"
+        certificate = draw(st.sampled_from(["incomplete", "cited"]))
+        blocks.append(
+            f'repfamily {{\n  name: "{name}"\n  domain: "H"\n  target_r: {r}\n{kind}'
+            f"  pi1_images: [{_quoted(images)}]\n"
+            f'  distinct_classes: "generated"\n  certificate: "{certificate}"\n}}\n'
+        )
+    sigma = ", ".join(str(_pi1_image(draw, d, n)) for d in orders)
+    blocks.append(
+        f'space {{\n  name: "X"\n  G: "Ambient"\n  H: "H"\n  n: {n}\n'
+        f'  sigma_pi1_images: [{sigma}]\n  provenance: "generated"\n}}\n'
+    )
+    return loads("\n".join(blocks))
+
+
+def _outcome(scan, catalog, space):
+    try:
+        return scan(catalog, space)
+    except (HypothesisError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200)
+@given(small_catalogs())
+def test_spin_type_scan_matches_oracle_on_generated_catalogs(cat):
+    space = cat.space("X")
+    assert _outcome(invariant_spin_type, cat, space) == _outcome(
+        scan_invariant_spin_type, cat, space
+    )
+
+
+@settings(max_examples=200)
+@given(small_catalogs(parameterized=True))
+def test_solved_congruences_are_exact(cat):
+    """A parameterised family passes at exactly the parameter values of
+    its solved congruence, the sampled ones included."""
+    space = cat.space("X")
+    h = cat.lookup(space.H)
+    if not h.connected:
+        return
+    for fam in cat.families:
+        if not fam.parameterized:
+            continue
+        c = classify(cat, space, fam.target_r)
+        (solved,) = [
+            cl.constraint
+            for cl in c.classes
+            if cl.family == fam.name and cl.constraint is not None
+        ] or [None]
+        admissible = [s for s in range(-8, 9) if fam.param_constraint.contains(s)]
+        for s in admissible + (solved.sample(3) if solved else []):
+            q = LiftQuery(
+                space.n, fam.target_r, space.sigma_pi1,
+                fam.pi1_map(h.pi1, fam.target_r, s),
+            )
+            assert lifts(q).lifts == (solved is not None and solved.contains(s))
+
+
+@settings(max_examples=100)
+@given(small_catalogs())
+def test_diagonal_twist_always_lifts(cat):
+    space = cat.space("X")
+    q = LiftQuery(space.n, space.n, space.sigma_pi1, space.sigma_pi1)
+    assert lifts(q).lifts
+
+
+BOUNDED_CATALOG = """
+catalog_version: 1
+
+group {
+  name: "Circle"
+  pi1 {
+    free_rank: 1
+    torsion: []
+    generators: ["loop"]
+  }
+  algebra {
+    center_rank: 1
+  }
+  connected: true
+  provenance: "test"
+}
+
+group {
+  name: "Ambient"
+  pi1 {
+    free_rank: 0
+    torsion: []
+    generators: []
+  }
+  algebra {
+    center_rank: 3
+  }
+  connected: true
+  provenance: "test"
+}
+
+repfamily {
+  name: "circle-rank3"
+  domain: "Circle"
+  target_r: 3
+  labels: ["odd"]
+  pi1_images: ["1"]
+  distinct_classes: "test"
+  certificate: "cited"
+}
+
+space {
+  name: "X3:Ambient"
+  G: "Ambient"
+  H: "Circle"
+  n: 3
+  sigma_pi1_images: [1]
+  provenance: "test"
+}
+"""
+
+
+# a listed family named "trivial" is a family like any other
+@pytest.mark.parametrize("family", ["circle-rank3", "trivial"])
+def test_spin_type_bounded_below_first_witness(family):
+    # r = 1 fails the odd class with a complete enumeration; at r = 2
+    # the centre leaves the rule engine unable to rule out a map and
+    # nothing is listed, so the witness at r = 3 gives [2, 3]
+    cat = loads(BOUNDED_CATALOG.replace("circle-rank3", family))
+    space = cat.space("X3:Ambient")
+    res = invariant_spin_type(cat, space)
+    assert (res.status, res.lo, res.hi, res.value) == ("bounded", 2, 3, None)
+    (witness,) = res.witnesses
+    assert (witness.family, witness.label) == (family, "odd")
+    assert res == scan_invariant_spin_type(cat, space)
+
+
 # --- canonical structure --------------------------------------------------------------
 
 def test_canonical_untwisted_for_spin_spaces(catalog):
@@ -197,6 +423,14 @@ def test_canonical_passes_lift_for_all_catalog_spaces(catalog):
             assert lifts(q).lifts
         else:
             assert c.r == 1 and c.count == 1
+
+
+def test_diagonal_holonomy_twist_lifts_for_all_records(catalog):
+    for (group, m), rec in catalog.holonomies.items():
+        assert lifts(LiftQuery(m, m, rec.h_pi1, rec.h_pi1)).lifts, group
+        v = holonomy_lift(catalog, group, m, m)
+        assert v.verdict == "yes"
+        assert v.via[-1].family == "diagonal(holonomy)"
 
 
 # --- holonomy -------------------------------------------------------------------------
