@@ -16,7 +16,13 @@ from .abelian import (
 from .catalog import Catalog, load, load_default, loads
 from .liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_group, so_pi1
 from .lifting import LiftQuery, LiftVerdict, induce, lift_subgroup, lifts
-from .repcat import EnumResult, OrthRepFamily, enumerate_homs, no_nontrivial_hom
+from .repcat import (
+    EnumResult,
+    OrthRepFamily,
+    enumerate_homs,
+    first_possible_rank,
+    no_nontrivial_hom,
+)
 from .spaces import (
     Classification,
     HomSpaceRec,
@@ -51,6 +57,7 @@ __all__ = [
     "contains",
     "direct_product",
     "enumerate_homs",
+    "first_possible_rank",
     "holonomy_lift",
     "image_subgroup",
     "induce",

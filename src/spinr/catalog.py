@@ -18,7 +18,7 @@ from importlib import resources
 from . import catalogfile
 from .catalogfile import CatalogParseError
 from .liecat import CompactGroupRec, NotInCatalogError, build_group
-from .repcat import OrthRepFamily, build_family, no_nontrivial_hom
+from .repcat import OrthRepFamily, build_family, first_possible_rank
 from .spaces import HolonomyRec, HomSpaceRec, build_holonomy, build_space
 
 ENV_CATALOG = "SPINR_CATALOG"
@@ -43,12 +43,20 @@ class Catalog:
     _families_by_target: dict[tuple[str, int], tuple[OrthRepFamily, ...]] = field(
         init=False, repr=False, compare=False
     )
+    # domain -> the ranks with a listed family, ascending
+    _ranks_by_domain: dict[str, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         index: dict[tuple[str, int], list[OrthRepFamily]] = {}
         for fam in self.families:
             index.setdefault((fam.domain, fam.target_r), []).append(fam)
         self._families_by_target = {k: tuple(v) for k, v in index.items()}
+        ranks: dict[str, list[int]] = {}
+        for domain, r in index:
+            ranks.setdefault(domain, []).append(r)
+        self._ranks_by_domain = {d: tuple(sorted(v)) for d, v in ranks.items()}
 
     def lookup(self, name: str) -> CompactGroupRec:
         key = normalize_name(name)
@@ -72,6 +80,10 @@ class Catalog:
     def families_at(self, domain: str, r: int) -> tuple[OrthRepFamily, ...]:
         """The families listed at (domain, r), in file order."""
         return self._families_by_target.get((domain, r), ())
+
+    def listed_ranks(self, domain: str) -> tuple[int, ...]:
+        """The ranks r at which (domain, r) lists a family, ascending."""
+        return self._ranks_by_domain.get(domain, ())
 
 
 def loads(text: str, path: str = "<catalog>") -> Catalog:
@@ -158,10 +170,11 @@ def _assemble(nodes: list[catalogfile.Node], path: str) -> Catalog:
 
 def _cross_validate(catalog: Catalog):
     """Data/rule consistency: wherever the rule engine proves that only
-    the zero homomorphism exists, the catalog must list no family."""
+    the zero homomorphism exists, i.e. below the domain's
+    first_possible_rank, the catalog must list no family."""
     for fam in catalog.families:
-        algebra = catalog.groups[fam.domain].algebra
-        if no_nontrivial_hom(algebra, fam.target_r):
+        r0 = first_possible_rank(catalog.groups[fam.domain].algebra)
+        if r0 is None or fam.target_r < r0:
             raise CatalogParseError(
                 f"family {fam.name} at ({fam.domain}, {fam.target_r}) "
                 f"contradicts the rule engine's non-existence proof",

@@ -108,7 +108,10 @@ class LiftVerdict:
     witness_failures: tuple[tuple[str, AbElem], ...]
 
     def __post_init__(self):
-        assert self.lifts == (not self.witness_failures)
+        if self.lifts != (not self.witness_failures):
+            raise ValueError(
+                "a verdict lifts exactly when it has no witness failures"
+            )
 
 
 def lifts(q: LiftQuery) -> LiftVerdict:

@@ -22,11 +22,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .abelian import AbHom, FgAbGroup
 from .catalogfile import CatalogParseError, Node
-from .liecat import AlgebraProfile, CompactGroupRec, so_pi1
+from .liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_pi1
 
 
 # --- congruence constraints ---------------------------------------------------
@@ -264,7 +264,32 @@ class RuleTrace:
 
 
 def no_nontrivial_hom(a: AlgebraProfile, r: int) -> bool:
-    return hom_rule_trace(a, r).impossible
+    """The rule engine's verdict at r, without its proof text."""
+    r0 = first_possible_rank(a)
+    return r0 is None or r < r0
+
+
+def first_possible_rank(a: AlgebraProfile) -> int | None:
+    """The least r at which the rule engine cannot rule out a nonzero
+    map a -> so(r); None for the zero algebra, which has none.
+
+    The surviving quotients of :func:`hom_rule_trace` are closed under
+    dropping a summand, so one survives exactly when R^1 or a single
+    simple ideal does.  R^1 fits from r = 2 on; a simple ideal from the
+    least r >= 3 with r >= min_orth_rep_dim and r(r-1)/2 >= dim.  Both
+    conditions only get easier as r grows, so the engine excludes a map
+    exactly for r < first_possible_rank(a).
+    """
+    if a.center_rank >= 1:
+        return 2
+    return min((_ideal_rank(i) for i in a.ideals), default=None)
+
+
+def _ideal_rank(ideal: SimpleIdeal) -> int:
+    r = (1 + isqrt(8 * ideal.dim + 1)) // 2
+    while r * (r - 1) // 2 < ideal.dim:
+        r += 1
+    return max(3, ideal.min_orth_rep_dim, r)
 
 
 def hom_rule_trace(a: AlgebraProfile, r: int) -> RuleTrace:

@@ -25,10 +25,11 @@ from .lifting import LiftQuery, lifts, parity
 from .liecat import so_pi1
 from .repcat import (
     Congruence,
-    EnumResult,
     OrthRepFamily,
     UNCONSTRAINED,
     enumerate_homs,
+    first_possible_rank,
+    trivial_family,
 )
 
 
@@ -218,7 +219,11 @@ def _solve_parameter(sigma: AbHom, family: OrthRepFamily) -> Congruence | None:
             continue
         expr = family.pi1_images[i]
         step = expr.coeff * mu
-        assert step.denominator == 1, "family images must be integral"
+        if step.denominator != 1:
+            raise ValueError(
+                f"family {family.name}: image {expr} is not integral on "
+                f"the parameter's admissible values"
+            )
         v0 = expr.eval(rho)
         if int(step) % 2 == 0:
             if v0 % 2 != eps:
@@ -312,16 +317,20 @@ def _stabiliser(catalog, space: HomSpaceRec):
     )
 
 
-def _classification(space: HomSpaceRec, h, enum: EnumResult) -> Classification:
-    """Classify at one rank from an enumeration already made; the
-    stabiliser h has passed the connectedness check."""
+def classify(catalog, space: HomSpaceRec, r: int) -> Classification:
+    """All invariant rank-r structures on the space, as lift-passing
+    conjugacy classes with exactly solved parameter constraints."""
+    if r < 1:
+        raise ValueError(f"twist rank must be >= 1, got {r}")
+    h = _stabiliser(catalog, space)
+    enum = enumerate_homs(catalog, space.H, r)
     classes, rejected = _lift_families(
         space.n, space.sigma_pi1, enum.families, h.pi1
     )
     infinite = any(rec.constraint is not None for rec in classes)
     return Classification(
         space=space.name,
-        r=enum.r,
+        r=r,
         classes=tuple(classes),
         count=None if infinite else len(classes),
         complete=enum.complete,
@@ -330,55 +339,56 @@ def _classification(space: HomSpaceRec, h, enum: EnumResult) -> Classification:
     )
 
 
-def classify(catalog, space: HomSpaceRec, r: int) -> Classification:
-    """All invariant rank-r structures on the space, as lift-passing
-    conjugacy classes with exactly solved parameter constraints."""
-    if r < 1:
-        raise ValueError(f"twist rank must be >= 1, got {r}")
-    h = _stabiliser(catalog, space)
-    return _classification(space, h, enumerate_homs(catalog, space.H, r))
-
-
 def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
-    """Scan r = 1, 2, ... for the least rank admitting a structure.
+    """The least rank r <= n admitting an invariant structure.
 
-    The trivial twist has parity 0 at every rank, so it fails at every
-    rank when the isotropy class is odd.  A rank where the catalog then
-    lists no family has no structure, and is recorded as empty without
-    a lift test; its enumeration still decides whether it is complete.
+    An even isotropy class lifts untwisted: the answer is r = 1, with the
+    trivial twist and any family listed there as witnesses.  For an
+    odd class the trivial twist (parity 0) fails at every rank, so a
+    structure can only come from a listed family: the scan lift-tests
+    the listed ranks r <= n of H in ascending order, and the first one
+    with a passing family is the witness.  Every other rank is empty;
+    it is certainly empty below r0 = first_possible_rank(H), where the
+    rule engine excludes every nonzero map.
 
-    The scan never passes the dimension: a canonical witness exists
-    there whenever none was found earlier (diagonal twist by the
-    isotropy itself), so the honest upper bound is always n.
+    The uncertain ranks are the listed ranks with an incomplete family
+    and the unlisted ranks in [r0, n].  The result is "exact" when no
+    uncertain rank lies below the witness, and otherwise the interval
+    from the first uncertain rank to the witness.  With no witness up to
+    n it is [first uncertain rank, n], witnessed for n >= 3 by the
+    canonical rank-n structure, which always exists; with no uncertain
+    rank either, the catalog contradicts that structure and the scan
+    raises RuntimeError.  The work grows with the number of listed
+    ranks of H, never with n.
     """
     h = _stabiliser(catalog, space)
-    odd = parity_nonzero(space.sigma_pi1)
-    first_uncertain: int | None = None
-    for r in range(1, space.n + 1):
-        enum = enumerate_homs(catalog, space.H, r)
-        if odd and not catalog.families_at(space.H, r):
-            classes: tuple[ClassRecord, ...] = ()
-        else:
-            classes = _classification(space, h, enum).classes
+    if not parity_nonzero(space.sigma_pi1):
+        trivial = trivial_family(h.name, 1, h.pi1.rank)
+        families = (trivial, *catalog.families_at(h.name, 1))
+        classes, _ = _lift_families(space.n, space.sigma_pi1, families, h.pi1)
+        return SpinTypeResult(space.name, "exact", 1, 1, tuple(classes))
+    listed = catalog.listed_ranks(h.name)
+    # the least unlisted rank >= r0: uncertain, as are all after it
+    unlisted = first_possible_rank(h.algebra)
+    for r in listed:
+        if unlisted is not None and r == unlisted:
+            unlisted += 1
+    listed_uncertain: int | None = None
+    for r in listed:
+        if r > space.n:
+            break
+        families = catalog.families_at(h.name, r)
+        classes, _ = _lift_families(space.n, space.sigma_pi1, families, h.pi1)
         if classes:
-            if first_uncertain is None:
-                return SpinTypeResult(
-                    space=space.name,
-                    status="exact",
-                    lo=r,
-                    hi=r,
-                    witnesses=classes,
-                )
+            lo = _least(listed_uncertain, unlisted, r)
+            status = "exact" if lo is None else "bounded"
             return SpinTypeResult(
-                space=space.name,
-                status="bounded",
-                lo=first_uncertain,
-                hi=r,
-                witnesses=classes,
+                space.name, status, r if lo is None else lo, r, tuple(classes)
             )
-        if not enum.complete and first_uncertain is None:
-            first_uncertain = r
-    if first_uncertain is None:
+        if listed_uncertain is None and any(f.incomplete for f in families):
+            listed_uncertain = r
+    lo = _least(listed_uncertain, unlisted, space.n + 1)
+    if lo is None:
         # A complete, empty classification at every rank up to n
         # contradicts the canonical rank-n witness.
         raise RuntimeError(
@@ -389,13 +399,13 @@ def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
     witnesses: tuple[ClassRecord, ...] = ()
     if space.n >= 3:
         witnesses = canonical_structure(catalog, space).classes
-    return SpinTypeResult(
-        space=space.name,
-        status="bounded",
-        lo=first_uncertain,
-        hi=space.n,
-        witnesses=witnesses,
-    )
+    return SpinTypeResult(space.name, "bounded", lo, space.n, witnesses)
+
+
+def _least(listed_uncertain: int | None, unlisted: int | None, below: int):
+    """The first uncertain rank below `below`, or None."""
+    ranks = [r for r in (listed_uncertain, unlisted) if r is not None and r < below]
+    return min(ranks, default=None)
 
 
 def parity_nonzero(sigma: AbHom) -> bool:

@@ -3,6 +3,9 @@ arbitrary edits of a valid catalog, and the generator that writes the
 bundled catalog."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,6 +117,9 @@ def test_families_at_matches_a_scan_of_every_family(catalog):
             assert cat.families_at(domain, r) == tuple(
                 f for f in cat.families if f.domain == domain and f.target_r == r
             )
+            assert cat.listed_ranks(domain) == tuple(
+                sorted({f.target_r for f in cat.families if f.domain == domain})
+            )
 
 
 # --- error locations -------------------------------------------------------------
@@ -163,6 +169,102 @@ def test_cross_validation_error_names_the_file(tmp_path):
     with pytest.raises(CatalogParseError) as err:
         load(str(path))
     assert str(err.value).startswith(f"{path}:1: family so3-identity")
+
+
+def test_cross_validation_refuses_any_family_of_the_zero_algebra():
+    # only the zero map leaves the zero algebra, at every rank
+    zero = BASE.replace('name: "T"', 'name: "Z"').replace(
+        "center_rank: 2", "center_rank: 0"
+    )
+    family = (
+        'repfamily {\n  name: "z-ghost"\n  domain: "Z"\n  target_r: 9\n'
+        '  labels: ["a"]\n  pi1_images: ["0", "0"]\n  distinct_classes: "d"\n'
+        '  certificate: "c"\n}\n'
+    )
+    assert len(loads(zero).groups["Z"].algebra.ideals) == 0
+    with pytest.raises(CatalogParseError, match="family z-ghost .* contradicts"):
+        loads(zero + family)
+
+
+MANY_IDEALS = """catalog_version: 1
+group {
+  name: "Big"
+  pi1 {
+    free_rank: 0
+    torsion: [2]
+    generators: ["g"]
+  }
+  algebra {
+    center_rank: 0
+%s  }
+  provenance: "p"
+}
+group {
+  name: "Ambient"
+  pi1 {
+    free_rank: 0
+    torsion: []
+    generators: []
+  }
+  algebra {
+    center_rank: 3
+  }
+  provenance: "p"
+}
+repfamily {
+  name: "big-rank3"
+  domain: "Big"
+  target_r: 3
+  labels: ["a"]
+  pi1_images: ["1"]
+  distinct_classes: "d"
+  certificate: "c"
+}
+space {
+  name: "X5:Ambient"
+  G: "Ambient"
+  H: "Big"
+  n: 5
+  sigma_pi1_images: [1]
+  provenance: "p"
+}
+space {
+  name: "Y5:Ambient"
+  G: "Ambient"
+  H: "Big"
+  n: 5
+  sigma_pi1_images: [0]
+  provenance: "p"
+}
+""" % (
+    '    ideal {\n      kind: "so(3)"\n      dim: 3\n      min_orth_rep: 3\n'
+    '      provenance: "p"\n    }\n' * 30
+)
+
+
+def test_thirty_ideal_blocks_load_and_get_a_spin_type(tmp_path):
+    # the rule engine's kernel scan has 2^30 candidates here; loading and
+    # the spin-type scan, for an odd and an even isotropy class, must not
+    # run it.  A child process keeps a regression from hanging the suite.
+    path = tmp_path / "big.txt"
+    path.write_text(MANY_IDEALS, encoding="utf-8")
+    code = (
+        "import sys, time\n"
+        "from spinr.catalog import load\n"
+        "from spinr.spaces import invariant_spin_type\n"
+        "start = time.perf_counter()\n"
+        "cat = load(sys.argv[1])\n"
+        "odd, even = (invariant_spin_type(cat, cat.space(f'{x}5:Ambient')) for x in 'XY')\n"
+        "print(len(cat.groups['Big'].algebra.ideals), odd.status, odd.lo, "
+        "even.status, even.lo, time.perf_counter() - start)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        capture_output=True, text=True, timeout=60, env=env, check=True,
+    ).stdout.split()
+    assert out[:5] == ["30", "exact", "3", "exact", "1"]
+    assert float(out[5]) < 1.0
 
 
 # --- arbitrary edits of a valid catalog --------------------------------------------

@@ -17,6 +17,7 @@ from spinr.abelian import (
 from spinr.liecat import so_pi1
 from spinr.lifting import (
     LiftQuery,
+    LiftVerdict,
     frame_product_pi1,
     induce,
     lift_subgroup,
@@ -134,6 +135,14 @@ def test_identity_isotropy_with_trivial_twist_fails():
         5, 2, AbHom(dom, dom, (dom.elem([1]),)), zero_hom(dom, so_pi1(2))
     )
     assert not lifts(q).lifts
+
+
+def test_verdict_must_agree_with_its_witnesses():
+    witness = (("c", so_pi1(2).elem([1])),)
+    for verdict, failures in ((True, witness), (False, ())):
+        with pytest.raises(ValueError):
+            LiftVerdict(verdict, failures)
+    assert LiftVerdict(False, witness).witness_failures == witness
 
 
 def test_mismatched_domains_rejected():

@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,15 @@ from spinr.repcat import (
     Congruence,
     UNCONSTRAINED,
     enumerate_homs,
+    first_possible_rank,
     hom_rule_trace,
     no_nontrivial_hom,
     parse_affine,
     parse_congruence,
 )
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from gencat import load_catalog, scale_catalog  # noqa: E402  (the benchmark's generators)
 
 
 def sp_ideal(k):
@@ -161,6 +167,73 @@ def test_rule_trace_verdict_matches_full_scan(algebra, r):
     if algebra.center_rank <= 1:
         assert trace == scan  # every run is one candidate: same wording
     assert len(trace.lines) <= 3 * 2 ** len(algebra.ideals) + 2
+
+
+# --- the closed-form threshold against the kernel scan --------------------------------
+
+def _threshold_agrees(algebra, below: int):
+    r0 = first_possible_rank(algebra)
+    for r in range(1, below):
+        assert hom_rule_trace(algebra, r).impossible == (r0 is None or r < r0), r
+        assert no_nontrivial_hom(algebra, r) == (r0 is None or r < r0), r
+
+
+def test_threshold_matches_rule_engine_on_every_catalog_group(catalog):
+    generated = (
+        loads(scale_catalog(200, 1).text, "scale.txt"),
+        loads(load_catalog(36, 1).text, "load.txt"),
+    )
+    algebras = {g.algebra for cat in (catalog, *generated) for g in cat.groups.values()}
+    assert len(algebras) > 50
+    for algebra in algebras:
+        _threshold_agrees(algebra, 80)
+
+
+@pytest.mark.parametrize(
+    "algebra, r0",
+    [
+        (AlgebraProfile(0), None),
+        (AlgebraProfile(1), 2),
+        (AlgebraProfile(3, (SimpleIdeal("g2", 14, 7),)), 2),
+        (so_group(3).algebra, 3),
+        (so_group(4).algebra, 3),
+        (AlgebraProfile(0, (sp_ideal(2),)), 5),  # dim 10 = dim so(5)
+        (AlgebraProfile(0, (SimpleIdeal("g2", 14, 7),)), 7),  # min rep decides
+        (AlgebraProfile(0, (SimpleIdeal("su(3)", 8, 6),)), 6),
+        (AlgebraProfile(0, (SimpleIdeal("x", 16, 2),)), 7),  # dim decides: 15 < 16
+        (AlgebraProfile(0, (sp_ideal(3), SimpleIdeal("g2", 14, 7))), 7),
+        (AlgebraProfile(0, (SimpleIdeal("so(3)", 3, 3),) * 40), 3),
+    ],
+)
+def test_first_possible_rank(algebra, r0):
+    assert first_possible_rank(algebra) == r0
+    if len(algebra.ideals) <= 8:
+        _threshold_agrees(algebra, 30)
+
+
+_PROFILES = st.builds(
+    AlgebraProfile,
+    center_rank=st.integers(0, 3),
+    ideals=st.lists(
+        st.builds(
+            SimpleIdeal,
+            kind=st.sampled_from(["so(3)", "su(3)", "sp(2)", "g2", "e8"]),
+            dim=st.integers(3, 250),
+            min_orth_rep_dim=st.integers(2, 30),
+        ),
+        max_size=3,
+    ).map(tuple),
+)
+
+
+@settings(max_examples=200)
+@given(_PROFILES)
+def test_threshold_is_the_rule_engine_verdict_and_upward_closed(algebra):
+    r0 = first_possible_rank(algebra)
+    impossible = [hom_rule_trace(algebra, r).impossible for r in range(1, 40)]
+    # upward closed: once a map cannot be ruled out, it never can again
+    assert impossible == sorted(impossible, reverse=True)
+    assert impossible == [r0 is None or r < r0 for r in range(1, 40)]
 
 
 def test_rule_trace_identical_to_scan_on_bundled_groups(catalog):

@@ -1,17 +1,32 @@
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scan_invariant_spin_type
+import spinr.repcat as repcat
+import spinr.spaces as spaces
+from oracles import scan_hom_rule_trace, scan_invariant_spin_type
+from spinr.abelian import AbHom, FgAbGroup
 from spinr.catalog import loads
+from spinr.catalogfile import parse
+from spinr.liecat import AlgebraProfile, SimpleIdeal, so_pi1
 from spinr.lifting import LiftQuery, induce, lifts
-from spinr.repcat import enumerate_homs
+from spinr.repcat import (
+    Congruence,
+    OrthRepFamily,
+    build_family,
+    enumerate_homs,
+    parse_affine,
+)
 from spinr.spaces import (
     DIAGONAL_FAMILY_NAME,
+    HomSpaceRec,
     HypothesisError,
+    _solve_parameter,
     canonical_structure,
     classify,
     holonomy_lift,
@@ -20,7 +35,7 @@ from spinr.spaces import (
 )
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
-from gencat import scale_catalog  # noqa: E402  (the benchmark's sphere generator)
+from gencat import load_catalog, scale_catalog  # noqa: E402  (the benchmark's generators)
 
 
 # --- classify -------------------------------------------------------------------
@@ -171,12 +186,65 @@ def test_spin_type_scan_matches_oracle_on_bundled_catalog(catalog):
 
 
 def test_spin_type_scan_matches_oracle_on_generated_spheres():
-    cat = loads(scale_catalog(200, 1).text, "scale.txt")
-    for n in range(1, 200):
-        space = cat.space(f"S{n}:SO({n + 1})")
-        assert invariant_spin_type(cat, space) == scan_invariant_spin_type(
-            cat, space
-        ), space.name
+    # the benchmark's catalogs: S^1 ... S^199 over SO(n + 1), and the
+    # spheres of the SO, U, SU and Sp series up to S^143
+    scale = loads(scale_catalog(200, 1).text, "scale.txt")
+    series = loads(load_catalog(36, 1).text, "load.txt")
+    assert len(scale.spaces) == 199 and len(series.spaces) == 141
+    for cat in (scale, series):
+        for space in cat.spaces.values():
+            assert invariant_spin_type(cat, space) == scan_invariant_spin_type(
+                cat, space
+            ), space.name
+
+
+def _so12_space(catalog, n: int) -> HomSpaceRec:
+    """A space over the bundled SO(12), isotropy class odd, dimension n."""
+    h, cod = catalog.lookup("SO(12)"), so_pi1(n)
+    return HomSpaceRec(
+        "X:SO(12)", "SO(13)", "SO(12)", n, AbHom(h.pi1, cod, (cod.elem([1]),)), "test"
+    )
+
+
+def test_spin_type_work_is_independent_of_the_dimension(catalog):
+    # nothing is listed at SO(12); so(12) first fits at r = 12, so every
+    # rank from 12 on is uncertain and the canonical witness closes at n
+    for n in (13, 10**4, 10**9):
+        space = _so12_space(catalog, n)
+        start = time.perf_counter()
+        res = invariant_spin_type(catalog, space)
+        elapsed = time.perf_counter() - start
+        assert (res.status, res.lo, res.hi) == ("bounded", 12, n)
+        (witness,) = res.witnesses
+        assert witness.family == DIAGONAL_FAMILY_NAME
+        assert elapsed < 0.05, (n, elapsed)
+    assert invariant_spin_type(catalog, _so12_space(catalog, 13)) == (
+        scan_invariant_spin_type(catalog, _so12_space(catalog, 13))
+    )
+
+
+def test_spin_type_scan_runs_no_enumeration_or_rule_trace(catalog, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called by the spin-type scan")
+
+    monkeypatch.setattr(spaces, "enumerate_homs", refuse)
+    monkeypatch.setattr(repcat, "hom_rule_trace", refuse)
+    odd = [s for s in catalog.spaces.values() if parity_nonzero(s.sigma_pi1)]
+    assert 10 < len(odd) < len(catalog.spaces)
+    for space in catalog.spaces.values():
+        invariant_spin_type(catalog, space)
+    invariant_spin_type(catalog, _so12_space(catalog, 10**9))
+
+
+def test_solve_parameter_refuses_a_non_integral_image():
+    h = FgAbGroup(1, (), ("loop",))
+    family = OrthRepFamily(
+        name="half", domain="H", target_r=2, pi1_images=(parse_affine("s/2"),),
+        param_constraint=Congruence(1, 0),
+    )
+    cod = so_pi1(3)
+    with pytest.raises(ValueError, match="not integral"):
+        _solve_parameter(AbHom(h, cod, (cod.elem([1]),)), family)
 
 
 def _pi1_image(draw, order: int, r: int) -> int:
@@ -187,24 +255,36 @@ def _pi1_image(draw, order: int, r: int) -> int:
     return draw(st.integers(-3, 3) if r == 2 else st.integers(0, 1))
 
 
+def _may_be_odd(order: int, r: int) -> bool:
+    """Whether a generator of the given order (0: free) may map to an
+    odd class of pi1(SO(r))."""
+    return r >= 2 and (order == 0 or (r >= 3 and order % 2 == 0))
+
+
 def _quoted(items) -> str:
     return ", ".join(f'"{item}"' for item in items)
 
 
-def _group_block(name, orders, center, ideal, connected):
+# simple ideals (kind, dim, min_orth_rep) whose own first possible rank
+# runs from 3 to 8: dim so(r) decides so(5), the least orthogonal
+# representation decides su(3), g2 and so(8)
+IDEALS = [("so(3)", 3, 3), ("so(5)", 10, 5), ("su(3)", 8, 6), ("g2", 14, 7),
+          ("so(8)", 28, 8)]
+
+
+def _group_block(name, orders, center, ideals, connected):
     free = sum(1 for d in orders if d == 0)
     torsion = ", ".join(str(d) for d in orders if d)
     gens = _quoted(f"g{i}" for i in range(len(orders)))
-    ideal_block = (
-        '    ideal {\n      kind: "so(3)"\n      dim: 3\n      min_orth_rep: 3\n'
-        '      provenance: "adjoint"\n    }\n'
-        if ideal
-        else ""
+    ideal_blocks = "".join(
+        f'    ideal {{\n      kind: "{kind}"\n      dim: {dim}\n'
+        f'      min_orth_rep: {least}\n      provenance: "generated"\n    }}\n'
+        for kind, dim, least in ideals
     )
     return (
         f'group {{\n  name: "{name}"\n  pi1 {{\n    free_rank: {free}\n'
         f"    torsion: [{torsion}]\n    generators: [{gens}]\n  }}\n"
-        f"  algebra {{\n    center_rank: {center}\n{ideal_block}  }}\n"
+        f"  algebra {{\n    center_rank: {center}\n{ideal_blocks}  }}\n"
         f'  connected: {"true" if connected else "false"}\n'
         f'  provenance: "generated"\n}}\n'
     )
@@ -212,28 +292,50 @@ def _group_block(name, orders, center, ideal, connected):
 
 @st.composite
 def small_catalogs(draw, parameterized: bool = False):
-    """One space X over a generated stabiliser H with a nonzero centre,
-    so the rule engine cannot rule out a map at any rank r >= 2, and a
-    few families listed at random ranks: finite or parameterised, some
-    incomplete, possibly one named "trivial".  With `parameterized`,
-    every family (at least one) has an integer parameter."""
+    """One space X over a generated stabiliser H and a few families
+    listed at random ranks: finite or parameterised, some incomplete,
+    possibly one named "trivial".  With `parameterized`, every family
+    (at least one) has an integer parameter.
+
+    H has a centre (the rule engine then cannot rule out a map at any
+    rank r >= 2) or none, and up to two simple ideals whose first
+    possible rank r0 runs from 3 to 8, so listed ranks fall below r0
+    (r = 1 included, for finite families), at it, above it and above n.  A family below r0 contradicts the
+    rule engine and the loader refuses it; such families are added to
+    the loaded catalog, so that the scans are compared on them too."""
     orders = [0] * draw(st.integers(int(parameterized), 2)) + draw(
         st.lists(st.sampled_from([2, 3, 4]), max_size=2)
     )
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 9))
+    center = draw(st.sampled_from([0, 0, 1, 2]))
+    ideals = (
+        draw(st.lists(st.sampled_from(IDEALS), min_size=1, max_size=2))
+        if draw(st.integers(0, 4))
+        else []
+    )
+    algebra = AlgebraProfile(center, tuple(SimpleIdeal(*i) for i in ideals))
     blocks = [
         "catalog_version: 1\n",
         _group_block(
-            "H", orders, draw(st.integers(1, 2)), draw(st.booleans()),
+            "H", orders, center, ideals,
             draw(st.sampled_from([True] * 9 + [False])),
         ),
-        _group_block("Ambient", [], 3, False, True),
+        _group_block("Ambient", [], 3, [], True),
     ]
-    ranks = draw(st.lists(st.integers(2, n + 1), min_size=int(parameterized), max_size=4))
+    refused = []
+    # the rule engine's first possible rank, from the oracle's kernel scan
+    r0 = next(
+        (r for r in range(2, 12) if not scan_hom_rule_trace(algebra, r).impossible),
+        None,
+    )
+    rank = st.integers(2 if parameterized else 1, n + 2)
+    if r0 is not None:
+        rank |= st.integers(r0, r0 + 1)
+    ranks = draw(st.lists(rank, min_size=int(parameterized), max_size=4))
     trivial_at = draw(st.sampled_from([None, *range(len(ranks))]))
     for k, r in enumerate(ranks):
         name = "trivial" if k == trivial_at else f"fam{k}"
-        if parameterized or (0 in orders and draw(st.booleans())):
+        if parameterized or (0 in orders and r > 1 and draw(st.booleans())):
             images = [
                 draw(st.sampled_from(["s", "2*s", "s+1", "3*s"]))
                 if d == 0
@@ -247,17 +349,27 @@ def small_catalogs(draw, parameterized: bool = False):
             labels = ["a", "b"][: draw(st.integers(1, 2))]
             kind = f"  labels: [{_quoted(labels)}]\n"
         certificate = draw(st.sampled_from(["incomplete", "cited"]))
-        blocks.append(
+        block = (
             f'repfamily {{\n  name: "{name}"\n  domain: "H"\n  target_r: {r}\n{kind}'
             f"  pi1_images: [{_quoted(images)}]\n"
             f'  distinct_classes: "generated"\n  certificate: "{certificate}"\n}}\n'
         )
-    sigma = ", ".join(str(_pi1_image(draw, d, n)) for d in orders)
+        (refused if scan_hom_rule_trace(algebra, r).impossible else blocks).append(block)
+    # half the time an odd isotropy class, where the scan reads the listed ranks
+    odd = draw(st.booleans())
+    sigma = ", ".join(
+        "1" if odd and _may_be_odd(d, n) else str(_pi1_image(draw, d, n))
+        for d in orders
+    )
     blocks.append(
         f'space {{\n  name: "X"\n  G: "Ambient"\n  H: "H"\n  n: {n}\n'
         f'  sigma_pi1_images: [{sigma}]\n  provenance: "generated"\n}}\n'
     )
-    return loads("\n".join(blocks))
+    cat = loads("\n".join(blocks))
+    if not refused:
+        return cat
+    extra = tuple(build_family(node) for node in parse("\n".join(refused)))
+    return replace(cat, families=cat.families + extra)
 
 
 def _outcome(scan, catalog, space):
@@ -267,7 +379,7 @@ def _outcome(scan, catalog, space):
         return type(err), str(err)
 
 
-@settings(max_examples=200)
+@settings(max_examples=500)
 @given(small_catalogs())
 def test_spin_type_scan_matches_oracle_on_generated_catalogs(cat):
     space = cat.space("X")
