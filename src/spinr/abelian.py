@@ -18,7 +18,7 @@ floating point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class DomainMismatchError(ValueError):
@@ -135,20 +135,17 @@ def cyclic(order: int, label: str = "g") -> FgAbGroup:
     return FgAbGroup(0, (order,), (label,))
 
 
-@dataclass(frozen=True)
-class AbElem:
+class AbElem(namedtuple("AbElem", "group coords")):
     """Element of an FgAbGroup, stored as one integer per generator."""
 
-    group: FgAbGroup
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coords) != self.group.rank:
-            raise ValueError(
-                f"{len(self.coords)} coordinates in a rank-{self.group.rank} group"
-            )
-        if self.coords != self.group.reduce(self.coords):
-            raise ValueError(f"coordinates {self.coords} not reduced")
+    def __new__(cls, group: FgAbGroup, coords: tuple[int, ...]):
+        if len(coords) != group.rank:
+            raise ValueError(f"{len(coords)} coordinates in a rank-{group.rank} group")
+        if coords != group.reduce(coords):
+            raise ValueError(f"coordinates {coords} not reduced")
+        return tuple.__new__(cls, (group, coords))
 
     def __add__(self, other: AbElem) -> AbElem:
         self._check_ambient(other)
@@ -174,33 +171,31 @@ class AbElem:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class AbHom:
+class AbHom(namedtuple("AbHom", "domain codomain images")):
     """Homomorphism determined by the images of the domain generators.
 
     Well-definedness (d * image = 0 for a domain generator of order d)
-    is asserted at construction so that invalid maps cannot circulate.
+    is checked at construction so that invalid maps cannot circulate.
     """
 
-    domain: FgAbGroup
-    codomain: FgAbGroup
-    images: tuple[AbElem, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.images) != self.domain.rank:
-            raise ValueError(
-                f"{len(self.images)} images for {self.domain.rank} generators"
-            )
-        for img in self.images:
-            if not img.group.same_presentation(self.codomain):
+    def __new__(
+        cls, domain: FgAbGroup, codomain: FgAbGroup, images: tuple[AbElem, ...]
+    ):
+        if len(images) != domain.rank:
+            raise ValueError(f"{len(images)} images for {domain.rank} generators")
+        for img in images:
+            if not img.group.same_presentation(codomain):
                 raise DomainMismatchError("image outside the codomain")
-        for i, img in enumerate(self.images):
-            d = self.domain.order_of_coord(i)
+        for i, img in enumerate(images):
+            d = domain.order_of_coord(i)
             if d and not img.scale(d).is_zero():
                 raise ValueError(
-                    f"generator {self.domain.labels[i]} has order {d} "
+                    f"generator {domain.labels[i]} has order {d} "
                     f"but {d} * {img.coords} != 0 in the codomain"
                 )
+        return tuple.__new__(cls, (domain, codomain, images))
 
     def apply(self, x: AbElem) -> AbElem:
         if not x.group.same_presentation(self.domain):
@@ -262,17 +257,16 @@ def product_hom(f: AbHom, g: AbHom, prefixes: tuple[str, str] = ("1", "2")) -> A
     return AbHom(f.domain, target, images)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(namedtuple("Subgroup", "ambient generators")):
     """Subgroup of an ambient group given by a finite generating list."""
 
-    ambient: FgAbGroup
-    generators: tuple[AbElem, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g in self.generators:
-            if not g.group.same_presentation(self.ambient):
+    def __new__(cls, ambient: FgAbGroup, generators: tuple[AbElem, ...]):
+        for g in generators:
+            if not g.group.same_presentation(ambient):
                 raise ValueError("subgroup generator outside the ambient group")
+        return tuple.__new__(cls, (ambient, generators))
 
     def describe(self) -> str:
         gens = ", ".join(g.describe() for g in self.generators)

@@ -12,7 +12,6 @@ variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 
 from . import catalogfile
@@ -31,32 +30,59 @@ def normalize_name(name: str) -> str:
     return name.strip().replace(".", "·")
 
 
-@dataclass
 class Catalog:
-    version: int
-    groups: dict[str, CompactGroupRec]
-    families: tuple[OrthRepFamily, ...]
-    spaces: dict[str, HomSpaceRec]
-    holonomies: dict[tuple[str, int], HolonomyRec]
-    path: str = "<catalog>"
-    # (domain, target_r) -> the families listed there, in file order
-    _families_by_target: dict[tuple[str, int], tuple[OrthRepFamily, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    # domain -> the ranks with a listed family, ascending
-    _ranks_by_domain: dict[str, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    """The loaded records plus a family index built from them.
 
-    def __post_init__(self):
+    Read-only, so the index cannot fall out of step with ``families``;
+    build a new Catalog to change a record.
+    """
+
+    _FIELDS = ("version", "groups", "families", "spaces", "holonomies", "path")
+    __slots__ = _FIELDS + ("_families_by_target", "_ranks_by_domain")
+
+    def __init__(
+        self,
+        version: int,
+        groups: dict[str, CompactGroupRec],
+        families: tuple[OrthRepFamily, ...],
+        spaces: dict[str, HomSpaceRec],
+        holonomies: dict[tuple[str, int], HolonomyRec],
+        path: str = "<catalog>",
+    ):
+        # (domain, target_r) -> the families listed there, in file order
         index: dict[tuple[str, int], list[OrthRepFamily]] = {}
-        for fam in self.families:
+        for fam in families:
             index.setdefault((fam.domain, fam.target_r), []).append(fam)
-        self._families_by_target = {k: tuple(v) for k, v in index.items()}
+        # domain -> the ranks with a listed family, ascending
         ranks: dict[str, list[int]] = {}
         for domain, r in index:
             ranks.setdefault(domain, []).append(r)
-        self._ranks_by_domain = {d: tuple(sorted(v)) for d, v in ranks.items()}
+        values = (version, groups, families, spaces, holonomies, path)
+        for name, value in zip(self._FIELDS, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(
+            self, "_families_by_target", {k: tuple(v) for k, v in index.items()}
+        )
+        object.__setattr__(
+            self, "_ranks_by_domain", {d: tuple(sorted(v)) for d, v in ranks.items()}
+        )
+
+    def __setattr__(self, *args):
+        raise AttributeError("Catalog is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not Catalog:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # the record dicts are mutable
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._FIELDS, self._values()))
+        return f"Catalog({body})"
 
     def lookup(self, name: str) -> CompactGroupRec:
         key = normalize_name(name)
@@ -184,8 +210,17 @@ def _cross_validate(catalog: Catalog):
 
 
 def load(path: str) -> Catalog:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read(), path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise CatalogParseError(
+            f"not UTF-8 text: byte {data[err.start]:#04x} ({err.reason})",
+            data.count(b"\n", 0, err.start) + 1,
+            path,
+        ) from err
+    return loads(text, path)
 
 
 _default: Catalog | None = None
@@ -199,7 +234,9 @@ def bundled_catalog_text() -> str:
 
 def load_default(path: str | None = None) -> Catalog:
     """Resolve the catalog: explicit path, else $SPINR_CATALOG, else the
-    bundled data file (cached)."""
+    bundled data file (cached).  An empty path or an empty
+    $SPINR_CATALOG counts as unset.  This is the only place that reads
+    $SPINR_CATALOG."""
     global _default
     if path:
         return load(path)

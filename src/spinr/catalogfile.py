@@ -26,7 +26,6 @@ errors can point at the offending line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 
 class CatalogParseError(ValueError):
@@ -42,14 +41,37 @@ class CatalogParseError(ValueError):
 Scalar = str | int | bool
 
 
-@dataclass
 class Node:
     """One ``key: value`` entry or one ``key { ... }`` block."""
 
-    key: str
-    line: int
-    value: Scalar | list[Scalar] | None = None
-    children: list["Node"] | None = None
+    __slots__ = ("key", "line", "value", "children")
+
+    def __init__(
+        self,
+        key: str,
+        line: int,
+        value: Scalar | list[Scalar] | None = None,
+        children: list[Node] | None = None,
+    ):
+        self.key = key
+        self.line = line
+        self.value = value
+        self.children = children
+
+    def __eq__(self, other):
+        if other.__class__ is not Node:
+            return NotImplemented
+        return (self.key, self.line, self.value, self.children) == (
+            other.key, other.line, other.value, other.children
+        )
+
+    __hash__ = None  # mutable, like the lists it holds
+
+    def __repr__(self):
+        return (
+            f"Node(key={self.key!r}, line={self.line!r}, "
+            f"value={self.value!r}, children={self.children!r})"
+        )
 
     # -- convenience accessors used by the typed loaders --------------
 

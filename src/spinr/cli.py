@@ -18,7 +18,6 @@ of the wrong type or outside its choices).
 
 from __future__ import annotations
 
-import json
 import sys
 from importlib import resources
 
@@ -63,6 +62,8 @@ def _require_positive(option: str, value: int):
 
 def _emit(record: dict, fmt: str, render_md):
     if fmt == "json":
+        import json  # only JSON output pays for the import
+
         click.echo(json.dumps(record, ensure_ascii=False, sort_keys=True))
     else:
         click.echo(render_md(record))
@@ -236,7 +237,6 @@ class _Group(click.Group):
     "catalog_path",
     type=click.Path(),
     default=None,
-    envvar="SPINR_CATALOG",
     help="Path to a catalog file (default: bundled; also $SPINR_CATALOG).",
 )
 @click.pass_context
@@ -263,6 +263,8 @@ def _format_option(fn):
 def table1(ctx, fmt):
     """Recompute the homogeneous-sphere table and diff it against the
     bundled regression fixture."""
+    import json
+
     catalog = _load_catalog(ctx.obj["catalog_path"])
     fixture = json.loads(
         resources.files("spinr")

@@ -12,7 +12,8 @@ representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .abelian import FgAbGroup
 from .catalogfile import CatalogParseError, Node
@@ -28,27 +29,26 @@ class NotInCatalogError(KeyError):
         return self.args[0]
 
 
-@dataclass(frozen=True)
-class SimpleIdeal:
+class SimpleIdeal(
+    namedtuple("SimpleIdeal", "kind dim min_orth_rep_dim is_abelian")
+):
     """A simple ideal of a compact Lie algebra."""
 
-    kind: str
-    dim: int
-    min_orth_rep_dim: int
-    is_abelian: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 3:
-            raise ValueError(f"simple ideal {self.kind} with dim {self.dim} < 3")
-        if self.min_orth_rep_dim < 2:
+    def __new__(
+        cls, kind: str, dim: int, min_orth_rep_dim: int, is_abelian: bool = False
+    ):
+        if dim < 3:
+            raise ValueError(f"simple ideal {kind} with dim {dim} < 3")
+        if min_orth_rep_dim < 2:
             raise ValueError(
-                f"simple ideal {self.kind}: min_orth_rep_dim "
-                f"{self.min_orth_rep_dim} < 2"
+                f"simple ideal {kind}: min_orth_rep_dim {min_orth_rep_dim} < 2"
             )
+        return tuple.__new__(cls, (kind, dim, min_orth_rep_dim, is_abelian))
 
 
-@dataclass(frozen=True)
-class AlgebraProfile:
+class AlgebraProfile(NamedTuple):
     """Centre dimension plus the list of simple ideals."""
 
     center_rank: int
@@ -62,8 +62,7 @@ class AlgebraProfile:
         return not self.ideals
 
 
-@dataclass(frozen=True)
-class CompactGroupRec:
+class CompactGroupRec(NamedTuple):
     name: str
     pi1: FgAbGroup
     algebra: AlgebraProfile

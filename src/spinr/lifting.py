@@ -16,7 +16,7 @@ class must be even) and are derived, not quoted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .abelian import (
     AbElem,
@@ -76,42 +76,34 @@ def lift_subgroup(n: int, r: int) -> Subgroup:
     return Subgroup(ambient, tuple(out))
 
 
-@dataclass(frozen=True)
-class LiftQuery:
+class LiftQuery(namedtuple("LiftQuery", "n r sigma_pi1 phi_pi1")):
     """A product homomorphism to test: isotropy side and twist side.
 
     Both induced maps must share a domain (same presentation, same
     generator labels) and land in pi1(SO(n)) resp. pi1(SO(r)).
     """
 
-    n: int
-    r: int
-    sigma_pi1: AbHom
-    phi_pi1: AbHom
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.sigma_pi1.domain.same_presentation(
-            self.phi_pi1.domain, labels=True
-        ):
+    def __new__(cls, n: int, r: int, sigma_pi1: AbHom, phi_pi1: AbHom):
+        if not sigma_pi1.domain.same_presentation(phi_pi1.domain, labels=True):
             raise DomainMismatchError(
                 "isotropy and twist maps must share their domain generators"
             )
-        if not self.sigma_pi1.codomain.same_presentation(so_pi1(self.n)):
-            raise DomainMismatchError(f"isotropy map must land in pi1(SO({self.n}))")
-        if not self.phi_pi1.codomain.same_presentation(so_pi1(self.r)):
-            raise DomainMismatchError(f"twist map must land in pi1(SO({self.r}))")
+        if not sigma_pi1.codomain.same_presentation(so_pi1(n)):
+            raise DomainMismatchError(f"isotropy map must land in pi1(SO({n}))")
+        if not phi_pi1.codomain.same_presentation(so_pi1(r)):
+            raise DomainMismatchError(f"twist map must land in pi1(SO({r}))")
+        return tuple.__new__(cls, (n, r, sigma_pi1, phi_pi1))
 
 
-@dataclass(frozen=True)
-class LiftVerdict:
-    lifts: bool
-    witness_failures: tuple[tuple[str, AbElem], ...]
+class LiftVerdict(namedtuple("LiftVerdict", "lifts witness_failures")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lifts != (not self.witness_failures):
-            raise ValueError(
-                "a verdict lifts exactly when it has no witness failures"
-            )
+    def __new__(cls, lifts: bool, witness_failures: tuple[tuple[str, AbElem], ...]):
+        if lifts != (not witness_failures):
+            raise ValueError("a verdict lifts exactly when it has no witness failures")
+        return tuple.__new__(cls, (lifts, witness_failures))
 
 
 def lifts(q: LiftQuery) -> LiftVerdict:

@@ -20,9 +20,10 @@ but it never asserts existence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .abelian import AbHom, FgAbGroup
 from .catalogfile import CatalogParseError, Node
@@ -31,20 +32,19 @@ from .liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_pi1
 
 # --- congruence constraints ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(namedtuple("Congruence", "modulus residue")):
     """The set of integers s with s = residue (mod modulus).
 
     modulus 1 is the unconstrained set; use EMPTY for the empty set.
+    The residue is stored reduced into [0, modulus).
     """
 
-    modulus: int
-    residue: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __new__(cls, modulus: int, residue: int):
+        if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+        return tuple.__new__(cls, (modulus, residue % modulus))
 
     def contains(self, s: int) -> bool:
         return s % self.modulus == self.residue
@@ -95,8 +95,7 @@ def parse_congruence(text: str) -> Congruence:
 
 # --- affine expressions in the family parameter -------------------------------
 
-@dataclass(frozen=True)
-class AffineInt:
+class AffineInt(NamedTuple):
     """coeff * s + offset with rational coefficients that are integral
     on every admissible parameter value."""
 
@@ -166,8 +165,13 @@ def parse_affine(text: str) -> AffineInt:
 
 # --- representation families ---------------------------------------------------
 
-@dataclass(frozen=True)
-class OrthRepFamily:
+class OrthRepFamily(
+    namedtuple(
+        "OrthRepFamily",
+        "name domain target_r pi1_images labels param_constraint "
+        "distinct_classes extends_to certificate",
+    )
+):
     """One conjugacy family of homomorphisms domain -> SO(target_r).
 
     ``labels`` is set for a finite family (one label per conjugacy
@@ -177,21 +181,27 @@ class OrthRepFamily:
     exhaustive, or carries the literal flag "incomplete".
     """
 
-    name: str
-    domain: str
-    target_r: int
-    pi1_images: tuple[AffineInt, ...]
-    labels: tuple[str, ...] | None = None
-    param_constraint: Congruence | None = None
-    distinct_classes: str = ""
-    extends_to: str | None = None
-    certificate: str = "incomplete"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.labels is None) == (self.param_constraint is None):
-            raise ValueError(
-                f"family {self.name}: exactly one of labels/param required"
-            )
+    def __new__(
+        cls,
+        name: str,
+        domain: str,
+        target_r: int,
+        pi1_images: tuple[AffineInt, ...],
+        labels: tuple[str, ...] | None = None,
+        param_constraint: Congruence | None = None,
+        distinct_classes: str = "",
+        extends_to: str | None = None,
+        certificate: str = "incomplete",
+    ):
+        if (labels is None) == (param_constraint is None):
+            raise ValueError(f"family {name}: exactly one of labels/param required")
+        return tuple.__new__(
+            cls,
+            (name, domain, target_r, pi1_images, labels, param_constraint,
+             distinct_classes, extends_to, certificate),
+        )
 
     @property
     def parameterized(self) -> bool:
@@ -252,8 +262,7 @@ class OrthRepFamily:
 
 # --- the non-existence rule engine ---------------------------------------------
 
-@dataclass(frozen=True)
-class RuleTrace:
+class RuleTrace(NamedTuple):
     """Outcome of the kernel-candidate scan, printable as a proof sketch."""
 
     impossible: bool
@@ -392,8 +401,7 @@ def trivial_family(domain: str, r: int, domain_rank: int) -> OrthRepFamily:
     )
 
 
-@dataclass(frozen=True)
-class EnumResult:
+class EnumResult(NamedTuple):
     """All known families at (domain, r), with a completeness verdict."""
 
     domain: str

@@ -17,7 +17,7 @@ degrades to an honest interval instead of returning a wrong number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abelian import AbHom, FgAbGroup
 from .catalogfile import CatalogParseError, Node
@@ -40,8 +40,7 @@ class HypothesisError(ValueError):
 DIAGONAL_FAMILY_NAME = "diagonal(isotropy)"
 
 
-@dataclass(frozen=True)
-class HomSpaceRec:
+class HomSpaceRec(NamedTuple):
     """One homogeneous realisation, e.g. S7:Sp(2) for the 7-sphere."""
 
     name: str
@@ -52,8 +51,7 @@ class HomSpaceRec:
     provenance: str
 
 
-@dataclass(frozen=True)
-class HolonomyRec:
+class HolonomyRec(NamedTuple):
     """A holonomy group from the irreducible non-symmetric list, acting
     on an m-dimensional tangent space."""
 
@@ -63,8 +61,7 @@ class HolonomyRec:
     provenance: str
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """One equivalence class (or constrained family of classes) of
     invariant structures: a family reference plus, for parameterised
     families, the exact congruence the parameter must satisfy."""
@@ -82,8 +79,7 @@ class ClassRecord:
         return self.family
 
 
-@dataclass(frozen=True)
-class RejectedFamily:
+class RejectedFamily(NamedTuple):
     """A family that fails the lift test, with per-generator witnesses
     (generator label, image pair that escapes the covering subgroup)."""
 
@@ -91,8 +87,7 @@ class RejectedFamily:
     witnesses: tuple[tuple[str, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     space: str
     r: int
     classes: tuple[ClassRecord, ...]
@@ -105,8 +100,7 @@ class Classification:
         return not self.classes
 
 
-@dataclass(frozen=True)
-class SpinTypeResult:
+class SpinTypeResult(NamedTuple):
     """Least twist rank admitting an invariant structure.
 
     status "exact" needs complete (and empty) classifications at every
@@ -446,8 +440,7 @@ def canonical_structure(catalog, space: HomSpaceRec) -> Classification:
     )
 
 
-@dataclass(frozen=True)
-class HolonomyVerdict:
+class HolonomyVerdict(NamedTuple):
     group: str
     m: int
     r: int

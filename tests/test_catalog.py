@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinr.catalog import Catalog, load, loads
+from spinr.catalog import Catalog, load, load_default, loads
 from spinr.catalogfile import CatalogParseError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -156,6 +156,30 @@ def test_loader_errors_name_the_file_and_line(
     assert str(err.value).startswith(f"{path}:{line}: ")
     assert message in str(err.value)
     assert (err.value.path, err.value.line) == (str(path), line)
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"catalog_version: 1\n\xff\n", 2),
+        (b"\xc3(", 1),  # a lead byte without its continuation
+        (BASE.encode() + "# café\n".encode("latin-1"), BASE.count("\n") + 1),
+    ],
+    ids=["second-line", "truncated-sequence", "latin-1-comment"],
+)
+def test_a_file_that_is_not_utf8_names_the_line_of_the_first_bad_byte(
+    tmp_path, monkeypatch, data, line
+):
+    path = tmp_path / "c.txt"
+    path.write_bytes(data)
+    for loader in (load, load_default):
+        with pytest.raises(CatalogParseError) as err:
+            loader(str(path))
+        assert (err.value.path, err.value.line) == (str(path), line)
+        assert err.value.message.startswith("not UTF-8 text: byte 0x")
+    monkeypatch.setenv("SPINR_CATALOG", str(path))
+    with pytest.raises(CatalogParseError):
+        load_default()
 
 
 def test_cross_validation_error_names_the_file(tmp_path):

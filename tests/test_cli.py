@@ -204,6 +204,54 @@ def test_catalog_env_var_override(tmp_path):
     assert res.exit_code == 4
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_catalog_that_is_not_utf8_exits_four_naming_file_and_line(tmp_path, via):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"catalog_version: 1\n\xff\n")
+    if via == "flag":
+        res = run("--catalog", str(path), "table1")
+    else:
+        res = run("table1", env={"SPINR_CATALOG": str(path)})
+    assert res.exit_code == 4
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.stderr == (
+        f"catalog error: {path}:2: not UTF-8 text: byte 0xff (invalid start byte)\n"
+    )
+
+
+# --- which catalog: --catalog, else $SPINR_CATALOG, else the bundled one --------
+
+X3 = ("spin-type", "X3:Ambient")  # a space only BOUNDED_CATALOG has
+
+
+@pytest.fixture
+def catalogs(tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text(BOUNDED_CATALOG, encoding="utf-8")
+    broken = tmp_path / "broken.txt"
+    broken.write_text("nonsense!\n", encoding="utf-8")
+    return str(good), str(broken)
+
+
+def test_catalog_flag_beats_the_environment(catalogs):
+    good, broken = catalogs
+    assert run("--catalog", good, *X3, env={"SPINR_CATALOG": broken}).exit_code == 0
+    assert run("--catalog", broken, *X3, env={"SPINR_CATALOG": good}).exit_code == 4
+
+
+def test_environment_beats_the_bundled_catalog(catalogs):
+    good, _ = catalogs
+    assert run(*X3, env={"SPINR_CATALOG": good}).exit_code == 0
+    assert run(*X3, env={"SPINR_CATALOG": None}).exit_code == 2
+
+
+def test_empty_environment_variable_means_the_bundled_catalog():
+    bundled = run("table1", env={"SPINR_CATALOG": None})
+    res = run("table1", env={"SPINR_CATALOG": ""})
+    assert res.exit_code == bundled.exit_code == 0
+    assert res.output == bundled.output
+
+
 @pytest.mark.parametrize(
     "args, option, value",
     [

@@ -1,0 +1,229 @@
+"""Record semantics of every record type: read-only, equal and hashed by
+value, printed as ``Type(field=value, ...)``, and checked at
+construction with the messages the loader and callers rely on."""
+
+from fractions import Fraction
+
+import pytest
+
+from spinr.abelian import (
+    AbElem,
+    AbHom,
+    DomainMismatchError,
+    FgAbGroup,
+    Subgroup,
+    cyclic,
+)
+from spinr.catalog import Catalog, loads
+from spinr.catalogfile import Node
+from spinr.liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_group, so_pi1
+from spinr.lifting import LiftQuery, LiftVerdict
+from spinr.repcat import (
+    AffineInt,
+    Congruence,
+    EnumResult,
+    OrthRepFamily,
+    RuleTrace,
+)
+from spinr.spaces import (
+    Classification,
+    ClassRecord,
+    HolonomyRec,
+    HolonomyVerdict,
+    HomSpaceRec,
+    RejectedFamily,
+    SpinTypeResult,
+)
+from test_catalog import BASE
+
+Z2 = cyclic(2)
+Z = cyclic(0)
+
+
+def _sigma():
+    return AbHom(so_pi1(3), so_pi1(3), (so_pi1(3).elem([1]),))
+
+
+def _family():
+    return OrthRepFamily(
+        "f", "SO(3)", 3, (AffineInt(Fraction(1), Fraction(0)),), labels=("id",)
+    )
+
+
+def _class():
+    return ClassRecord("f", constraint=Congruence(2, 1))
+
+
+def _rejected():
+    return RejectedFamily("trivial", (("alpha", (1, 0)),))
+
+
+# (type, its fields in order, a factory that builds a fresh instance)
+RECORDS = [
+    (AbElem, ("group", "coords"), lambda: Z2.elem([1])),
+    (AbHom, ("domain", "codomain", "images"), _sigma),
+    (Subgroup, ("ambient", "generators"), lambda: Subgroup(Z2, (Z2.elem([1]),))),
+    (SimpleIdeal, ("kind", "dim", "min_orth_rep_dim", "is_abelian"),
+     lambda: SimpleIdeal("so(3)", 3, 3)),
+    (AlgebraProfile, ("center_rank", "ideals"),
+     lambda: AlgebraProfile(1, (SimpleIdeal("so(3)", 3, 3),))),
+    (CompactGroupRec, ("name", "pi1", "algebra", "connected", "provenance"),
+     lambda: so_group(4)),
+    (Congruence, ("modulus", "residue"), lambda: Congruence(4, 6)),
+    (AffineInt, ("coeff", "offset"), lambda: AffineInt(Fraction(1, 2), Fraction(3))),
+    (OrthRepFamily,
+     ("name", "domain", "target_r", "pi1_images", "labels", "param_constraint",
+      "distinct_classes", "extends_to", "certificate"),
+     _family),
+    (RuleTrace, ("impossible", "lines"), lambda: RuleTrace(True, ("a", "b"))),
+    (EnumResult, ("domain", "r", "families", "complete", "certificate"),
+     lambda: EnumResult("SO(3)", 3, (_family(),), True, "c")),
+    (LiftQuery, ("n", "r", "sigma_pi1", "phi_pi1"),
+     lambda: LiftQuery(3, 3, _sigma(), _sigma())),
+    (LiftVerdict, ("lifts", "witness_failures"),
+     lambda: LiftVerdict(False, (("alpha", Z2.elem([1])),))),
+    (HomSpaceRec, ("name", "G", "H", "n", "sigma_pi1", "provenance"),
+     lambda: HomSpaceRec("S3:SO(4)", "SO(4)", "SO(3)", 3, _sigma(), "p")),
+    (HolonomyRec, ("group", "m", "h_pi1", "provenance"),
+     lambda: HolonomyRec("SO(3)", 3, _sigma(), "p")),
+    (ClassRecord, ("family", "label", "constraint", "extends_to"), _class),
+    (RejectedFamily, ("family", "witnesses"), _rejected),
+    (Classification,
+     ("space", "r", "classes", "count", "complete", "certificate", "rejected"),
+     lambda: Classification("X", 2, (_class(),), None, True, "c", (_rejected(),))),
+    (SpinTypeResult, ("space", "status", "lo", "hi", "witnesses"),
+     lambda: SpinTypeResult("X", "bounded", 2, 3, (_class(),))),
+    (HolonomyVerdict,
+     ("group", "m", "r", "verdict", "via", "complete", "certificate", "rejected"),
+     lambda: HolonomyVerdict("SO(3)", 3, 3, "yes", (_class(),), True, "c", ())),
+    (Catalog, ("version", "groups", "families", "spaces", "holonomies", "path"),
+     lambda: loads(BASE, "base.txt")),
+    (Node, ("key", "line", "value", "children"),
+     lambda: Node("group", 3, None, [Node("name", 4, "SO(3)")])),
+]
+
+# The parse tree is built once per catalog line and stays mutable, as
+# it always was; every other record is read-only.
+MUTABLE = {Node}
+UNHASHABLE = {Catalog, Node}  # they hold dicts or lists
+
+
+@pytest.fixture(params=RECORDS, ids=[t.__name__ for t, _, _ in RECORDS])
+def record(request):
+    return request.param
+
+
+def test_fields_keep_their_names_and_order(record):
+    cls, fields, make = record
+    obj = make()
+    assert type(obj) is cls
+    for name in fields:
+        getattr(obj, name)
+    if hasattr(cls, "_fields"):
+        assert cls._fields == fields
+
+
+def test_setting_an_attribute_raises(record):
+    cls, fields, make = record
+    obj = make()
+    with pytest.raises(AttributeError):
+        obj.not_a_field = 1
+    if cls in MUTABLE:
+        return
+    with pytest.raises(AttributeError):
+        setattr(obj, fields[0], getattr(obj, fields[-1]))
+    assert repr(obj) == repr(make())
+
+
+def test_equal_fields_give_equal_objects_and_hashes(record):
+    cls, _, make = record
+    a, b = make(), make()
+    assert a is not b
+    assert a == b
+    assert not a != b
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+def test_repr_is_type_then_fields(record):
+    cls, fields, make = record
+    obj = make()
+    body = ", ".join(f"{name}={getattr(obj, name)!r}" for name in fields)
+    assert repr(obj) == f"{cls.__name__}({body})"
+
+
+def test_defaults():
+    assert SimpleIdeal("so(3)", 3, 3).is_abelian is False
+    assert AlgebraProfile(2).ideals == ()
+    assert ClassRecord("f") == ClassRecord("f", None, None, None)
+    fam = OrthRepFamily("f", "D", 2, (), param_constraint=Congruence(1, 0))
+    assert (fam.labels, fam.distinct_classes, fam.extends_to, fam.certificate) == (
+        None, "", None, "incomplete"
+    )
+    assert Classification("X", 1, (), 0, True, "c").rejected == ()
+    assert loads(BASE).path == "<catalog>"
+
+
+def test_congruence_stores_its_residue_reduced():
+    assert Congruence(4, 6).residue == 2
+    assert Congruence(4, -1).residue == 3
+    assert Congruence(4, 6) == Congruence(4, 2)
+    assert str(Congruence(4, 6)) == "s ≡ 2 mod 4"
+
+
+_Z2xZ2 = FgAbGroup(0, (2, 2), ("a", "b"))
+_Z2_other = FgAbGroup(0, (2,), ("beta",))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: AbElem(Z2, (0, 1)), ValueError, "2 coordinates in a rank-1 group"),
+        (lambda: AbElem(Z2, (3,)), ValueError, "coordinates (3,) not reduced"),
+        (lambda: AbElem(Z2, [1]), ValueError, "coordinates [1] not reduced"),
+        (lambda: AbHom(Z2, Z, ()), ValueError, "0 images for 1 generators"),
+        (lambda: AbHom(Z2, Z, (Z2.elem([1]),)), DomainMismatchError,
+         "image outside the codomain"),
+        (lambda: AbHom(Z2, Z, (Z.elem([1]),)), ValueError,
+         "generator g has order 2 but 2 * (1,) != 0 in the codomain"),
+        (lambda: Subgroup(Z, (Z2.elem([1]),)), ValueError,
+         "subgroup generator outside the ambient group"),
+        (lambda: SimpleIdeal("x", 2, 3), ValueError, "simple ideal x with dim 2 < 3"),
+        (lambda: SimpleIdeal("x", 3, 1), ValueError,
+         "simple ideal x: min_orth_rep_dim 1 < 2"),
+        (lambda: Congruence(0, 1), ValueError, "modulus must be >= 1"),
+        (lambda: OrthRepFamily("f", "D", 2, ()), ValueError,
+         "family f: exactly one of labels/param required"),
+        (lambda: OrthRepFamily("f", "D", 2, (), ("a",), Congruence(2, 0)),
+         ValueError, "family f: exactly one of labels/param required"),
+        (lambda: LiftQuery(3, 3, _sigma(), AbHom(_Z2_other, Z2, (Z2.elem([1]),))),
+         DomainMismatchError,
+         "isotropy and twist maps must share their domain generators"),
+        (lambda: LiftQuery(2, 3, _sigma(), _sigma()), DomainMismatchError,
+         "isotropy map must land in pi1(SO(2))"),
+        (lambda: LiftQuery(3, 1, _sigma(), _sigma()), DomainMismatchError,
+         "twist map must land in pi1(SO(1))"),
+        (lambda: LiftVerdict(True, (("a", _Z2xZ2.elem([1, 0])),)), ValueError,
+         "a verdict lifts exactly when it has no witness failures"),
+        (lambda: LiftVerdict(False, ()), ValueError,
+         "a verdict lifts exactly when it has no witness failures"),
+    ],
+)
+def test_construction_checks_keep_their_messages(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_keyword_construction_runs_the_checks():
+    assert SimpleIdeal(kind="so(3)", dim=3, min_orth_rep_dim=3) == SimpleIdeal(
+        "so(3)", 3, 3
+    )
+    with pytest.raises(ValueError, match="not reduced"):
+        AbElem(group=Z2, coords=(2,))
+    with pytest.raises(ValueError, match="exactly one of"):
+        OrthRepFamily(name="f", domain="D", target_r=2, pi1_images=())

@@ -1,6 +1,5 @@
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +10,7 @@ import spinr.repcat as repcat
 import spinr.spaces as spaces
 from oracles import scan_hom_rule_trace, scan_invariant_spin_type
 from spinr.abelian import AbHom, FgAbGroup
-from spinr.catalog import loads
+from spinr.catalog import Catalog, loads
 from spinr.catalogfile import parse
 from spinr.liecat import AlgebraProfile, SimpleIdeal, so_pi1
 from spinr.lifting import LiftQuery, induce, lifts
@@ -369,7 +368,8 @@ def small_catalogs(draw, parameterized: bool = False):
     if not refused:
         return cat
     extra = tuple(build_family(node) for node in parse("\n".join(refused)))
-    return replace(cat, families=cat.families + extra)
+    families = cat.families + extra
+    return Catalog(cat.version, cat.groups, families, cat.spaces, cat.holonomies)
 
 
 def _outcome(scan, catalog, space):
