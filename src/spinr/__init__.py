@@ -14,6 +14,7 @@ from .abelian import (
     mod2,
 )
 from .catalog import Catalog, load, load_default, loads
+from .catalogfile import SpinrError
 from .liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_group, so_pi1
 from .lifting import LiftQuery, LiftVerdict, induce, lift_subgroup, lifts
 from .repcat import (
@@ -50,6 +51,7 @@ __all__ = [
     "OrthRepFamily",
     "SimpleIdeal",
     "SpinTypeResult",
+    "SpinrError",
     "Subgroup",
     "canonical_structure",
     "classify",

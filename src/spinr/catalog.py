@@ -15,7 +15,7 @@ import os
 from importlib import resources
 
 from . import catalogfile
-from .catalogfile import CatalogParseError
+from .catalogfile import CatalogParseError, SpinrError
 from .liecat import CompactGroupRec, NotInCatalogError, build_group
 from .repcat import OrthRepFamily, build_family, first_possible_rank
 from .spaces import HolonomyRec, HomSpaceRec, build_holonomy, build_space
@@ -23,6 +23,10 @@ from .spaces import HolonomyRec, HomSpaceRec, build_holonomy, build_space
 ENV_CATALOG = "SPINR_CATALOG"
 
 _KNOWN_RECORDS = ("group", "repfamily", "space", "holonomy")
+
+
+class CatalogReadError(SpinrError, OSError):
+    """A catalog file that cannot be opened or read."""
 
 
 def normalize_name(name: str) -> str:
@@ -157,14 +161,25 @@ def _assemble(nodes: list[catalogfile.Node], path: str) -> Catalog:
     for node in deferred:
         if node.key == "repfamily":
             fam = build_family(node)
-            if fam.domain not in groups:
+            domain = groups.get(fam.domain)
+            if domain is None:
                 raise CatalogParseError(
                     f"family {fam.name}: unknown domain {fam.domain}", node.line, path
                 )
             try:
-                fam.validate_against(groups[fam.domain])
+                fam.validate_against(domain)
             except ValueError as err:
                 raise CatalogParseError(str(err), node.line, path) from err
+            # below the domain's first_possible_rank the rule engine proves
+            # that only the zero map exists, so no family may be listed there
+            r0 = first_possible_rank(domain.algebra)
+            if r0 is None or fam.target_r < r0:
+                raise CatalogParseError(
+                    f"family {fam.name} at ({fam.domain}, {fam.target_r}) "
+                    f"contradicts the rule engine's non-existence proof",
+                    node.line,
+                    path,
+                )
             families.append(fam)
         elif node.key == "space":
             rec = build_space(node, groups)
@@ -182,7 +197,7 @@ def _assemble(nodes: list[catalogfile.Node], path: str) -> Catalog:
                 )
             holonomies[key] = rec
 
-    catalog = Catalog(
+    return Catalog(
         version=version,
         groups=groups,
         families=tuple(families),
@@ -190,28 +205,14 @@ def _assemble(nodes: list[catalogfile.Node], path: str) -> Catalog:
         holonomies=holonomies,
         path=path,
     )
-    _cross_validate(catalog)
-    return catalog
-
-
-def _cross_validate(catalog: Catalog):
-    """Data/rule consistency: wherever the rule engine proves that only
-    the zero homomorphism exists, i.e. below the domain's
-    first_possible_rank, the catalog must list no family."""
-    for fam in catalog.families:
-        r0 = first_possible_rank(catalog.groups[fam.domain].algebra)
-        if r0 is None or fam.target_r < r0:
-            raise CatalogParseError(
-                f"family {fam.name} at ({fam.domain}, {fam.target_r}) "
-                f"contradicts the rule engine's non-existence proof",
-                1,
-                catalog.path,
-            )
 
 
 def load(path: str) -> Catalog:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        raise CatalogReadError(err.errno, err.strerror, err.filename) from err
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:

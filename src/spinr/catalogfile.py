@@ -28,7 +28,12 @@ from __future__ import annotations
 import re
 
 
-class CatalogParseError(ValueError):
+class SpinrError(Exception):
+    """Base of every error that an input can cause: a catalog file, a
+    name, a rank.  Each subclass also keeps its builtin base."""
+
+
+class CatalogParseError(SpinrError, ValueError):
     """Syntax or validation error in a catalog file, with a line number."""
 
     def __init__(self, message: str, line: int, path: str = "<catalog>"):

@@ -8,12 +8,14 @@ Four subcommands, each available as markdown (default) or JSON:
 * ``spin-type`` -- minimal twist rank of a space;
 * ``holonomy`` -- tri-state holonomy lifting verdict.
 
-Exit codes: 0 success, 1 verdict mismatch (table regression or
-``--strict`` on a bounded result), 2 unknown name, 3 theorem-hypothesis
-violation (a disconnected stabiliser or holonomy group), 4 catalog
-parse error, 5 invalid argument (``--r`` or ``--m`` below 1), 6 usage
-error (a missing or unknown subcommand or option, or an option value
-of the wrong type or outside its choices).
+Exit codes: 0 success; 1 verdict mismatch (a table regression, or
+``--strict`` on a bounded result); 2 unknown name; 3 theorem-hypothesis
+violation (a disconnected stabiliser or holonomy group); 4 catalog error
+(a file that cannot be read or parsed, or whose data contradicts the
+existence theorem); 5 invalid argument (``--r`` or ``--m`` below 1);
+6 usage error (a missing or unknown subcommand or option, or an option
+value of the wrong type or outside its choices).  Codes 2 to 5 come from
+``EXIT_CODES``, keyed by the ``SpinrError`` subclass a command raised.
 """
 
 from __future__ import annotations
@@ -23,41 +25,38 @@ from importlib import resources
 
 import click
 
-from .catalog import Catalog, load_default
-from .catalogfile import CatalogParseError
+from .catalog import Catalog, CatalogReadError, load_default
+from .catalogfile import CatalogParseError, SpinrError
 from .liecat import NotInCatalogError
 from .spaces import (
     Classification,
     HolonomyVerdict,
     HypothesisError,
+    InconsistentCatalogError,
+    InvalidArgumentError,
     classify as classify_op,
     holonomy_lift,
     invariant_spin_type,
 )
 
 EXIT_MISMATCH = 1
-EXIT_UNKNOWN_NAME = 2
-EXIT_HYPOTHESIS = 3
-EXIT_CATALOG_ERROR = 4
-EXIT_INVALID_ARGUMENT = 5
 EXIT_USAGE = 6
 
-
-def _load_catalog(path: str | None) -> Catalog:
-    try:
-        return load_default(path)
-    except CatalogParseError as err:
-        click.echo(f"catalog error: {err}", err=True)
-        sys.exit(EXIT_CATALOG_ERROR)
-    except OSError as err:
-        click.echo(f"catalog error: {err}", err=True)
-        sys.exit(EXIT_CATALOG_ERROR)
+# Every SpinrError subclass -> its exit code and the prefix of its one
+# stderr line.
+EXIT_CODES = {
+    NotInCatalogError: (2, ""),
+    HypothesisError: (3, "hypothesis violation: "),
+    CatalogParseError: (4, "catalog error: "),
+    CatalogReadError: (4, "catalog error: "),
+    InconsistentCatalogError: (4, "catalog error: "),
+    InvalidArgumentError: (5, "invalid argument: "),
+}
 
 
 def _require_positive(option: str, value: int):
     if value < 1:
-        click.echo(f"invalid argument: {option} must be >= 1, got {value}", err=True)
-        sys.exit(EXIT_INVALID_ARGUMENT)
+        raise InvalidArgumentError(f"{option} must be >= 1, got {value}")
 
 
 def _emit(record: dict, fmt: str, render_md):
@@ -211,10 +210,11 @@ def _md_table1(record: dict) -> str:
 # --- commands ------------------------------------------------------------------------
 
 class _Group(click.Group):
-    """A click group whose usage errors exit with EXIT_USAGE instead of
-    click's 2, which this CLI uses for an unknown name.  The group's
-    own options are parsed in make_context; the subcommand name and
-    options in invoke."""
+    """A click group that maps errors to exit codes.  Usage errors exit
+    with EXIT_USAGE instead of click's 2, which this CLI uses for an
+    unknown name; a SpinrError prints one line and exits with its code
+    in EXIT_CODES.  The group's own options are parsed in make_context;
+    the subcommand name and options, and the command itself, in invoke."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -229,6 +229,10 @@ class _Group(click.Group):
         except click.UsageError as err:
             err.exit_code = EXIT_USAGE
             raise
+        except SpinrError as err:
+            code, prefix = EXIT_CODES[type(err)]
+            click.echo(f"{prefix}{err}", err=True)
+            sys.exit(code)
 
 
 @click.group(cls=_Group)
@@ -265,7 +269,7 @@ def table1(ctx, fmt):
     bundled regression fixture."""
     import json
 
-    catalog = _load_catalog(ctx.obj["catalog_path"])
+    catalog = load_default(ctx.obj["catalog_path"])
     fixture = json.loads(
         resources.files("spinr")
         .joinpath("data/table1_expected.json")
@@ -281,11 +285,7 @@ def table1(ctx, fmt):
             "instances": [],
         }
         for name, expected in row["instances"]:
-            try:
-                res = invariant_spin_type(catalog, catalog.space(name))
-            except NotInCatalogError as err:
-                click.echo(str(err), err=True)
-                sys.exit(EXIT_UNKNOWN_NAME)
+            res = invariant_spin_type(catalog, catalog.space(name))
             computed = res.lo if res.status == "exact" else None
             out_row["instances"].append(
                 {
@@ -316,14 +316,6 @@ def table1(ctx, fmt):
         sys.exit(EXIT_MISMATCH)
 
 
-def _resolve_space(catalog: Catalog, name: str):
-    try:
-        return catalog.space(name)
-    except NotInCatalogError as err:
-        click.echo(str(err), err=True)
-        sys.exit(EXIT_UNKNOWN_NAME)
-
-
 @main.command()
 @click.argument("space")
 @click.option("--r", "r", type=int, required=True, help="Twist rank r >= 1.")
@@ -333,13 +325,9 @@ def classify(ctx, space, r, fmt):
     """Classify invariant structures on SPACE (e.g. 'S4:SO(5)') at
     twist rank r."""
     _require_positive("--r", r)
-    catalog = _load_catalog(ctx.obj["catalog_path"])
-    rec = _resolve_space(catalog, space)
-    try:
-        result = classify_op(catalog, rec, r)
-    except HypothesisError as err:
-        click.echo(f"hypothesis violation: {err}", err=True)
-        sys.exit(EXIT_HYPOTHESIS)
+    catalog = load_default(ctx.obj["catalog_path"])
+    rec = catalog.space(space)
+    result = classify_op(catalog, rec, r)
     record = {
         "command": "classify",
         "query": {"space": rec.name, "r": r},
@@ -363,13 +351,9 @@ def classify(ctx, space, r, fmt):
 @click.pass_context
 def spin_type(ctx, space, strict, fmt):
     """Minimal twist rank of SPACE admitting an invariant structure."""
-    catalog = _load_catalog(ctx.obj["catalog_path"])
-    rec = _resolve_space(catalog, space)
-    try:
-        res = invariant_spin_type(catalog, rec)
-    except HypothesisError as err:
-        click.echo(f"hypothesis violation: {err}", err=True)
-        sys.exit(EXIT_HYPOTHESIS)
+    catalog = load_default(ctx.obj["catalog_path"])
+    rec = catalog.space(space)
+    res = invariant_spin_type(catalog, rec)
     record = {
         "command": "spin-type",
         "query": {"space": rec.name},
@@ -398,15 +382,8 @@ def holonomy(ctx, group, m, r, fmt):
     rank r?  Prints yes/no/unknown."""
     _require_positive("--m", m)
     _require_positive("--r", r)
-    catalog = _load_catalog(ctx.obj["catalog_path"])
-    try:
-        verdict: HolonomyVerdict = holonomy_lift(catalog, group, m, r)
-    except NotInCatalogError as err:
-        click.echo(str(err), err=True)
-        sys.exit(EXIT_UNKNOWN_NAME)
-    except HypothesisError as err:
-        click.echo(f"hypothesis violation: {err}", err=True)
-        sys.exit(EXIT_HYPOTHESIS)
+    catalog = load_default(ctx.obj["catalog_path"])
+    verdict: HolonomyVerdict = holonomy_lift(catalog, group, m, r)
     hol = catalog.holonomy(group, m)
     record = {
         "command": "holonomy",

@@ -16,10 +16,10 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .abelian import FgAbGroup
-from .catalogfile import CatalogParseError, Node
+from .catalogfile import CatalogParseError, Node, SpinrError
 
 
-class NotInCatalogError(KeyError):
+class NotInCatalogError(SpinrError, KeyError):
     def __init__(self, kind: str, name: str, available):
         self.name = name
         names = ", ".join(sorted(available))
@@ -57,9 +57,6 @@ class AlgebraProfile(NamedTuple):
     @property
     def dim(self) -> int:
         return self.center_rank + sum(i.dim for i in self.ideals)
-
-    def is_abelian(self) -> bool:
-        return not self.ideals
 
 
 class CompactGroupRec(NamedTuple):

@@ -211,10 +211,6 @@ class OrthRepFamily(
     def incomplete(self) -> bool:
         return self.certificate.strip().lower() == "incomplete"
 
-    def class_count(self) -> int | None:
-        """Number of conjugacy classes; None for an infinite family."""
-        return None if self.parameterized else len(self.labels)
-
     def pi1_map(self, domain_pi1: FgAbGroup, r: int, s: int | None = None) -> AbHom:
         """Concrete induced map for one parameter value (or none)."""
         if self.parameterized:

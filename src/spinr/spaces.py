@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .abelian import AbHom, FgAbGroup
-from .catalogfile import CatalogParseError, Node
+from .catalogfile import CatalogParseError, Node, SpinrError
 from .lifting import LiftQuery, lifts, parity
 from .liecat import so_pi1
 from .repcat import (
@@ -33,8 +33,16 @@ from .repcat import (
 )
 
 
-class HypothesisError(ValueError):
+class HypothesisError(SpinrError, ValueError):
     """A theorem hypothesis is violated (disconnected stabiliser, small n)."""
+
+
+class InvalidArgumentError(SpinrError, ValueError):
+    """An argument outside its range, such as a twist rank below 1."""
+
+
+class InconsistentCatalogError(SpinrError, RuntimeError):
+    """The catalog's data contradicts the existence theorem."""
 
 
 DIAGONAL_FAMILY_NAME = "diagonal(isotropy)"
@@ -305,6 +313,11 @@ def _connected_group(catalog, name: str, role: str, theorem: str):
     return group
 
 
+def _require_rank(r: int):
+    if r < 1:
+        raise InvalidArgumentError(f"twist rank must be >= 1, got {r}")
+
+
 def _stabiliser(catalog, space: HomSpaceRec):
     return _connected_group(
         catalog, space.H, "stabiliser", "classification correspondence"
@@ -314,8 +327,7 @@ def _stabiliser(catalog, space: HomSpaceRec):
 def classify(catalog, space: HomSpaceRec, r: int) -> Classification:
     """All invariant rank-r structures on the space, as lift-passing
     conjugacy classes with exactly solved parameter constraints."""
-    if r < 1:
-        raise ValueError(f"twist rank must be >= 1, got {r}")
+    _require_rank(r)
     h = _stabiliser(catalog, space)
     enum = enumerate_homs(catalog, space.H, r)
     classes, rejected = _lift_families(
@@ -352,8 +364,8 @@ def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
     n it is [first uncertain rank, n], witnessed for n >= 3 by the
     canonical rank-n structure, which always exists; with no uncertain
     rank either, the catalog contradicts that structure and the scan
-    raises RuntimeError.  The work grows with the number of listed
-    ranks of H, never with n.
+    raises InconsistentCatalogError.  The work grows with the number of
+    listed ranks of H, never with n.
     """
     h = _stabiliser(catalog, space)
     if not parity_nonzero(space.sigma_pi1):
@@ -385,10 +397,10 @@ def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
     if lo is None:
         # A complete, empty classification at every rank up to n
         # contradicts the canonical rank-n witness.
-        raise RuntimeError(
-            f"no invariant structure found for {space.name} up to r = "
-            f"{space.n} despite complete enumerations; catalog data is "
-            f"inconsistent with the existence theorem"
+        raise InconsistentCatalogError(
+            f"{catalog.path}: no invariant structure found for {space.name} "
+            f"up to r = {space.n} despite complete enumerations; catalog "
+            f"data is inconsistent with the existence theorem"
         )
     witnesses: tuple[ClassRecord, ...] = ()
     if space.n >= 3:
@@ -458,8 +470,10 @@ def holonomy_lift(catalog, group: str, m: int, r: int) -> HolonomyVerdict:
     Tri-state: "yes" on any passing twist (including, at r = m, the
     diagonal twist by the holonomy representation itself, which always
     passes), "no" only under a complete enumeration, "unknown"
-    otherwise.  A disconnected group raises HypothesisError.
+    otherwise.  A rank below 1 raises InvalidArgumentError before any
+    lookup; a disconnected group raises HypothesisError.
     """
+    _require_rank(r)
     rec = catalog.holonomy(group, m)
     g = _connected_group(catalog, group, "holonomy group", "lifting criterion")
     enum = enumerate_homs(catalog, group, r)

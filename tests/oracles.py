@@ -18,7 +18,12 @@ import numpy as np
 from spinr.abelian import AbElem, Subgroup
 from spinr.catalogfile import CatalogParseError, Node
 from spinr.repcat import RuleTrace, describe_algebra
-from spinr.spaces import SpinTypeResult, canonical_structure, classify
+from spinr.spaces import (
+    InconsistentCatalogError,
+    SpinTypeResult,
+    canonical_structure,
+    classify,
+)
 
 COEFF_BOX = 8  # coefficients searched over [-COEFF_BOX, COEFF_BOX]
 
@@ -299,10 +304,10 @@ def scan_invariant_spin_type(catalog, space) -> SpinTypeResult:
         if not c.complete and first_uncertain is None:
             first_uncertain = r
     if first_uncertain is None:
-        raise RuntimeError(
-            f"no invariant structure found for {space.name} up to r = "
-            f"{space.n} despite complete enumerations; catalog data is "
-            f"inconsistent with the existence theorem"
+        raise InconsistentCatalogError(
+            f"{catalog.path}: no invariant structure found for {space.name} "
+            f"up to r = {space.n} despite complete enumerations; catalog "
+            f"data is inconsistent with the existence theorem"
         )
     witnesses = canonical_structure(catalog, space).classes if space.n >= 3 else ()
     return SpinTypeResult(space.name, "bounded", first_uncertain, space.n, witnesses)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinr.catalog import Catalog, load, load_default, loads
-from spinr.catalogfile import CatalogParseError
+from spinr.catalog import Catalog, CatalogReadError, load, load_default, loads
+from spinr.catalogfile import CatalogParseError, SpinrError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -182,6 +182,17 @@ def test_a_file_that_is_not_utf8_names_the_line_of_the_first_bad_byte(
         load_default()
 
 
+def test_a_file_that_cannot_be_read_is_a_spinr_error_and_an_oserror(tmp_path):
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(CatalogReadError) as err:
+        load(str(missing))
+    assert isinstance(err.value, SpinrError)
+    assert isinstance(err.value, OSError)
+    assert str(err.value) == f"[Errno 2] No such file or directory: '{missing}'"
+    with pytest.raises(CatalogReadError, match=r"^\[Errno 21\] Is a directory: "):
+        load_default(str(tmp_path))
+
+
 def test_cross_validation_error_names_the_file(tmp_path):
     # so(3) has no nonzero map into the abelian so(2), so a listed family
     # at (SO(3), 2) contradicts the rule engine
@@ -192,7 +203,9 @@ def test_cross_validation_error_names_the_file(tmp_path):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CatalogParseError) as err:
         load(str(path))
-    assert str(err.value).startswith(f"{path}:1: family so3-identity")
+    line = _line_of('repfamily {\n  name: "so3-identity"')
+    assert line > 1
+    assert str(err.value).startswith(f"{path}:{line}: family so3-identity")
 
 
 def test_cross_validation_refuses_any_family_of_the_zero_algebra():

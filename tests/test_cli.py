@@ -5,8 +5,9 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from spinr.catalog import loads
-from spinr.cli import main
+from spinr.catalog import bundled_catalog_text, loads
+from spinr.catalogfile import SpinrError
+from spinr.cli import EXIT_CODES, main
 from spinr.spaces import HypothesisError, holonomy_lift
 from test_spaces import BOUNDED_CATALOG
 
@@ -189,6 +190,40 @@ def test_holonomy_disconnected_group_exit_three(tmp_path):
     )
 
 
+# the bundled catalog plus a space with no structure at any rank up to n
+INCONSISTENT_CATALOG = bundled_catalog_text() + """
+space {
+  name: "X3:SO(12)"
+  G: "SO(12)"
+  H: "SO(12)"
+  n: 3
+  sigma_pi1_images: [1]
+  provenance: "test data"
+}
+"""
+
+
+def _bundled_with_so4_disconnected() -> str:
+    """The bundled catalog with SO(4), the stabiliser of a table1 row,
+    marked disconnected."""
+    text = bundled_catalog_text()
+    at = text.index("connected: true", text.index('name: "SO(4)"'))
+    return text[:at] + "connected: false" + text[at + len("connected: true"):]
+
+
+def test_catalog_contradicting_the_existence_theorem_exit_four(tmp_path):
+    path = tmp_path / "cat.txt"
+    path.write_text(INCONSISTENT_CATALOG, encoding="utf-8")
+    res = run("--catalog", str(path), "spin-type", "X3:SO(12)")
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert res.stderr == (
+        f"catalog error: {path}: no invariant structure found for X3:SO(12) "
+        f"up to r = 3 despite complete enumerations; catalog data is "
+        f"inconsistent with the existence theorem\n"
+    )
+
+
 def test_catalog_parse_error_exit_four(tmp_path):
     path = tmp_path / "broken.txt"
     path.write_text("catalog_version: 1\ngroup {\n  name oops\n}\n", encoding="utf-8")
@@ -344,6 +379,9 @@ def test_holonomy_ascii_dot_name_finds_the_families():
 
 # --- the exit-code contract ---------------------------------------------------------
 
+MISSING = "a --catalog path with no file behind it"
+
+
 @pytest.mark.parametrize(
     "catalog_text, args, code",
     [
@@ -353,8 +391,13 @@ def test_holonomy_ascii_dot_name_finds_the_families():
         (DISCONNECTED_CATALOG, ("classify", "X3:Big", "--r", "1"), 3),
         (DISCONNECTED_CATALOG, ("spin-type", "X3:Big"), 3),
         (DISCONNECTED_CATALOG, ("holonomy", "Twisty", "--m", "3", "--r", "1"), 3),
+        (_bundled_with_so4_disconnected(), ("table1",), 3),
         ("catalog_version: 1\ngroup {\n  name oops\n}\n", ("table1",), 4),
+        (INCONSISTENT_CATALOG, ("spin-type", "X3:SO(12)"), 4),
+        (MISSING, ("table1",), 4),
         (None, ("classify", "S4:SO(5)", "--r", "0"), 5),
+        # checked before the catalog loads
+        ("nonsense!\n", ("classify", "S4:SO(5)", "--r", "0"), 5),
         (None, ("holonomy", "SO(5)", "--m", "-1", "--r", "2"), 5),
         (None, ("classify", "S4:SO(5)"), 6),
         (None, ("holonomy", "SO(5)", "--m", "5"), 6),
@@ -369,7 +412,8 @@ def test_holonomy_ascii_dot_name_finds_the_families():
 def test_failure_modes_exit_with_their_documented_code(tmp_path, catalog_text, args, code):
     if catalog_text is not None:
         path = tmp_path / "cat.txt"
-        path.write_text(catalog_text, encoding="utf-8")
+        if catalog_text is not MISSING:
+            path.write_text(catalog_text, encoding="utf-8")
         args = ("--catalog", str(path), *args)
     res = run(*args)
     assert res.exit_code == code
@@ -377,3 +421,19 @@ def test_failure_modes_exit_with_their_documented_code(tmp_path, catalog_text, a
     assert "Traceback" not in res.stderr
     if code != 1:  # a bounded --strict result is reported on stdout only
         assert res.stderr.strip()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_spinr_error_has_exactly_one_exit_code():
+    errors = list(_subclasses(SpinrError))
+    assert len(errors) == len(set(errors)) >= 6
+    assert set(errors) == set(EXIT_CODES)
+    for cls in errors:
+        # library callers may still catch the builtin base
+        assert issubclass(cls, (KeyError, OSError, RuntimeError, ValueError))
+    assert {code for code, _ in EXIT_CODES.values()} == {2, 3, 4, 5}

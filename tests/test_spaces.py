@@ -11,7 +11,7 @@ import spinr.spaces as spaces
 from oracles import scan_hom_rule_trace, scan_invariant_spin_type
 from spinr.abelian import AbHom, FgAbGroup
 from spinr.catalog import Catalog, loads
-from spinr.catalogfile import parse
+from spinr.catalogfile import SpinrError, parse
 from spinr.liecat import AlgebraProfile, SimpleIdeal, so_pi1
 from spinr.lifting import LiftQuery, induce, lifts
 from spinr.repcat import (
@@ -25,6 +25,8 @@ from spinr.spaces import (
     DIAGONAL_FAMILY_NAME,
     HomSpaceRec,
     HypothesisError,
+    InconsistentCatalogError,
+    InvalidArgumentError,
     _solve_parameter,
     canonical_structure,
     classify,
@@ -219,6 +221,22 @@ def test_spin_type_work_is_independent_of_the_dimension(catalog):
         assert elapsed < 0.05, (n, elapsed)
     assert invariant_spin_type(catalog, _so12_space(catalog, 13)) == (
         scan_invariant_spin_type(catalog, _so12_space(catalog, 13))
+    )
+
+
+def test_a_catalog_without_the_canonical_witness_is_inconsistent(catalog):
+    # n = 3 is below r0 = 12 and nothing is listed at SO(12), so every
+    # rank up to n is certainly empty: the data contradicts the theorem
+    space = _so12_space(catalog, 3)
+    with pytest.raises(InconsistentCatalogError) as err:
+        invariant_spin_type(catalog, space)
+    assert isinstance(err.value, SpinrError)
+    assert isinstance(err.value, RuntimeError)
+    assert str(err.value).startswith(
+        "<bundled>: no invariant structure found for X:SO(12) up to r = 3 "
+    )
+    assert _outcome(invariant_spin_type, catalog, space) == _outcome(
+        scan_invariant_spin_type, catalog, space
     )
 
 
@@ -587,6 +605,18 @@ def test_holonomy_unknown_record_rejected(catalog):
 
     with pytest.raises(NotInCatalogError):
         holonomy_lift(catalog, "SO(5)", 17, 2)
+
+
+@pytest.mark.parametrize("r", [0, -3])
+def test_holonomy_lift_refuses_a_rank_below_one_as_classify_does(catalog, r):
+    with pytest.raises(InvalidArgumentError) as by_classify:
+        classify(catalog, catalog.space("S4:SO(5)"), r)
+    # the rank is checked first, so a missing record makes no difference
+    for m in (5, 17):
+        with pytest.raises(InvalidArgumentError) as by_holonomy:
+            holonomy_lift(catalog, "SO(5)", m, r)
+        assert str(by_holonomy.value) == str(by_classify.value)
+    assert str(by_classify.value) == f"twist rank must be >= 1, got {r}"
 
 
 # --- cross-construction consistency ----------------------------------------------------
