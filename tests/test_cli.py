@@ -391,13 +391,8 @@ MISSING = "a --catalog path with no file behind it"
         (DISCONNECTED_CATALOG, ("classify", "X3:Big", "--r", "1"), 3),
         (DISCONNECTED_CATALOG, ("spin-type", "X3:Big"), 3),
         (DISCONNECTED_CATALOG, ("holonomy", "Twisty", "--m", "3", "--r", "1"), 3),
-        (_bundled_with_so4_disconnected(), ("table1",), 3),
         ("catalog_version: 1\ngroup {\n  name oops\n}\n", ("table1",), 4),
-        (INCONSISTENT_CATALOG, ("spin-type", "X3:SO(12)"), 4),
-        (MISSING, ("table1",), 4),
         (None, ("classify", "S4:SO(5)", "--r", "0"), 5),
-        # checked before the catalog loads
-        ("nonsense!\n", ("classify", "S4:SO(5)", "--r", "0"), 5),
         (None, ("holonomy", "SO(5)", "--m", "-1", "--r", "2"), 5),
         (None, ("classify", "S4:SO(5)"), 6),
         (None, ("holonomy", "SO(5)", "--m", "5"), 6),
@@ -407,6 +402,11 @@ MISSING = "a --catalog path with no file behind it"
         (None, ("--bogus", "table1"), 6),
         (None, ("no-such-command",), 6),
         (None, (), 6),
+        (_bundled_with_so4_disconnected(), ("table1",), 3),
+        (INCONSISTENT_CATALOG, ("spin-type", "X3:SO(12)"), 4),
+        (MISSING, ("table1",), 4),
+        # checked before the catalog loads
+        ("nonsense!\n", ("classify", "S4:SO(5)", "--r", "0"), 5),
     ],
 )
 def test_failure_modes_exit_with_their_documented_code(tmp_path, catalog_text, args, code):
