@@ -14,16 +14,19 @@ violation (a disconnected stabiliser or holonomy group); 4 catalog error
 (a file that cannot be read or parsed, or whose data contradicts the
 existence theorem); 5 invalid argument (``--r`` or ``--m`` below 1);
 6 usage error (a missing or unknown subcommand or option, or an option
-value of the wrong type or outside its choices).  Codes 2 to 5 come from
-``EXIT_CODES``, keyed by the ``SpinrError`` subclass a command raised.
+value of the wrong type or outside its choices); 141 standard output
+closed before the answer was written (128 + SIGPIPE, as a shell reports
+for ``cat`` in the same pipe).  Codes 2 to 5 come from ``EXIT_CODES``,
+keyed by the ``SpinrError`` subclass a command raised.
 """
 
 from __future__ import annotations
 
+import argparse
+import codecs
+import os
 import sys
 from importlib import resources
-
-import click
 
 from .catalog import Catalog, CatalogReadError, load_default
 from .catalogfile import CatalogParseError, SpinrError
@@ -41,6 +44,7 @@ from .spaces import (
 
 EXIT_MISMATCH = 1
 EXIT_USAGE = 6
+EXIT_CLOSED_STDOUT = 141
 
 # Every SpinrError subclass -> its exit code and the prefix of its one
 # stderr line.
@@ -63,9 +67,10 @@ def _emit(record: dict, fmt: str, render_md):
     if fmt == "json":
         import json  # only JSON output pays for the import
 
-        click.echo(json.dumps(record, ensure_ascii=False, sort_keys=True))
+        text = json.dumps(record, ensure_ascii=False, sort_keys=True)
     else:
-        click.echo(render_md(record))
+        text = render_md(record)
+    print(text, flush=True)  # ahead of any stderr line that follows
 
 
 # --- record builders -----------------------------------------------------------
@@ -209,67 +214,12 @@ def _md_table1(record: dict) -> str:
 
 # --- commands ------------------------------------------------------------------------
 
-class _Group(click.Group):
-    """A click group that maps errors to exit codes.  Usage errors exit
-    with EXIT_USAGE instead of click's 2, which this CLI uses for an
-    unknown name; a SpinrError prints one line and exits with its code
-    in EXIT_CODES.  The group's own options are parsed in make_context;
-    the subcommand name and options, and the command itself, in invoke."""
-
-    def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as err:
-            err.exit_code = EXIT_USAGE
-            raise
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as err:
-            err.exit_code = EXIT_USAGE
-            raise
-        except SpinrError as err:
-            code, prefix = EXIT_CODES[type(err)]
-            click.echo(f"{prefix}{err}", err=True)
-            sys.exit(code)
-
-
-@click.group(cls=_Group)
-@click.option(
-    "--catalog",
-    "catalog_path",
-    type=click.Path(),
-    default=None,
-    help="Path to a catalog file (default: bundled; also $SPINR_CATALOG).",
-)
-@click.pass_context
-def main(ctx, catalog_path):
-    """Exact decisions about invariant spin^r structures on homogeneous
-    spaces."""
-    ctx.ensure_object(dict)
-    ctx.obj["catalog_path"] = catalog_path
-
-
-def _format_option(fn):
-    return click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["md", "json"]),
-        default="md",
-        help="Output format.",
-    )(fn)
-
-
-@main.command()
-@_format_option
-@click.pass_context
-def table1(ctx, fmt):
+def table1(catalog_path, fmt):
     """Recompute the homogeneous-sphere table and diff it against the
     bundled regression fixture."""
     import json
 
-    catalog = load_default(ctx.obj["catalog_path"])
+    catalog = load_default(catalog_path)
     fixture = json.loads(
         resources.files("spinr")
         .joinpath("data/table1_expected.json")
@@ -309,23 +259,18 @@ def table1(ctx, fmt):
     }
     _emit(record, fmt, _md_table1)
     if mismatches:
-        click.echo("", err=True)
-        click.echo("table regression FAILED:", err=True)
+        print(file=sys.stderr)
+        print("table regression FAILED:", file=sys.stderr)
         for m in mismatches:
-            click.echo(f"  {m}", err=True)
+            print(f"  {m}", file=sys.stderr)
         sys.exit(EXIT_MISMATCH)
 
 
-@main.command()
-@click.argument("space")
-@click.option("--r", "r", type=int, required=True, help="Twist rank r >= 1.")
-@_format_option
-@click.pass_context
-def classify(ctx, space, r, fmt):
+def classify(catalog_path, space, r, fmt):
     """Classify invariant structures on SPACE (e.g. 'S4:SO(5)') at
     twist rank r."""
     _require_positive("--r", r)
-    catalog = load_default(ctx.obj["catalog_path"])
+    catalog = load_default(catalog_path)
     rec = catalog.space(space)
     result = classify_op(catalog, rec, r)
     record = {
@@ -340,18 +285,9 @@ def classify(ctx, space, r, fmt):
     _emit(record, fmt, _md_classification)
 
 
-@main.command(name="spin-type")
-@click.argument("space")
-@click.option(
-    "--strict",
-    is_flag=True,
-    help="Treat a bounded (non-exact) result as failure (exit 1).",
-)
-@_format_option
-@click.pass_context
-def spin_type(ctx, space, strict, fmt):
+def spin_type(catalog_path, space, strict, fmt):
     """Minimal twist rank of SPACE admitting an invariant structure."""
-    catalog = load_default(ctx.obj["catalog_path"])
+    catalog = load_default(catalog_path)
     rec = catalog.space(space)
     res = invariant_spin_type(catalog, rec)
     record = {
@@ -371,18 +307,12 @@ def spin_type(ctx, space, strict, fmt):
         sys.exit(EXIT_MISMATCH)
 
 
-@main.command()
-@click.argument("group")
-@click.option("--m", "m", type=int, required=True, help="Manifold dimension m >= 1.")
-@click.option("--r", "r", type=int, required=True, help="Twist rank r >= 1.")
-@_format_option
-@click.pass_context
-def holonomy(ctx, group, m, r, fmt):
+def holonomy(catalog_path, group, m, r, fmt):
     """Does the holonomy representation of GROUP on R^m lift at twist
     rank r?  Prints yes/no/unknown."""
     _require_positive("--m", m)
     _require_positive("--r", r)
-    catalog = load_default(ctx.obj["catalog_path"])
+    catalog = load_default(catalog_path)
     verdict: HolonomyVerdict = holonomy_lift(catalog, group, m, r)
     hol = catalog.holonomy(group, m)
     record = {
@@ -398,6 +328,101 @@ def holonomy(ctx, group, m, r, fmt):
         "citations": [f"{hol.group} (m={hol.m}): {hol.provenance}"],
     }
     _emit(record, fmt, _md_holonomy)
+
+
+# --- argument parsing ------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_USAGE instead of argparse's 2, which
+    this CLI uses for an unknown name."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _parser(prog: str) -> _Parser:
+    # allow_abbrev=False everywhere: `--form json` is a usage error, not
+    # `--format json`
+    parser = _Parser(
+        prog=prog,
+        allow_abbrev=False,
+        description="Exact decisions about invariant spin^r structures on "
+        "homogeneous spaces.",
+    )
+    parser.add_argument(
+        "--catalog",
+        dest="catalog_path",
+        metavar="PATH",
+        help="Path to a catalog file (default: bundled; also $SPINR_CATALOG).",
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(fn):
+        """A subcommand running fn, named after it, with its docstring
+        as help."""
+        doc = " ".join(fn.__doc__.split())
+        sub = commands.add_parser(
+            fn.__name__.replace("_", "-"), help=doc, description=doc, allow_abbrev=False
+        )
+        sub.set_defaults(run=fn)
+        return sub
+
+    r_help = "Twist rank r >= 1."
+    command(table1)
+    sub = command(classify)
+    sub.add_argument("space", metavar="SPACE")
+    sub.add_argument("--r", type=int, required=True, help=r_help)
+    sub = command(spin_type)
+    sub.add_argument("space", metavar="SPACE")
+    sub.add_argument(
+        "--strict",
+        action="store_true",
+        help="Treat a bounded (non-exact) result as failure (exit 1).",
+    )
+    sub = command(holonomy)
+    sub.add_argument("group", metavar="GROUP")
+    sub.add_argument("--m", type=int, required=True, help="Manifold dimension m >= 1.")
+    sub.add_argument("--r", type=int, required=True, help=r_help)
+    for sub in commands.choices.values():
+        sub.add_argument(
+            "--format", dest="fmt", choices=["md", "json"], default="md",
+            help="Output format.",
+        )
+    return parser
+
+
+def _utf8_if_ascii(stream):
+    """Write UTF-8 where the locale says ASCII (LC_ALL=C with UTF-8 mode
+    off), instead of failing on the middle dot of a group name or the
+    table's "≠"."""
+    if stream.encoding and codecs.lookup(stream.encoding).name == "ascii":
+        stream.reconfigure(encoding="utf-8", errors=stream.errors)
+
+
+def main(args=None, prog_name="spinr"):
+    """Parse args (default: sys.argv[1:]) and run one command.  A
+    SpinrError prints one line and exits with its code in EXIT_CODES;
+    this is the only place that maps errors to exit codes."""
+    _utf8_if_ascii(sys.stdout)
+    _utf8_if_ascii(sys.stderr)
+    try:
+        kwargs = vars(_parser(prog_name).parse_args(args))
+        kwargs.pop("run")(**kwargs)
+    except SpinrError as err:
+        code, prefix = EXIT_CODES[type(err)]
+        print(f"{prefix}{err}", file=sys.stderr)
+        sys.exit(code)
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the
+        # interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_CLOSED_STDOUT)
+
+
+# perfbench/cli_child.py still calls main.main(args=..., prog_name=...);
+# remove this alias once it calls main(argv)
+main.main = main
 
 
 if __name__ == "__main__":

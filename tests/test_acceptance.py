@@ -8,11 +8,8 @@ import json
 import random
 import time
 
-from click.testing import CliRunner
-
 import spinr.catalog
 from spinr.abelian import Subgroup, contains, subgroup_eq, subgroup_index
-from spinr.cli import main as cli_main
 from spinr.lifting import LiftQuery, frame_product_pi1, induce, lift_subgroup, lifts
 from spinr.repcat import enumerate_homs
 from spinr.spaces import (
@@ -22,6 +19,7 @@ from spinr.spaces import (
     parity_nonzero,
 )
 
+from clirunner import run
 from oracles import agreement_instances, brute_force_contains
 
 
@@ -34,10 +32,10 @@ def report(criterion: str, detail: str):
 def test_criterion_1_table_regression():
     spinr.catalog._default = None  # include a fresh catalog load in the timing
     start = time.perf_counter()
-    res = CliRunner().invoke(cli_main, ["table1", "--format", "json"])
+    res = run("table1", "--format", "json")
     elapsed = time.perf_counter() - start
-    assert res.exit_code == 0, res.output
-    record = json.loads(res.output)
+    assert res.exit_code == 0, res.stderr
+    record = json.loads(res.stdout)
     assert record["match"] is True
     checked = {
         inst["space"]: inst["computed"]

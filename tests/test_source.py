@@ -44,12 +44,17 @@ def test_no_dataclasses_in_the_package():
 
 def test_importing_the_cli_leaves_out_dataclasses_and_json():
     # json is imported where JSON is read or written, so the markdown
-    # commands never load it
+    # commands never load it; and every module the import adds is spinr's
+    # own or the standard library's, so no dependency creeps back into
+    # each CLI process
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import spinr.cli\n"
-        "print(sorted({'dataclasses', 'json'} & (set(sys.modules) - before)))\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted({'dataclasses', 'json'} & new))\n"
+        "print(sorted(m for m in new if m != 'spinr' and not m.startswith('spinr.')\n"
+        "             and m.split('.')[0] not in sys.stdlib_module_names))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -63,4 +68,4 @@ def test_importing_the_cli_leaves_out_dataclasses_and_json():
         timeout=60,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n") == ["[]", "[]", ""]
