@@ -47,9 +47,13 @@ Scalar = str | int | bool
 
 
 class Node:
-    """One ``key: value`` entry or one ``key { ... }`` block."""
+    """One ``key: value`` entry or one ``key { ... }`` block.
 
-    __slots__ = ("key", "line", "value", "children")
+    The accessors read a block's children through a key table built on
+    first use, so a block is read once however many keys are asked for.
+    """
+
+    __slots__ = ("key", "line", "value", "children", "_table")
 
     def __init__(
         self,
@@ -62,6 +66,7 @@ class Node:
         self.line = line
         self.value = value
         self.children = children
+        self._table = None
 
     def __eq__(self, other):
         if other.__class__ is not Node:
@@ -78,81 +83,121 @@ class Node:
             f"value={self.value!r}, children={self.children!r})"
         )
 
-    # -- convenience accessors used by the typed loaders --------------
+    # -- accessors used by the typed loaders ----------------------------
 
-    def items(self, key: str) -> list["Node"]:
-        return [c for c in self.children or [] if c.key == key]
+    def _build_table(self) -> dict[str, Node | list[Node]]:
+        """key -> its child, or the list of its children when repeated."""
+        children = self.children or ()
+        table = {c.key: c for c in children}
+        if len(table) < len(children):
+            table = {}
+            for c in children:
+                table.setdefault(c.key, []).append(c)
+            table = {k: v if len(v) > 1 else v[0] for k, v in table.items()}
+        self._table = table
+        return table
 
-    def child(self, key: str, required: bool = True) -> "Node | None":
-        found = self.items(key)
-        if len(found) > 1:
-            raise CatalogParseError(f"duplicate key '{key}'", found[1].line)
-        if not found:
+    def check_keys(self, known: frozenset[str]):
+        """Reject the first child whose key is not in ``known``."""
+        if not known.issuperset(self._table or self._build_table()):
+            bad = next(c for c in self.children if c.key not in known)
+            raise CatalogParseError(
+                f"unknown key '{bad.key}' in '{self.key}' block", bad.line
+            )
+
+    def items(self, key: str) -> list[Node]:
+        found = (self._table or self._build_table()).get(key, [])
+        return found[:] if found.__class__ is list else [found]
+
+    def child(self, key: str, required: bool = True) -> Node | None:
+        found = (self._table or self._build_table()).get(key)
+        if found is None:
             if required:
                 raise CatalogParseError(f"missing key '{key}'", self.line)
             return None
-        return found[0]
+        if found.__class__ is list:
+            raise CatalogParseError(f"duplicate key '{key}'", found[1].line)
+        return found
 
     def get(self, key: str, default=None):
         node = self.child(key, required=False)
         return default if node is None else node.value
 
-    def require(self, key: str):
+    def require(self, key: str, kind: type | None = None, what: str = ""):
+        """The value at ``key``; with ``kind``, a value of exactly that
+        type (an int is never a bool), else an error naming ``what``."""
         node = self.child(key)
-        if node.value is None:
+        value = node.value
+        if value is None:
             raise CatalogParseError(f"'{key}' must carry a value", node.line)
-        return node.value
+        if kind is not None and value.__class__ is not kind:
+            raise CatalogParseError(f"'{key}' must be {what}, got {value!r}", node.line)
+        return value
 
     def require_str(self, key: str) -> str:
-        v = self.require(key)
-        if not isinstance(v, str):
-            raise CatalogParseError(
-                f"'{key}' must be a string, got {v!r}", self.child(key).line
-            )
-        return v
+        return self.require(key, str, "a string")
 
     def require_int(self, key: str) -> int:
-        v = self.require(key)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise CatalogParseError(
-                f"'{key}' must be an integer, got {v!r}", self.child(key).line
-            )
-        return v
+        return self.require(key, int, "an integer")
 
     def require_bool(self, key: str) -> bool:
-        v = self.require(key)
-        if not isinstance(v, bool):
-            raise CatalogParseError(
-                f"'{key}' must be true or false, got {v!r}", self.child(key).line
-            )
-        return v
+        return self.require(key, bool, "true or false")
 
     def require_list(self, key: str) -> list[Scalar]:
         node = self.child(key)
-        if not isinstance(node.value, list):
+        if node.value.__class__ is not list:
             raise CatalogParseError(
                 f"'{key}' must be a list, got {node.value!r}", node.line
             )
         return node.value
 
     def str_list(self, key: str) -> list[str]:
-        vals = self.require_list(key)
-        node = self.child(key)
-        for v in vals:
-            if not isinstance(v, str):
+        return self._list_of(key, str, "strings")
+
+    def int_list(self, key: str) -> list[int]:
+        return self._list_of(key, int, "integers")
+
+    def _list_of(self, key: str, kind: type, what: str) -> list:
+        values = self.require_list(key)
+        for v in values:
+            if v.__class__ is not kind:
                 raise CatalogParseError(
-                    f"'{key}' entries must be strings, got {v!r}", node.line
+                    f"'{key}' entries must be {what}, got {v!r}", self.child(key).line
                 )
-        return list(vals)
+        return list(values)
 
 
-# A line is '}', 'key {' or 'key: value'; after comment stripping it is
-# matched against this one pattern, which leaves the value stripped.
-_LINE_RE = re.compile(r"^([A-Za-z_][\w-]*)\s*(?:(\{)|:\s*(.+))$")
+# One match decides every line: m.lastindex names its form, or is None
+# for a blank or comment-only line, and no match is a malformed line.  A
+# '#' outside double quotes starts a comment; a '"' runs to the next one
+# or, unterminated, to the end of the line.  Possessive quantifiers give
+# nothing back, so a line that cannot match fails fast.
+_LINE_RE = re.compile(
+    r"""
+    \s*+
+    (?:
+        (\})                                # 1: '}' closes a block
+      | ([A-Za-z_][\w-]*+) \s*+             # 2: a key, then
+        (?:
+            (\{)                            # 3: '{' opens a block
+          | : \s*+
+            (?:
+                "([^"]*+)"                  # 4: a string
+              | (-?\d++)                    # 5: an integer
+              | (                           # 6: any other value, with its
+                    (?=[^\#]) [^"\#]*+      #    trailing whitespace
+                    (?: "[^"]*+" [^"\#]*+ )*+
+                    (?: "[^"]*+ )?
+                )
+            )
+        )
+      |                                     # a blank line
+    )
+    \s*+ (?: \#.* | )
+    """,
+    re.VERBOSE,
+)
 _INT_RE = re.compile(r"^-?\d+$")
-# The longest prefix holding no '#' outside double quotes.  Every '"'
-# toggles quoting, and an unterminated quote runs to the end of the line.
-_UNCOMMENTED_RE = re.compile(r'(?:[^"#]+|"[^"]*"?)*')
 
 
 def _parse_scalar(text: str, line: int, path: str) -> Scalar:
@@ -207,33 +252,38 @@ def parse(text: str, path: str = "<catalog>") -> list[Node]:
     root = Node(key="<root>", line=0, children=[])
     stack = [root]
     children = root.children
-    match_line = _LINE_RE.match
+    match_line = _LINE_RE.fullmatch
+    parsed = {}  # value text -> its value: most repeat, such as "[]" or "true"
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            line = raw[: _UNCOMMENTED_RE.match(raw).end()].strip()
-        else:
-            line = raw.strip()
-        if not line:
+        m = match_line(raw)
+        if m is None:
+            raise CatalogParseError(f"cannot parse line {raw.strip()!r}", lineno, path)
+        kind = m.lastindex
+        if kind is None:
             continue
-        if line == "}":
+        if kind == 1:
             if len(stack) == 1:
                 raise CatalogParseError("unmatched '}'", lineno, path)
             stack.pop()
             children = stack[-1].children
-            continue
-        m = match_line(line)
-        if m is None:
-            raise CatalogParseError(
-                f"cannot parse line {raw.strip()!r}", lineno, path
-            )
-        key, opened, value = m.groups()
-        if opened:
-            node = Node(key, lineno, None, [])
+        elif kind == 3:
+            node = Node(m.group(2), lineno, None, [])
             children.append(node)
             stack.append(node)
             children = node.children
         else:
-            children.append(Node(key, lineno, _parse_value(value, lineno, path)))
+            if kind == 4:
+                value = m.group(4)
+            elif kind == 5:
+                value = int(m.group(5))
+            else:
+                other = m.group(6).rstrip()
+                value = parsed.get(other)
+                if value is None:
+                    value = parsed[other] = _parse_value(other, lineno, path)
+                if value.__class__ is list:
+                    value = value[:]
+            children.append(Node(m.group(2), lineno, value))
     if len(stack) > 1:
         raise CatalogParseError("unclosed block", stack[-1].line, path)
     return root.children

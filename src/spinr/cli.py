@@ -406,8 +406,11 @@ def main(args=None, prog_name="spinr"):
     this is the only place that maps errors to exit codes."""
     _utf8_if_ascii(sys.stdout)
     _utf8_if_ascii(sys.stderr)
+    argv = sys.argv[1:] if args is None else list(args)
+    if argv[-1:] == ["--"]:
+        del argv[-1]  # ends the options and adds nothing; argparse would refuse it
     try:
-        kwargs = vars(_parser(prog_name).parse_args(args))
+        kwargs = vars(_parser(prog_name).parse_args(argv))
         kwargs.pop("run")(**kwargs)
     except SpinrError as err:
         code, prefix = EXIT_CODES[type(err)]

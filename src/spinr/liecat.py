@@ -77,15 +77,19 @@ _SO_PI1_CITATION = (
 )
 
 
+# pi1(SO(1)), pi1(SO(2)) and pi1(SO(k)) for every k >= 3
+_SO_PI1 = (
+    FgAbGroup(0, (), ()),
+    FgAbGroup(1, (), (SO_GENERATOR,)),
+    FgAbGroup(0, (2,), (SO_GENERATOR,)),
+)
+
+
 def so_pi1(k: int) -> FgAbGroup:
     """Fundamental group of SO(k) with its rotation-loop generator."""
     if k < 1:
         raise ValueError(f"SO(k) needs k >= 1, got {k}")
-    if k == 1:
-        return FgAbGroup(0, (), ())
-    if k == 2:
-        return FgAbGroup(1, (), (SO_GENERATOR,))
-    return FgAbGroup(0, (2,), (SO_GENERATOR,))
+    return _SO_PI1[min(k, 3) - 1]
 
 
 def so_ideal(k: int) -> SimpleIdeal:
@@ -120,7 +124,15 @@ def so_group(k: int) -> CompactGroupRec:
 
 # --- record construction from parsed catalog nodes ---------------------------
 
+_GROUP_KEYS = frozenset({"name", "pi1", "algebra", "connected", "provenance"})
+_PI1_KEYS = frozenset({"free_rank", "torsion", "generators"})
+_ALGEBRA_KEYS = frozenset({"center_rank", "ideal"})
+# an ideal's provenance is kept in the file for its reader; no record holds it
+_IDEAL_KEYS = frozenset({"kind", "dim", "min_orth_rep", "provenance"})
+
+
 def _build_pi1(node: Node) -> FgAbGroup:
+    node.check_keys(_PI1_KEYS)
     free_rank = node.require_int("free_rank")
     if free_rank < 0:
         raise CatalogParseError(
@@ -142,6 +154,7 @@ def _build_pi1(node: Node) -> FgAbGroup:
 
 
 def _build_ideal(node: Node) -> SimpleIdeal:
+    node.check_keys(_IDEAL_KEYS)
     try:
         return SimpleIdeal(
             kind=node.require_str("kind"),
@@ -153,6 +166,7 @@ def _build_ideal(node: Node) -> SimpleIdeal:
 
 
 def _build_algebra(node: Node) -> AlgebraProfile:
+    node.check_keys(_ALGEBRA_KEYS)
     center_rank = node.require_int("center_rank")
     if center_rank < 0:
         raise CatalogParseError(
@@ -166,6 +180,7 @@ def _build_algebra(node: Node) -> AlgebraProfile:
 
 
 def build_group(node: Node) -> CompactGroupRec:
+    node.check_keys(_GROUP_KEYS)
     rec = CompactGroupRec(
         name=node.require_str("name"),
         pi1=_build_pi1(node.child("pi1")),
@@ -192,22 +207,22 @@ def _validate_group(rec: CompactGroupRec, node: Node):
     name = rec.name
     if name.startswith("SO(") and name.endswith(")"):
         try:
-            expected = so_group(int(name[3:-1]))
+            k = int(name[3:-1])
+            pi1 = so_pi1(k)
         except ValueError as err:
             raise CatalogParseError(
                 f"group {name}: SO(k) needs an integer k >= 1", node.line
             ) from err
-        if rec.pi1 != expected.pi1 or rec.pi1.labels != expected.pi1.labels:
+        if rec.pi1 != pi1 or rec.pi1.labels != pi1.labels:
             raise CatalogParseError(
                 f"pi1 of {name} must match the standard value "
-                f"{expected.pi1.describe()} with generator labels "
-                f"{expected.pi1.labels}",
+                f"{pi1.describe()} with generator labels {pi1.labels}",
                 node.line,
             )
-        if rec.algebra != expected.algebra:
+        algebra = so_algebra(k)
+        if rec.algebra != algebra:
             raise CatalogParseError(
-                f"algebra profile of {name} must be {expected.algebra}",
-                node.line,
+                f"algebra profile of {name} must be {algebra}", node.line
             )
     for ideal in rec.algebra.ideals:
         if ideal.kind.startswith("so(") and ideal.kind.endswith(")"):

@@ -103,7 +103,10 @@ class AffineInt(NamedTuple):
     offset: Fraction
 
     def eval(self, s: int) -> int:
-        v = self.coeff * s + self.offset
+        coeff, offset = self
+        if coeff.denominator == 1 and offset.denominator == 1:
+            return coeff.numerator * s + offset.numerator
+        v = coeff * s + offset
         if v.denominator != 1:
             raise ValueError(f"{self} is not integral at s={s}")
         return int(v)
@@ -140,8 +143,7 @@ def parse_affine(text: str) -> AffineInt:
         raise ValueError("empty affine expression")
     # split into signed terms
     terms = re.findall(r"[+-]?[^+-]+", src)
-    coeff = Fraction(0)
-    offset = Fraction(0)
+    coeff = offset = 0  # plain integers until a term has a denominator
     for term in terms:
         sign = 1
         if term.startswith("+"):
@@ -159,8 +161,8 @@ def parse_affine(text: str) -> AffineInt:
             den = int(m.group("den")) if m.group("den") else 1
             if den == 0:
                 raise ValueError(f"zero denominator in {text!r}")
-            coeff += sign * Fraction(num, den)
-    return AffineInt(coeff, offset)
+            coeff += sign * (Fraction(num, den) if den != 1 else num)
+    return AffineInt(Fraction(coeff), Fraction(offset))
 
 
 # --- representation families ---------------------------------------------------
@@ -410,13 +412,22 @@ class EnumResult(NamedTuple):
         return tuple(f for f in self.families if f.name != TRIVIAL_FAMILY_NAME)
 
 
+_FAMILY_KEYS = frozenset({
+    "name", "domain", "target_r", "labels", "param", "pi1_images",
+    "distinct_classes", "extends_to", "certificate",
+})
+_PARAM_KEYS = frozenset({"name", "constraint"})
+
+
 def build_family(node: Node) -> OrthRepFamily:
+    node.check_keys(_FAMILY_KEYS)
     labels = None
     constraint = None
     if node.child("labels", required=False) is not None:
         labels = tuple(node.str_list("labels"))
     param = node.child("param", required=False)
     if param is not None:
+        param.check_keys(_PARAM_KEYS)
         pname = param.require_str("name")
         if pname != "s":
             raise CatalogParseError("parameter must be named 's'", param.line)

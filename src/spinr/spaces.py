@@ -145,20 +145,12 @@ def _images_hom(domain: FgAbGroup, r: int, images: list[int], line: int) -> AbHo
         raise CatalogParseError(str(err), line) from err
 
 
-def _int_list(node: Node, key: str) -> list[int]:
-    vals = node.require_list(key)
-    out = []
-    for v in vals:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise CatalogParseError(
-                f"'{key}' entries must be integers, got {v!r}",
-                node.child(key).line,
-            )
-        out.append(v)
-    return out
+_SPACE_KEYS = frozenset({"name", "G", "H", "n", "sigma_pi1_images", "provenance"})
+_HOLONOMY_KEYS = frozenset({"group", "m", "h_pi1_images", "provenance"})
 
 
 def build_space(node: Node, groups) -> HomSpaceRec:
+    node.check_keys(_SPACE_KEYS)
     name = node.require_str("name")
     h_name = node.require_str("H")
     if h_name not in groups:
@@ -172,7 +164,7 @@ def build_space(node: Node, groups) -> HomSpaceRec:
         raise CatalogParseError(f"space {name}: dimension must be >= 1", node.line)
     # A disconnected stabiliser is loadable data but refused by
     # classify(), which needs the connectedness hypothesis.
-    sigma = _images_hom(h.pi1, n, _int_list(node, "sigma_pi1_images"), node.line)
+    sigma = _images_hom(h.pi1, n, node.int_list("sigma_pi1_images"), node.line)
     return HomSpaceRec(
         name=name,
         G=g_name,
@@ -184,13 +176,14 @@ def build_space(node: Node, groups) -> HomSpaceRec:
 
 
 def build_holonomy(node: Node, groups) -> HolonomyRec:
+    node.check_keys(_HOLONOMY_KEYS)
     g_name = node.require_str("group")
     if g_name not in groups:
         raise CatalogParseError(f"holonomy record: unknown group {g_name}", node.line)
     m = node.require_int("m")
     if m < 1:
         raise CatalogParseError("holonomy record: dimension must be >= 1", node.line)
-    h = _images_hom(groups[g_name].pi1, m, _int_list(node, "h_pi1_images"), node.line)
+    h = _images_hom(groups[g_name].pi1, m, node.int_list("h_pi1_images"), node.line)
     return HolonomyRec(
         group=g_name,
         m=m,

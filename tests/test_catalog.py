@@ -2,6 +2,7 @@
 arbitrary edits of a valid catalog, and the generator that writes the
 bundled catalog."""
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -12,10 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinr.catalog import Catalog, CatalogReadError, load, load_default, loads
+from spinr.catalog import (
+    Catalog,
+    CatalogReadError,
+    bundled_catalog_text,
+    load,
+    load_default,
+    loads,
+)
 from spinr.catalogfile import CatalogParseError, SpinrError
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "perfbench"))
+from gencat import load_catalog, scale_catalog  # noqa: E402  (the benchmark's generators)
 
 BASE = """catalog_version: 1
 group {
@@ -156,6 +166,31 @@ def test_loader_errors_name_the_file_and_line(
     assert str(err.value).startswith(f"{path}:{line}: ")
     assert message in str(err.value)
     assert (err.value.path, err.value.line) == (str(path), line)
+
+
+@pytest.mark.parametrize(
+    "block, after, typo",
+    [
+        ("group", 'name: "SO(2)"', "conected: false"),
+        ("pi1", "pi1 {", "torsions: [2]"),
+        ("algebra", "algebra {", "centre_rank: 0"),
+        ("ideal", "ideal {", "min_orth_rep_dim: 3"),
+        ("repfamily", "repfamily {", 'extend_to: "O(2)"'),
+        ("param", "param {", 'constraints: "s even"'),
+        ("space", "space {", "dimension: 2"),
+        ("holonomy", "holonomy {", 'provenence: "p"'),
+    ],
+)
+def test_an_unknown_key_is_refused_at_its_line_in_every_block(
+    tmp_path, block, after, typo
+):
+    at = BASE.index("\n", BASE.index(after)) + 1  # the start of the next line
+    path = tmp_path / "c.txt"
+    path.write_text(BASE[:at] + f"  {typo}\n" + BASE[at:], encoding="utf-8")
+    with pytest.raises(CatalogParseError) as err:
+        load(str(path))
+    key, line = typo.split(":")[0], BASE[:at].count("\n") + 1
+    assert str(err.value) == f"{path}:{line}: unknown key '{key}' in '{block}' block"
 
 
 @pytest.mark.parametrize(
@@ -354,3 +389,23 @@ def test_generator_renders_the_bundled_catalog():
     bundled = (ROOT / "src" / "spinr" / "data" / "catalog.txt").read_text("utf-8")
     assert make_catalog.render() == bundled
     assert make_catalog.render() == bundled  # rendering twice starts afresh
+
+
+# --- the records themselves ------------------------------------------------------
+
+# sha256 of repr(loads(text)), taken from the loader before its one-pass
+# rewrite: the same text must still build the same records, field by field.
+@pytest.mark.parametrize(
+    "make_text, digest",
+    [
+        (bundled_catalog_text,
+         "dfd36331c8d5b3601dfa69cbe6c80a6e3440098273e6de74c078499f82ff2aea"),
+        (lambda: load_catalog(36, 1).text,
+         "5523f21e81ac4fa4f239a44e0d668d4f2683289e1a8da6a6e698145f17b4de1e"),
+        (lambda: scale_catalog(200, 1).text,
+         "5571d3c83c6636c449d8f19c43ad20692f9469e8869956e014127f6f53004cc9"),
+    ],
+    ids=["bundled", "load-36", "scale-200"],
+)
+def test_golden_records(make_text, digest):
+    assert hashlib.sha256(repr(loads(make_text())).encode()).hexdigest() == digest

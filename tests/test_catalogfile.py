@@ -182,3 +182,55 @@ def test_bundled_catalog_parses_as_the_reference_does():
 
     text = bundled_catalog_text()
     assert repr(parse(text)) == repr(reference_parse(text))
+
+
+# --- whitespace and line breaks beyond ASCII -------------------------------------
+
+# Every line form, with one Unicode space at each {ws}: around ':' and '{',
+# leading, trailing, inside a string, before a comment and alone.
+_WS_LINES = [
+    "k{ws}: 7",
+    "k:{ws}7",
+    "k{ws}:{ws}-3{ws}",
+    'k:{ws}"a"',
+    'k: {ws}"a"',
+    'k: "a"{ws}',
+    'k: "a{ws}b"',
+    "k: {ws}x",
+    "k:{ws}[1,{ws}2]{ws}",
+    "k:{ws}true",
+    "{ws}k: 1",
+    "k{ws}{{\n}}",
+    "k {{{ws}\n{ws}}}{ws}",
+    "{ws}k{ws}{{\n  j:{ws}1{ws}# c{ws}\n}}",
+    "{ws}",
+    "k:{ws}",
+    "k:{ws}#{ws}",
+    "{ws}}}",
+]
+
+
+@pytest.mark.parametrize("ws", ["\xa0", "\u2003", "\u3000"])
+@pytest.mark.parametrize("line", _WS_LINES)
+def test_unicode_whitespace_parses_as_the_reference_does(line, ws):
+    text = line.format(ws=ws)
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+# str.splitlines breaks lines at these too, so a line may end inside a
+# string or between a key and its value.
+@pytest.mark.parametrize("brk", ["\x0c", "\x1c", "\x85", "\u2028"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "b {{{brk}  k: 1{brk}  j: \"x\"{brk}}}{brk}",
+        'k: "a{brk}b"',
+        "k:{brk}1",
+        "k{brk}{{\n}}",
+        "k: [1,{brk}2]",
+        "k: 1{brk}{brk}j: 2",
+    ],
+)
+def test_unicode_line_breaks_parse_as_the_reference_does(text, brk):
+    text = text.format(brk=brk)
+    assert _outcome(parse, text) == _outcome(reference_parse, text)

@@ -411,6 +411,10 @@ MISSING = "a --catalog path with no file behind it"
         (None, ("classify", "S4:SO(5)", "--r=3"), 0),
         (None, ("--help",), 0),
         (None, ("classify", "--help"), 0),
+        # a misspelt key is refused, not ignored: Twisty would load connected
+        (DISCONNECTED_CATALOG.replace("connected: false", "conected: false"),
+         ("holonomy", "Twisty", "--m", "3", "--r", "1"), 4),
+        (None, ("classify", "S4:SO(5)", "--r", "1", "--"), 0),
     ],
 )
 def test_failure_modes_exit_with_their_documented_code(tmp_path, catalog_text, args, code):
