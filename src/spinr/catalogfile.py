@@ -173,28 +173,18 @@ class Node:
 # or, unterminated, to the end of the line.  Possessive quantifiers give
 # nothing back, so a line that cannot match fails fast.
 _LINE_RE = re.compile(
-    r"""
-    \s*+
-    (?:
-        (\})                                # 1: '}' closes a block
-      | ([A-Za-z_][\w-]*+) \s*+             # 2: a key, then
-        (?:
-            (\{)                            # 3: '{' opens a block
-          | : \s*+
-            (?:
-                "([^"]*+)"                  # 4: a string
-              | (-?\d++)                    # 5: an integer
-              | (                           # 6: any other value, with its
-                    (?=[^\#]) [^"\#]*+      #    trailing whitespace
-                    (?: "[^"]*+" [^"\#]*+ )*+
-                    (?: "[^"]*+ )?
-                )
-            )
-        )
-      |                                     # a blank line
-    )
-    \s*+ (?: \#.* | )
-    """,
+    r"""\s*+ (?:
+        (\})                                    # 1: '}' closes a block
+      | ([A-Za-z_][\w-]*+) \s*+ (?:             # 2: a key, then
+            (\{)                                # 3: '{' opens a block
+          | : \s*+ (?:
+                "([^"]*+)"                      # 4: a string
+              | (-?\d++)                        # 5: an integer
+              | ((?=[^\#]) [^"\#]*+ (?: "[^"]*+" [^"\#]*+ )*+ (?: "[^"]*+ )?)
+            ))                                  # 6: any other value, and the
+                                                #    spaces after it
+      |                                         # a blank line
+    ) \s*+ (?: \#.* | )""",
     re.VERBOSE,
 )
 _INT_RE = re.compile(r"^-?\d+$")
