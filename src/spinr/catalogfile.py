@@ -85,63 +85,58 @@ class Node:
 
     # -- accessors used by the typed loaders ----------------------------
 
-    def _build_table(self) -> dict[str, Node | list[Node]]:
-        """key -> its child, or the list of its children when repeated."""
-        children = self.children or ()
-        table = {c.key: c for c in children}
-        if len(table) < len(children):
-            table = {}
-            for c in children:
-                table.setdefault(c.key, []).append(c)
-            table = {k: v if len(v) > 1 else v[0] for k, v in table.items()}
-        self._table = table
+    def _keys(self) -> dict[str, tuple[Node, ...]]:
+        """key -> its children in order, built on first use."""
+        table = self._table
+        if table is None:
+            table = self._table = {}
+            for c in self.children or ():
+                table[c.key] = table.get(c.key, ()) + (c,)
         return table
 
     def check_keys(self, known: frozenset[str]):
         """Reject the first child whose key is not in ``known``."""
-        if not known.issuperset(self._table or self._build_table()):
+        if not known.issuperset(self._keys()):
             bad = next(c for c in self.children if c.key not in known)
             raise CatalogParseError(
                 f"unknown key '{bad.key}' in '{self.key}' block", bad.line
             )
 
     def items(self, key: str) -> list[Node]:
-        found = (self._table or self._build_table()).get(key, [])
-        return found[:] if found.__class__ is list else [found]
+        return list(self._keys().get(key, ()))
 
     def child(self, key: str, required: bool = True) -> Node | None:
-        found = (self._table or self._build_table()).get(key)
+        found = self._keys().get(key)
         if found is None:
             if required:
                 raise CatalogParseError(f"missing key '{key}'", self.line)
             return None
-        if found.__class__ is list:
+        if len(found) > 1:
             raise CatalogParseError(f"duplicate key '{key}'", found[1].line)
-        return found
+        return found[0]
 
     def get(self, key: str, default=None):
         node = self.child(key, required=False)
         return default if node is None else node.value
 
-    def require(self, key: str, kind: type | None = None, what: str = ""):
-        """The value at ``key``; with ``kind``, a value of exactly that
-        type (an int is never a bool), else an error naming ``what``."""
+    def _require(self, key: str, kind: type, what: str):
+        """The value at ``key``, of exactly type ``kind``: an int is never a bool."""
         node = self.child(key)
         value = node.value
         if value is None:
             raise CatalogParseError(f"'{key}' must carry a value", node.line)
-        if kind is not None and value.__class__ is not kind:
+        if value.__class__ is not kind:
             raise CatalogParseError(f"'{key}' must be {what}, got {value!r}", node.line)
         return value
 
     def require_str(self, key: str) -> str:
-        return self.require(key, str, "a string")
+        return self._require(key, str, "a string")
 
     def require_int(self, key: str) -> int:
-        return self.require(key, int, "an integer")
+        return self._require(key, int, "an integer")
 
     def require_bool(self, key: str) -> bool:
-        return self.require(key, bool, "true or false")
+        return self._require(key, bool, "true or false")
 
     def require_list(self, key: str) -> list[Scalar]:
         node = self.child(key)
@@ -170,21 +165,20 @@ class Node:
 # One match decides every line: m.lastindex names its form, or is None
 # for a blank or comment-only line, and no match is a malformed line.  A
 # '#' outside double quotes starts a comment; a '"' runs to the next one
-# or, unterminated, to the end of the line.  Possessive quantifiers give
-# nothing back, so a line that cannot match fails fast.
+# or, unterminated, to the end of the line.
 _LINE_RE = re.compile(
-    r"""\s*+ (?:
+    r"""\s* (?:
         (\})                                    # 1: '}' closes a block
-      | ([A-Za-z_][\w-]*+) \s*+ (?:             # 2: a key, then
+      | ([A-Za-z_][\w-]*) \s* (?:               # 2: a key, then
             (\{)                                # 3: '{' opens a block
-          | : \s*+ (?:
-                "([^"]*+)"                      # 4: a string
-              | (-?\d++)                        # 5: an integer
-              | ((?=[^\#]) [^"\#]*+ (?: "[^"]*+" [^"\#]*+ )*+ (?: "[^"]*+ )?)
+          | : \s* (?:
+                "([^"]*)"                       # 4: a string
+              | (-?\d+)                         # 5: an integer
+              | ((?=[^\s\#]) [^"\#]* (?: "[^"]*" [^"\#]* )* (?: "[^"]* )?)
             ))                                  # 6: any other value, and the
                                                 #    spaces after it
       |                                         # a blank line
-    ) \s*+ (?: \#.* | )""",
+    ) \s* (?: \#.* | )""",
     re.VERBOSE,
 )
 _INT_RE = re.compile(r"^-?\d+$")

@@ -1,7 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +71,39 @@ def test_importing_the_cli_leaves_out_dataclasses_and_json():
         check=True,
     )
     assert out.stdout.split("\n") == ["[]", "[]", ""]
+
+
+def test_patterns_compile_on_python_3_10():
+    # pyproject.toml accepts Python 3.10, whose re module refuses the
+    # possessive quantifiers and atomic groups that came in 3.11
+    parser = getattr(re, "_parser", None) or importlib.import_module("sre_parse")
+
+    def opcodes(tree):
+        if isinstance(tree, parser.SubPattern):
+            for op, av in tree:
+                yield str(op)
+                yield from opcodes(av)
+        elif isinstance(tree, (list, tuple)):
+            for item in tree:
+                yield from opcodes(item)
+
+    found = []
+    for n, node in _nodes():
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "re"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            continue
+        flags = 0
+        for arg in [*node.args[1:], *(k.value for k in node.keywords)]:
+            if isinstance(arg, ast.Attribute) and arg.attr in re.RegexFlag.__members__:
+                flags |= re.RegexFlag[arg.attr]
+        found.append(n)
+        tree = parser.parse(node.args[0].value, flags)
+        newer = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"} & set(opcodes(tree))
+        assert not newer, f"{n}:{node.lineno} uses {sorted(newer)}"
+    assert "catalogfile.py" in found
