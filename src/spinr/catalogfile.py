@@ -50,7 +50,8 @@ class Node:
     """One ``key: value`` entry or one ``key { ... }`` block.
 
     The accessors read a block's children through a key table built on
-    first use, so a block is read once however many keys are asked for.
+    first use, so a block is read once however many keys are asked for;
+    children added after the first lookup are not seen by it.
     """
 
     __slots__ = ("key", "line", "value", "children", "_table")
