@@ -381,42 +381,42 @@ def test_holonomy_ascii_dot_name_finds_the_families():
 
 MISSING = "a --catalog path with no file behind it"
 
+# (catalog text, or None for the bundled one, or MISSING; args; exit code)
+FAILURE_MODES = [
+    (BOUNDED_CATALOG, ("spin-type", "X3:Ambient", "--strict"), 1),
+    (None, ("classify", "S42:E8", "--r", "1"), 2),
+    (None, ("holonomy", "SO(5)", "--m", "99", "--r", "2"), 2),
+    (DISCONNECTED_CATALOG, ("classify", "X3:Big", "--r", "1"), 3),
+    (DISCONNECTED_CATALOG, ("spin-type", "X3:Big"), 3),
+    (DISCONNECTED_CATALOG, ("holonomy", "Twisty", "--m", "3", "--r", "1"), 3),
+    ("catalog_version: 1\ngroup {\n  name oops\n}\n", ("table1",), 4),
+    (None, ("classify", "S4:SO(5)", "--r", "0"), 5),
+    (None, ("holonomy", "SO(5)", "--m", "-1", "--r", "2"), 5),
+    (None, ("classify", "S4:SO(5)"), 6),
+    (None, ("holonomy", "SO(5)", "--m", "5"), 6),
+    (None, ("classify", "S4:SO(5)", "--r", "x"), 6),
+    (None, ("table1", "--format", "xml"), 6),
+    (None, ("table1", "--bogus"), 6),
+    (None, ("--bogus", "table1"), 6),
+    (None, ("no-such-command",), 6),
+    (None, (), 6),
+    (_bundled_with_so4_disconnected(), ("table1",), 3),
+    (INCONSISTENT_CATALOG, ("spin-type", "X3:SO(12)"), 4),
+    (MISSING, ("table1",), 4),
+    # checked before the catalog loads
+    ("nonsense!\n", ("classify", "S4:SO(5)", "--r", "0"), 5),
+    (None, ("table1", "--form", "json"), 6),  # no abbreviated options
+    (None, ("classify", "S4:SO(5)", "--r=3"), 0),
+    (None, ("--help",), 0),
+    (None, ("classify", "--help"), 0),
+    # a misspelt key is refused, not ignored: Twisty would load connected
+    (DISCONNECTED_CATALOG.replace("connected: false", "conected: false"),
+     ("holonomy", "Twisty", "--m", "3", "--r", "1"), 4),
+    (None, ("classify", "S4:SO(5)", "--r", "1", "--"), 0),
+]
 
-@pytest.mark.parametrize(
-    "catalog_text, args, code",
-    [
-        (BOUNDED_CATALOG, ("spin-type", "X3:Ambient", "--strict"), 1),
-        (None, ("classify", "S42:E8", "--r", "1"), 2),
-        (None, ("holonomy", "SO(5)", "--m", "99", "--r", "2"), 2),
-        (DISCONNECTED_CATALOG, ("classify", "X3:Big", "--r", "1"), 3),
-        (DISCONNECTED_CATALOG, ("spin-type", "X3:Big"), 3),
-        (DISCONNECTED_CATALOG, ("holonomy", "Twisty", "--m", "3", "--r", "1"), 3),
-        ("catalog_version: 1\ngroup {\n  name oops\n}\n", ("table1",), 4),
-        (None, ("classify", "S4:SO(5)", "--r", "0"), 5),
-        (None, ("holonomy", "SO(5)", "--m", "-1", "--r", "2"), 5),
-        (None, ("classify", "S4:SO(5)"), 6),
-        (None, ("holonomy", "SO(5)", "--m", "5"), 6),
-        (None, ("classify", "S4:SO(5)", "--r", "x"), 6),
-        (None, ("table1", "--format", "xml"), 6),
-        (None, ("table1", "--bogus"), 6),
-        (None, ("--bogus", "table1"), 6),
-        (None, ("no-such-command",), 6),
-        (None, (), 6),
-        (_bundled_with_so4_disconnected(), ("table1",), 3),
-        (INCONSISTENT_CATALOG, ("spin-type", "X3:SO(12)"), 4),
-        (MISSING, ("table1",), 4),
-        # checked before the catalog loads
-        ("nonsense!\n", ("classify", "S4:SO(5)", "--r", "0"), 5),
-        (None, ("table1", "--form", "json"), 6),  # no abbreviated options
-        (None, ("classify", "S4:SO(5)", "--r=3"), 0),
-        (None, ("--help",), 0),
-        (None, ("classify", "--help"), 0),
-        # a misspelt key is refused, not ignored: Twisty would load connected
-        (DISCONNECTED_CATALOG.replace("connected: false", "conected: false"),
-         ("holonomy", "Twisty", "--m", "3", "--r", "1"), 4),
-        (None, ("classify", "S4:SO(5)", "--r", "1", "--"), 0),
-    ],
-)
+
+@pytest.mark.parametrize("catalog_text, args, code", FAILURE_MODES)
 def test_failure_modes_exit_with_their_documented_code(tmp_path, catalog_text, args, code):
     if catalog_text is not None:
         path = tmp_path / "cat.txt"
