@@ -117,59 +117,55 @@ class Catalog:
 
 
 def loads(text: str, path: str = "<catalog>") -> Catalog:
-    nodes = catalogfile.parse(text, path)
+    entries = catalogfile.parse(text, path)
     try:
-        return _assemble(nodes, path)
+        return _assemble(entries, path)
     except CatalogParseError as err:
         if err.path == path:
             raise
-        # the record builders see nodes only; name the file they came from
+        # the record builders see entries only; name the file they came from
         raise CatalogParseError(err.message, err.line, path) from err
 
 
-def _assemble(nodes: list[catalogfile.Node], path: str) -> Catalog:
+def _assemble(entries: list[tuple], path: str) -> Catalog:
     version = None
     groups: dict[str, CompactGroupRec] = {}
     deferred = []
-    for node in nodes:
-        if node.key == "catalog_version":
-            version = node.value
+    for entry in entries:
+        key, line, value, children = entry
+        if key == "catalog_version":
+            version = value
             continue
-        if node.key not in _KNOWN_RECORDS:
-            raise CatalogParseError(
-                f"unknown record type '{node.key}'", node.line, path
-            )
-        if node.children is None:
-            raise CatalogParseError(
-                f"record '{node.key}' must be a block", node.line, path
-            )
-        if node.key == "group":
-            rec = build_group(node)
+        if key not in _KNOWN_RECORDS:
+            raise CatalogParseError(f"unknown record type '{key}'", line, path)
+        if children is None:
+            raise CatalogParseError(f"record '{key}' must be a block", line, path)
+        if key == "group":
+            rec = build_group(entry)
             if rec.name in groups:
-                raise CatalogParseError(
-                    f"duplicate group '{rec.name}'", node.line, path
-                )
+                raise CatalogParseError(f"duplicate group '{rec.name}'", line, path)
             groups[rec.name] = rec
         else:
-            deferred.append(node)
+            deferred.append(entry)
     if not isinstance(version, int):
         raise CatalogParseError("missing or non-integer catalog_version", 1, path)
 
     families: list[OrthRepFamily] = []
     spaces: dict[str, HomSpaceRec] = {}
     holonomies: dict[tuple[str, int], HolonomyRec] = {}
-    for node in deferred:
-        if node.key == "repfamily":
-            fam = build_family(node)
+    for entry in deferred:
+        key, line, _, _ = entry
+        if key == "repfamily":
+            fam = build_family(entry)
             domain = groups.get(fam.domain)
             if domain is None:
                 raise CatalogParseError(
-                    f"family {fam.name}: unknown domain {fam.domain}", node.line, path
+                    f"family {fam.name}: unknown domain {fam.domain}", line, path
                 )
             try:
                 fam.validate_against(domain)
             except ValueError as err:
-                raise CatalogParseError(str(err), node.line, path) from err
+                raise CatalogParseError(str(err), line, path) from err
             # below the domain's first_possible_rank the rule engine proves
             # that only the zero map exists, so no family may be listed there
             r0 = first_possible_rank(domain.algebra)
@@ -177,25 +173,25 @@ def _assemble(nodes: list[catalogfile.Node], path: str) -> Catalog:
                 raise CatalogParseError(
                     f"family {fam.name} at ({fam.domain}, {fam.target_r}) "
                     f"contradicts the rule engine's non-existence proof",
-                    node.line,
+                    line,
                     path,
                 )
             families.append(fam)
-        elif node.key == "space":
-            rec = build_space(node, groups)
+        elif key == "space":
+            rec = build_space(entry, groups)
             if rec.name in spaces:
                 raise CatalogParseError(
-                    f"duplicate space '{rec.name}'", node.line, path
+                    f"duplicate space '{rec.name}'", line, path
                 )
             spaces[rec.name] = rec
-        elif node.key == "holonomy":
-            rec = build_holonomy(node, groups)
-            key = (rec.group, rec.m)
-            if key in holonomies:
+        elif key == "holonomy":
+            rec = build_holonomy(entry, groups)
+            pair = (rec.group, rec.m)
+            if pair in holonomies:
                 raise CatalogParseError(
-                    f"duplicate holonomy record {key}", node.line, path
+                    f"duplicate holonomy record {pair}", line, path
                 )
-            holonomies[key] = rec
+            holonomies[pair] = rec
 
     return Catalog(
         version=version,

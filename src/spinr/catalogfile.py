@@ -19,8 +19,12 @@ Each line is one of: ``key: value``, ``key {`` opening a block, ``}``
 closing it, or blank/comment.  Values are integers, ``true``/``false``,
 quoted strings, bare words, or a one-line list ``[a, b, c]`` of those.
 Repeated keys inside a block are kept in order (used for ``ideal``
-blocks).  Every node remembers its line number so that validation
-errors can point at the offending line.
+blocks).
+
+:func:`parse` returns the top-level entries as tuples ``(key, line,
+value, children)``: ``children`` lists a block's entries, or is None for
+a ``key: value`` line, and the line lets validation errors point at the
+offending line.  Record builders read a block through :class:`Block`.
 """
 
 from __future__ import annotations
@@ -46,88 +50,42 @@ class CatalogParseError(SpinrError, ValueError):
 Scalar = str | int | bool
 
 
-class Node:
-    """One ``key: value`` entry or one ``key { ... }`` block.
+class Block:
+    """One block's entries, read through a key table built in one pass that
+    refuses the first key not in ``known``.  A repeated key is refused only
+    when read as one value; ``items`` reads them all (``ideal`` blocks)."""
 
-    The accessors read a block's children through a key table built on
-    first use, so a block is read once however many keys are asked for;
-    children added after the first lookup are not seen by it.
-    """
+    __slots__ = ("line", "_table")
 
-    __slots__ = ("key", "line", "value", "children", "_table")
+    def __init__(self, entry: tuple, known: frozenset[str]):
+        key, self.line, _, entries = entry
+        self._table = table = {}
+        for child in entries or ():
+            k = child[0]
+            if k not in known:
+                raise CatalogParseError(f"unknown key '{k}' in '{key}' block", child[1])
+            table[k] = table.get(k, ()) + (child,)
 
-    def __init__(
-        self,
-        key: str,
-        line: int,
-        value: Scalar | list[Scalar] | None = None,
-        children: list[Node] | None = None,
-    ):
-        self.key = key
-        self.line = line
-        self.value = value
-        self.children = children
-        self._table = None
+    def items(self, key: str) -> list[tuple]:
+        return list(self._table.get(key, ()))
 
-    def __eq__(self, other):
-        if other.__class__ is not Node:
-            return NotImplemented
-        return (self.key, self.line, self.value, self.children) == (
-            other.key, other.line, other.value, other.children
-        )
-
-    __hash__ = None  # mutable, like the lists it holds
-
-    def __repr__(self):
-        return (
-            f"Node(key={self.key!r}, line={self.line!r}, "
-            f"value={self.value!r}, children={self.children!r})"
-        )
-
-    # -- accessors used by the typed loaders ----------------------------
-
-    def _keys(self) -> dict[str, tuple[Node, ...]]:
-        """key -> its children in order, built on first use."""
-        table = self._table
-        if table is None:
-            table = self._table = {}
-            for c in self.children or ():
-                table[c.key] = table.get(c.key, ()) + (c,)
-        return table
-
-    def check_keys(self, known: frozenset[str]):
-        """Reject the first child whose key is not in ``known``."""
-        if not known.issuperset(self._keys()):
-            bad = next(c for c in self.children if c.key not in known)
-            raise CatalogParseError(
-                f"unknown key '{bad.key}' in '{self.key}' block", bad.line
-            )
-
-    def items(self, key: str) -> list[Node]:
-        return list(self._keys().get(key, ()))
-
-    def child(self, key: str, required: bool = True) -> Node | None:
-        found = self._keys().get(key)
+    def child(self, key: str, required: bool = True) -> tuple | None:
+        found = self._table.get(key)
         if found is None:
             if required:
                 raise CatalogParseError(f"missing key '{key}'", self.line)
             return None
         if len(found) > 1:
-            raise CatalogParseError(f"duplicate key '{key}'", found[1].line)
+            raise CatalogParseError(f"duplicate key '{key}'", found[1][1])
         return found[0]
-
-    def get(self, key: str, default=None):
-        node = self.child(key, required=False)
-        return default if node is None else node.value
 
     def _require(self, key: str, kind: type, what: str):
         """The value at ``key``, of exactly type ``kind``: an int is never a bool."""
-        node = self.child(key)
-        value = node.value
+        _, line, value, _ = self.child(key)
         if value is None:
-            raise CatalogParseError(f"'{key}' must carry a value", node.line)
+            raise CatalogParseError(f"'{key}' must carry a value", line)
         if value.__class__ is not kind:
-            raise CatalogParseError(f"'{key}' must be {what}, got {value!r}", node.line)
+            raise CatalogParseError(f"'{key}' must be {what}, got {value!r}", line)
         return value
 
     def require_str(self, key: str) -> str:
@@ -140,12 +98,10 @@ class Node:
         return self._require(key, bool, "true or false")
 
     def require_list(self, key: str) -> list[Scalar]:
-        node = self.child(key)
-        if node.value.__class__ is not list:
-            raise CatalogParseError(
-                f"'{key}' must be a list, got {node.value!r}", node.line
-            )
-        return node.value
+        _, line, value, _ = self.child(key)
+        if value.__class__ is not list:
+            raise CatalogParseError(f"'{key}' must be a list, got {value!r}", line)
+        return value
 
     def str_list(self, key: str) -> list[str]:
         return self._list_of(key, str, "strings")
@@ -158,7 +114,7 @@ class Node:
         for v in values:
             if v.__class__ is not kind:
                 raise CatalogParseError(
-                    f"'{key}' entries must be {what}, got {v!r}", self.child(key).line
+                    f"'{key}' entries must be {what}, got {v!r}", self.child(key)[1]
                 )
         return list(values)
 
@@ -232,11 +188,10 @@ def _parse_value(text: str, line: int, path: str) -> Scalar | list[Scalar]:
     return _parse_scalar(text, line, path)
 
 
-def parse(text: str, path: str = "<catalog>") -> list[Node]:
-    """Parse catalog text into a list of top-level nodes."""
-    root = Node(key="<root>", line=0, children=[])
-    stack = [root]
-    children = root.children
+def parse(text: str, path: str = "<catalog>") -> list[tuple]:
+    """Parse catalog text into its top-level entries."""
+    top = children = []
+    stack = []  # the entry lists of the enclosing blocks, innermost last
     match_line = _LINE_RE.fullmatch
     parsed = {}  # value text -> its value: most repeat, such as "[]" or "true"
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -247,15 +202,14 @@ def parse(text: str, path: str = "<catalog>") -> list[Node]:
         if kind is None:
             continue
         if kind == 1:
-            if len(stack) == 1:
+            if not stack:
                 raise CatalogParseError("unmatched '}'", lineno, path)
-            stack.pop()
-            children = stack[-1].children
+            children = stack.pop()
         elif kind == 3:
-            node = Node(m.group(2), lineno, None, [])
-            children.append(node)
-            stack.append(node)
-            children = node.children
+            block = []
+            children.append((m.group(2), lineno, None, block))
+            stack.append(children)
+            children = block
         else:
             if kind == 4:
                 value = m.group(4)
@@ -268,7 +222,8 @@ def parse(text: str, path: str = "<catalog>") -> list[Node]:
                     value = parsed[other] = _parse_value(other, lineno, path)
                 if value.__class__ is list:
                     value = value[:]
-            children.append(Node(m.group(2), lineno, value))
-    if len(stack) > 1:
-        raise CatalogParseError("unclosed block", stack[-1].line, path)
-    return root.children
+            children.append((m.group(2), lineno, value, None))
+    if stack:
+        # an open block is the last entry of the list that holds it
+        raise CatalogParseError("unclosed block", stack[-1][-1][1], path)
+    return top

@@ -16,7 +16,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .abelian import FgAbGroup
-from .catalogfile import CatalogParseError, Node, SpinrError
+from .catalogfile import Block, CatalogParseError, SpinrError
 
 
 class NotInCatalogError(SpinrError, KeyError):
@@ -122,7 +122,7 @@ def so_group(k: int) -> CompactGroupRec:
     )
 
 
-# --- record construction from parsed catalog nodes ---------------------------
+# --- record construction from parsed catalog entries -------------------------
 
 _GROUP_KEYS = frozenset({"name", "pi1", "algebra", "connected", "provenance"})
 _PI1_KEYS = frozenset({"free_rank", "torsion", "generators"})
@@ -131,12 +131,12 @@ _ALGEBRA_KEYS = frozenset({"center_rank", "ideal"})
 _IDEAL_KEYS = frozenset({"kind", "dim", "min_orth_rep", "provenance"})
 
 
-def _build_pi1(node: Node) -> FgAbGroup:
-    node.check_keys(_PI1_KEYS)
+def _build_pi1(entry: tuple) -> FgAbGroup:
+    node = Block(entry, _PI1_KEYS)
     free_rank = node.require_int("free_rank")
     if free_rank < 0:
         raise CatalogParseError(
-            f"free_rank must be >= 0, got {free_rank}", node.child("free_rank").line
+            f"free_rank must be >= 0, got {free_rank}", node.child("free_rank")[1]
         )
     torsion = node.require_list("torsion")
     for d in torsion:
@@ -144,7 +144,7 @@ def _build_pi1(node: Node) -> FgAbGroup:
             raise CatalogParseError(f"torsion entries must be integers: {d!r}", node.line)
         if d < 2:
             raise CatalogParseError(
-                f"torsion entries must be >= 2, got {d}", node.child("torsion").line
+                f"torsion entries must be >= 2, got {d}", node.child("torsion")[1]
             )
     generators = tuple(node.str_list("generators"))
     try:
@@ -153,8 +153,8 @@ def _build_pi1(node: Node) -> FgAbGroup:
         raise CatalogParseError(str(err), node.line) from err
 
 
-def _build_ideal(node: Node) -> SimpleIdeal:
-    node.check_keys(_IDEAL_KEYS)
+def _build_ideal(entry: tuple) -> SimpleIdeal:
+    node = Block(entry, _IDEAL_KEYS)
     try:
         return SimpleIdeal(
             kind=node.require_str("kind"),
@@ -165,13 +165,13 @@ def _build_ideal(node: Node) -> SimpleIdeal:
         raise CatalogParseError(str(err), node.line) from err
 
 
-def _build_algebra(node: Node) -> AlgebraProfile:
-    node.check_keys(_ALGEBRA_KEYS)
+def _build_algebra(entry: tuple) -> AlgebraProfile:
+    node = Block(entry, _ALGEBRA_KEYS)
     center_rank = node.require_int("center_rank")
     if center_rank < 0:
         raise CatalogParseError(
             f"center_rank must be >= 0, got {center_rank}",
-            node.child("center_rank").line,
+            node.child("center_rank")[1],
         )
     return AlgebraProfile(
         center_rank=center_rank,
@@ -179,8 +179,8 @@ def _build_algebra(node: Node) -> AlgebraProfile:
     )
 
 
-def build_group(node: Node) -> CompactGroupRec:
-    node.check_keys(_GROUP_KEYS)
+def build_group(entry: tuple) -> CompactGroupRec:
+    node = Block(entry, _GROUP_KEYS)
     rec = CompactGroupRec(
         name=node.require_str("name"),
         pi1=_build_pi1(node.child("pi1")),
@@ -194,11 +194,11 @@ def build_group(node: Node) -> CompactGroupRec:
     )
     if not rec.provenance.strip():
         raise CatalogParseError("empty provenance", node.line)
-    _validate_group(rec, node)
+    _validate_group(rec, node.line)
     return rec
 
 
-def _validate_group(rec: CompactGroupRec, node: Node):
+def _validate_group(rec: CompactGroupRec, line: int):
     """Cross-checks applied at load time.
 
     SO entries must match the formulaic family exactly, which also
@@ -211,18 +211,18 @@ def _validate_group(rec: CompactGroupRec, node: Node):
             pi1 = so_pi1(k)
         except ValueError as err:
             raise CatalogParseError(
-                f"group {name}: SO(k) needs an integer k >= 1", node.line
+                f"group {name}: SO(k) needs an integer k >= 1", line
             ) from err
         if rec.pi1 != pi1 or rec.pi1.labels != pi1.labels:
             raise CatalogParseError(
                 f"pi1 of {name} must match the standard value "
                 f"{pi1.describe()} with generator labels {pi1.labels}",
-                node.line,
+                line,
             )
         algebra = so_algebra(k)
         if rec.algebra != algebra:
             raise CatalogParseError(
-                f"algebra profile of {name} must be {algebra}", node.line
+                f"algebra profile of {name} must be {algebra}", line
             )
     for ideal in rec.algebra.ideals:
         if ideal.kind.startswith("so(") and ideal.kind.endswith(")"):
@@ -232,11 +232,11 @@ def _validate_group(rec: CompactGroupRec, node: Node):
                 raise CatalogParseError(
                     f"ideal {ideal.kind}: so(k) is simple only for an integer "
                     f"k = 3 or k >= 5",
-                    node.line,
+                    line,
                 ) from err
             if (ideal.dim, ideal.min_orth_rep_dim) != (ref.dim, ref.min_orth_rep_dim):
                 raise CatalogParseError(
                     f"ideal {ideal.kind}: expected dim {ref.dim}, "
                     f"min_orth_rep {ref.min_orth_rep_dim}",
-                    node.line,
+                    line,
                 )

@@ -26,7 +26,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .abelian import AbHom, FgAbGroup
-from .catalogfile import CatalogParseError, Node
+from .catalogfile import Block, CatalogParseError
 from .liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_pi1
 
 
@@ -419,15 +419,15 @@ _FAMILY_KEYS = frozenset({
 _PARAM_KEYS = frozenset({"name", "constraint"})
 
 
-def build_family(node: Node) -> OrthRepFamily:
-    node.check_keys(_FAMILY_KEYS)
+def build_family(entry: tuple) -> OrthRepFamily:
+    node = Block(entry, _FAMILY_KEYS)
     labels = None
     constraint = None
+    extends_to = node.child("extends_to", required=False)
     if node.child("labels", required=False) is not None:
         labels = tuple(node.str_list("labels"))
-    param = node.child("param", required=False)
-    if param is not None:
-        param.check_keys(_PARAM_KEYS)
+    if node.child("param", required=False) is not None:
+        param = Block(node.child("param"), _PARAM_KEYS)
         pname = param.require_str("name")
         if pname != "s":
             raise CatalogParseError("parameter must be named 's'", param.line)
@@ -445,7 +445,7 @@ def build_family(node: Node) -> OrthRepFamily:
             labels=labels,
             param_constraint=constraint,
             distinct_classes=node.require_str("distinct_classes"),
-            extends_to=node.get("extends_to"),
+            extends_to=None if extends_to is None else extends_to[2],
             certificate=node.require_str("certificate"),
         )
     except ValueError as err:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .abelian import AbHom, FgAbGroup
-from .catalogfile import CatalogParseError, Node, SpinrError
+from .catalogfile import Block, CatalogParseError, SpinrError
 from .lifting import LiftQuery, lifts, parity
 from .liecat import so_pi1
 from .repcat import (
@@ -149,8 +149,8 @@ _SPACE_KEYS = frozenset({"name", "G", "H", "n", "sigma_pi1_images", "provenance"
 _HOLONOMY_KEYS = frozenset({"group", "m", "h_pi1_images", "provenance"})
 
 
-def build_space(node: Node, groups) -> HomSpaceRec:
-    node.check_keys(_SPACE_KEYS)
+def build_space(entry: tuple, groups) -> HomSpaceRec:
+    node = Block(entry, _SPACE_KEYS)
     name = node.require_str("name")
     h_name = node.require_str("H")
     if h_name not in groups:
@@ -175,8 +175,8 @@ def build_space(node: Node, groups) -> HomSpaceRec:
     )
 
 
-def build_holonomy(node: Node, groups) -> HolonomyRec:
-    node.check_keys(_HOLONOMY_KEYS)
+def build_holonomy(entry: tuple, groups) -> HolonomyRec:
+    node = Block(entry, _HOLONOMY_KEYS)
     g_name = node.require_str("group")
     if g_name not in groups:
         raise CatalogParseError(f"holonomy record: unknown group {g_name}", node.line)

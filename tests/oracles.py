@@ -16,7 +16,7 @@ import re
 import numpy as np
 
 from spinr.abelian import AbElem, Subgroup
-from spinr.catalogfile import CatalogParseError, Node
+from spinr.catalogfile import CatalogParseError
 from spinr.repcat import RuleTrace, describe_algebra
 from spinr.spaces import (
     InconsistentCatalogError,
@@ -213,9 +213,10 @@ def _ref_parse_value(text: str, line: int):
     return _ref_parse_scalar(text, line)
 
 
-def reference_parse(text: str, path: str = "<catalog>") -> list[Node]:
-    """Parse catalog text one character at a time."""
-    root = Node(key="<root>", line=0, children=[])
+def reference_parse(text: str, path: str = "<catalog>") -> list[tuple]:
+    """Parse catalog text one character at a time into the entries
+    ``(key, line, value, children)`` that ``parse`` returns."""
+    root = ("<root>", 0, None, [])
     stack = [root]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _ref_strip_comment(raw)
@@ -228,8 +229,8 @@ def reference_parse(text: str, path: str = "<catalog>") -> list[Node]:
             continue
         m = _REF_OPEN_RE.match(line)
         if m:
-            node = Node(key=m.group(1), line=lineno, children=[])
-            stack[-1].children.append(node)
+            node = (m.group(1), lineno, None, [])
+            stack[-1][3].append(node)
             stack.append(node)
             continue
         m = _REF_PAIR_RE.match(line)
@@ -238,14 +239,12 @@ def reference_parse(text: str, path: str = "<catalog>") -> list[Node]:
                 value = _ref_parse_value(m.group(2), lineno)
             except CatalogParseError as err:
                 raise CatalogParseError(str(err).split(": ", 1)[1], lineno, path)
-            stack[-1].children.append(
-                Node(key=m.group(1), line=lineno, value=value)
-            )
+            stack[-1][3].append((m.group(1), lineno, value, None))
             continue
         raise CatalogParseError(f"cannot parse line {raw.strip()!r}", lineno, path)
     if len(stack) > 1:
-        raise CatalogParseError("unclosed block", stack[-1].line, path)
-    return root.children
+        raise CatalogParseError("unclosed block", stack[-1][1], path)
+    return root[3]
 
 
 # --- reference kernel scan -----------------------------------------------------

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_parse
 
-from spinr.catalogfile import CatalogParseError, parse
+from spinr.catalogfile import Block, CatalogParseError, parse
 
 SAMPLE = """
 # a comment
@@ -23,30 +23,32 @@ group {
 """
 
 
+def _block(entry, *known):
+    return Block(entry, frozenset(known))
+
+
 def test_parse_structure():
-    nodes = parse(SAMPLE)
-    assert [n.key for n in nodes] == ["catalog_version", "group"]
-    assert nodes[0].value == 1
-    group = nodes[1]
+    entries = parse(SAMPLE)
+    assert [e[0] for e in entries] == ["catalog_version", "group"]
+    assert entries[0] == ("catalog_version", 3, 1, None)
+    group = _block(entries[1], "name", "pi1", "connected", "tags", "count")
     assert group.require_str("name") == "SO(4)"
-    pi1 = group.child("pi1")
+    pi1 = _block(group.child("pi1"), "free_rank", "torsion", "generators")
     assert pi1.require_int("free_rank") == 0
     assert pi1.require_list("torsion") == [2]
-    assert group.get("connected") is True
+    assert group.require_bool("connected") is True
     assert group.require_list("tags") == ["a", "b", "c d"]
     assert group.require_int("count") == -3
 
 
 def test_line_numbers_attached():
-    nodes = parse(SAMPLE)
-    group = nodes[1]
-    assert group.line == 5
-    assert group.child("name").line == 6
+    group = parse(SAMPLE)[1]
+    assert group[1] == 5
+    assert _block(group, "name", "pi1", "connected", "tags", "count").child("name")[1] == 6
 
 
 def test_empty_list():
-    (node,) = parse("x: []")
-    assert node.value == []
+    assert parse("x: []") == [("x", 1, [], None)]
 
 
 def test_unmatched_close_reports_line():
@@ -79,31 +81,32 @@ def test_unterminated_list_rejected():
 
 
 def test_duplicate_scalar_key_detected_via_child():
-    (node,) = parse("b {\n  k: 1\n  k: 2\n}\n")
+    (entry,) = parse("b {\n  k: 1\n  k: 2\n}\n")
     with pytest.raises(CatalogParseError) as err:
-        node.child("k")
+        _block(entry, "k").child("k")
     assert err.value.line == 3
 
 
 def test_missing_key_points_at_block():
-    (node,) = parse("b {\n  k: 1\n}\n")
+    (entry,) = parse("b {\n  k: 1\n}\n")
     with pytest.raises(CatalogParseError) as err:
-        node.require_str("nope")
+        _block(entry, "k").require_str("nope")
     assert err.value.line == 1
 
 
 def test_repeated_block_keys_collected():
-    (node,) = parse("a {\n  ideal {\n    x: 1\n  }\n  ideal {\n    x: 2\n  }\n}\n")
-    assert len(node.items("ideal")) == 2
+    (entry,) = parse("a {\n  ideal {\n    x: 1\n  }\n  ideal {\n    x: 2\n  }\n}\n")
+    assert [e[1] for e in _block(entry, "ideal").items("ideal")] == [2, 5]
 
 
 def test_middle_dot_in_barewords():
-    (node,) = parse("g {\n  name: Sp(2)·Sp(1)\n}\n")
-    assert node.require_str("name") == "Sp(2)·Sp(1)"
+    (entry,) = parse("g {\n  name: Sp(2)·Sp(1)\n}\n")
+    assert _block(entry, "name").require_str("name") == "Sp(2)·Sp(1)"
 
 
 def test_require_bool_rejects_quoted_and_integer_flags():
-    (node,) = parse('b {\n  yes: true\n  no: false\n  quoted: "false"\n  one: 1\n}\n')
+    (entry,) = parse('b {\n  yes: true\n  no: false\n  quoted: "false"\n  one: 1\n}\n')
+    node = _block(entry, "yes", "no", "quoted", "one")
     assert node.require_bool("yes") is True
     assert node.require_bool("no") is False
     for key, line in (("quoted", 4), ("one", 5)):
@@ -111,6 +114,13 @@ def test_require_bool_rejects_quoted_and_integer_flags():
             node.require_bool(key)
         assert err.value.line == line
         assert "must be true or false" in str(err.value)
+
+
+def test_the_first_unknown_key_is_refused_when_the_block_is_read():
+    (entry,) = parse("b {\n  k: 1\n  k: 2\n  x: 3\n  y: 4\n}\n")
+    with pytest.raises(CatalogParseError) as err:
+        _block(entry, "k")
+    assert str(err.value) == "<catalog>:4: unknown key 'x' in 'b' block"
 
 
 @pytest.mark.parametrize(
@@ -123,9 +133,9 @@ def test_require_bool_rejects_quoted_and_integer_flags():
     ],
 )
 def test_quotes_protect_hash_and_comma(line, value):
-    (node,) = parse(line)
-    assert node.value == value
-    assert type(node.value) is type(value)
+    ((_, _, parsed, _),) = parse(line)
+    assert parsed == value
+    assert type(parsed) is type(value)
 
 
 def test_unterminated_quote_runs_to_end_of_line():

@@ -15,7 +15,6 @@ from spinr.abelian import (
     cyclic,
 )
 from spinr.catalog import Catalog, loads
-from spinr.catalogfile import Node
 from spinr.liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_group, so_pi1
 from spinr.lifting import LiftQuery, LiftVerdict
 from spinr.repcat import (
@@ -98,14 +97,9 @@ RECORDS = [
      lambda: HolonomyVerdict("SO(3)", 3, 3, "yes", (_class(),), True, "c", ())),
     (Catalog, ("version", "groups", "families", "spaces", "holonomies", "path"),
      lambda: loads(BASE, "base.txt")),
-    (Node, ("key", "line", "value", "children"),
-     lambda: Node("group", 3, None, [Node("name", 4, "SO(3)")])),
 ]
 
-# The parse tree is built once per catalog line and stays mutable, as
-# it always was; every other record is read-only.
-MUTABLE = {Node}
-UNHASHABLE = {Catalog, Node}  # they hold dicts or lists
+UNHASHABLE = {Catalog}  # it holds dicts
 
 
 @pytest.fixture(params=RECORDS, ids=[t.__name__ for t, _, _ in RECORDS])
@@ -128,8 +122,6 @@ def test_setting_an_attribute_raises(record):
     obj = make()
     with pytest.raises(AttributeError):
         obj.not_a_field = 1
-    if cls in MUTABLE:
-        return
     with pytest.raises(AttributeError):
         setattr(obj, fields[0], getattr(obj, fields[-1]))
     assert repr(obj) == repr(make())
