@@ -59,8 +59,10 @@ class Block:
 
     def __init__(self, entry: tuple, known: frozenset[str]):
         key, self.line, _, entries = entry
+        if entries is None:
+            raise CatalogParseError(f"'{key}' must be a block", self.line)
         self._table = table = {}
-        for child in entries or ():
+        for child in entries:
             k = child[0]
             if k not in known:
                 raise CatalogParseError(f"unknown key '{k}' in '{key}' block", child[1])

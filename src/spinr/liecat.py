@@ -141,7 +141,9 @@ def _build_pi1(entry: tuple) -> FgAbGroup:
     torsion = node.require_list("torsion")
     for d in torsion:
         if isinstance(d, bool) or not isinstance(d, int):
-            raise CatalogParseError(f"torsion entries must be integers: {d!r}", node.line)
+            raise CatalogParseError(
+                f"torsion entries must be integers: {d!r}", node.child("torsion")[1]
+            )
         if d < 2:
             raise CatalogParseError(
                 f"torsion entries must be >= 2, got {d}", node.child("torsion")[1]

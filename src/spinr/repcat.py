@@ -423,7 +423,6 @@ def build_family(entry: tuple) -> OrthRepFamily:
     node = Block(entry, _FAMILY_KEYS)
     labels = None
     constraint = None
-    extends_to = node.child("extends_to", required=False)
     if node.child("labels", required=False) is not None:
         labels = tuple(node.str_list("labels"))
     if node.child("param", required=False) is not None:
@@ -435,6 +434,10 @@ def build_family(entry: tuple) -> OrthRepFamily:
             constraint = parse_congruence(param.require_str("constraint"))
         except ValueError as err:
             raise CatalogParseError(str(err), param.line) from err
+    # read outside the try below, which would wrap its error at the record line
+    extends_to = None
+    if node.child("extends_to", required=False) is not None:
+        extends_to = node.require_str("extends_to")
     try:
         images = tuple(parse_affine(t) for t in node.str_list("pi1_images"))
         fam = OrthRepFamily(
@@ -445,7 +448,7 @@ def build_family(entry: tuple) -> OrthRepFamily:
             labels=labels,
             param_constraint=constraint,
             distinct_classes=node.require_str("distinct_classes"),
-            extends_to=None if extends_to is None else extends_to[2],
+            extends_to=extends_to,
             certificate=node.require_str("certificate"),
         )
     except ValueError as err:

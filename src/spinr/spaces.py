@@ -79,13 +79,6 @@ class ClassRecord(NamedTuple):
     constraint: Congruence | None = None
     extends_to: str | None = None
 
-    def render(self) -> str:
-        if self.constraint is not None:
-            return f"{self.family} [{self.constraint}]"
-        if self.label and self.label != self.family:
-            return f"{self.family}:{self.label}"
-        return self.family
-
 
 class RejectedFamily(NamedTuple):
     """A family that fails the lift test, with per-generator witnesses

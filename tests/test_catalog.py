@@ -152,6 +152,26 @@ def _line_of(snippet: str, after: str = "") -> int:
         # the family check against its domain group
         ('pi1_images: ["1"]', 'pi1_images: ["1", "1"]', "so2-circle-powers",
          "repfamily {", "2 images for 1"),
+        # a torsion entry of the wrong type: at the key, as for one below 2
+        ("torsion: [2]", "torsion: [2, true]", "", "torsion: [2]",
+         "torsion entries must be integers: True"),
+        # extends_to is an optional string
+        ('extends_to: "O(3)"', "extends_to: 7", "", 'extends_to: "O(3)"',
+         "'extends_to' must be a string, got 7"),
+        ('extends_to: "O(3)"', "extends_to: [a, b]", "", 'extends_to: "O(3)"',
+         "'extends_to' must be a string, got ['a', 'b']"),
+        ('extends_to: "O(3)"', "extends_to {\n  }", "", 'extends_to: "O(3)"',
+         "'extends_to' must carry a value"),
+        # a plain value where a block is required
+        ('pi1 {\n    free_rank: 1\n    torsion: []\n    generators: ["alpha"]\n  }',
+         "pi1: 5", "", "pi1 {", "'pi1' must be a block"),
+        ("algebra {\n    center_rank: 1\n  }", "algebra: 0", "", "algebra {",
+         "'algebra' must be a block"),
+        ('ideal {\n      kind: "so(3)"\n      dim: 3\n      min_orth_rep: 3\n'
+         '      provenance: "p"\n    }', 'ideal: "so(3)"', "", "ideal {",
+         "'ideal' must be a block"),
+        ('param {\n    name: "s"\n    constraint: "s in Z"\n  }', "param: s", "",
+         "param {", "'param' must be a block"),
     ],
 )
 def test_loader_errors_name_the_file_and_line(

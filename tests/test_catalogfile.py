@@ -146,7 +146,12 @@ def test_unterminated_quote_runs_to_end_of_line():
 
 # --- the one-pass parser against the character-loop reference -------------------
 
-_JUNK = st.text(alphabet='"#,[]{}: ax1-', max_size=8)
+# Unicode spaces, and the breaks str.splitlines ends a line at besides
+# "\n": a parser that reads [ \t] where the reference reads \s, or splits
+# lines differently, tells itself apart on these.
+_SPACES = " \t\xa0\u2003\u3000\x0c\x1c\x85\u2028"
+_GAP = st.text(alphabet=_SPACES, max_size=2)
+_JUNK = st.text(alphabet='"#,[]{}: ax1-' + _SPACES, max_size=8)
 _KEY = st.sampled_from(["k", "key_1", "a-b", "Z", "1k", ""])
 _SCALAR = st.one_of(
     st.sampled_from(
@@ -160,14 +165,10 @@ _LIST = st.tuples(
 ).map(lambda t: f"[{t[0]}{t[1]}")
 _COMMENT = st.sampled_from(["", "  # note", ' # "q", [x]', "#"])
 _LINE = st.one_of(
-    st.sampled_from(["", "}", "  }"]),
-    st.tuples(_KEY, st.sampled_from([" {", "{", " {  # open"])).map("".join),
+    st.tuples(_GAP, st.sampled_from(["", "}"]), _GAP).map("".join),
+    st.tuples(_GAP, _KEY, _GAP, st.just("{"), _GAP, _COMMENT).map("".join),
     st.tuples(
-        st.sampled_from(["", "  "]),
-        _KEY,
-        st.sampled_from([": ", ":", " : "]),
-        st.one_of(_SCALAR, _LIST),
-        _COMMENT,
+        _GAP, _KEY, _GAP, st.just(":"), _GAP, st.one_of(_SCALAR, _LIST), _GAP, _COMMENT
     ).map("".join),
     _JUNK,
 )

@@ -8,7 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "spinr"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "spinr"
 
 
 def _nodes():
@@ -107,3 +108,13 @@ def test_patterns_compile_on_python_3_10():
         newer = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"} & set(opcodes(tree))
         assert not newer, f"{n}:{node.lineno} uses {sorted(newer)}"
     assert "catalogfile.py" in found
+
+
+def test_every_python_file_parses_with_the_python_3_10_grammar():
+    # pyproject.toml accepts 3.10; this checks its grammar only, not its
+    # standard library API
+    paths = [p for d in ("src", "tests", "perfbench", "tools")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text("utf-8"), str(path), feature_version=(3, 10))
