@@ -68,8 +68,8 @@ class Block:
                 raise CatalogParseError(f"unknown key '{k}' in '{key}' block", child[1])
             table[k] = table.get(k, ()) + (child,)
 
-    def items(self, key: str) -> list[tuple]:
-        return list(self._table.get(key, ()))
+    def items(self, key: str) -> tuple[tuple, ...]:
+        return self._table.get(key, ())
 
     def child(self, key: str, required: bool = True) -> tuple | None:
         found = self._table.get(key)
