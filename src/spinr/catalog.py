@@ -151,12 +151,16 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
         raise CatalogParseError("missing or non-integer catalog_version", 1, path)
 
     families: list[OrthRepFamily] = []
+    family_names: set[str] = set()
     spaces: dict[str, HomSpaceRec] = {}
     holonomies: dict[tuple[str, int], HolonomyRec] = {}
     for entry in deferred:
         key, line, _, _ = entry
         if key == "repfamily":
             fam = build_family(entry)
+            if fam.name in family_names:
+                raise CatalogParseError(f"duplicate family '{fam.name}'", line, path)
+            family_names.add(fam.name)
             domain = groups.get(fam.domain)
             if domain is None:
                 raise CatalogParseError(

@@ -68,6 +68,15 @@ class Block:
                 raise CatalogParseError(f"unknown key '{k}' in '{key}' block", child[1])
             table[k] = table.get(k, ()) + (child,)
 
+    def build(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, with any ValueError it raises reported
+        at this block's line.  Read the typed keys first and pass them in,
+        so that their own errors keep the key's line."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as err:
+            raise CatalogParseError(str(err), self.line) from err
+
     def items(self, key: str) -> tuple[tuple, ...]:
         return self._table.get(key, ())
 

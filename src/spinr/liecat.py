@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .abelian import FgAbGroup
+from .abelian import AbHom, FgAbGroup
 from .catalogfile import Block, CatalogParseError, SpinrError
 
 
@@ -92,6 +92,18 @@ def so_pi1(k: int) -> FgAbGroup:
     return _SO_PI1[min(k, 3) - 1]
 
 
+def so_pi1_map(domain: FgAbGroup, r: int, values) -> AbHom:
+    """The map pi1(H) -> pi1(SO(r)) sending domain generator i to
+    ``values[i]`` times the rotation loop.  pi1(SO(1)) is trivial, so
+    there every value must be 0."""
+    cod = so_pi1(r)
+    if cod.rank:
+        return AbHom(domain, cod, tuple(cod.elem((v,)) for v in values))
+    if any(values):
+        raise ValueError(f"nonzero image in the trivial pi1(SO({r}))")
+    return AbHom(domain, cod, (cod.elem(()),) * len(values))
+
+
 def so_ideal(k: int) -> SimpleIdeal:
     """so(k) as a simple ideal; only defined for k = 3 and k >= 5."""
     if k == 3:
@@ -149,22 +161,17 @@ def _build_pi1(entry: tuple) -> FgAbGroup:
                 f"torsion entries must be >= 2, got {d}", node.child("torsion")[1]
             )
     generators = tuple(node.str_list("generators"))
-    try:
-        return FgAbGroup(free_rank, tuple(torsion), generators)
-    except ValueError as err:
-        raise CatalogParseError(str(err), node.line) from err
+    return node.build(FgAbGroup, free_rank, tuple(torsion), generators)
 
 
 def _build_ideal(entry: tuple) -> SimpleIdeal:
     node = Block(entry, _IDEAL_KEYS)
-    try:
-        return SimpleIdeal(
-            kind=node.require_str("kind"),
-            dim=node.require_int("dim"),
-            min_orth_rep_dim=node.require_int("min_orth_rep"),
-        )
-    except ValueError as err:
-        raise CatalogParseError(str(err), node.line) from err
+    return node.build(
+        SimpleIdeal,
+        kind=node.require_str("kind"),
+        dim=node.require_int("dim"),
+        min_orth_rep_dim=node.require_int("min_orth_rep"),
+    )
 
 
 def _build_algebra(entry: tuple) -> AlgebraProfile:

@@ -32,7 +32,7 @@ from .abelian import (
     product_hom,
     zero_hom,
 )
-from .liecat import so_pi1
+from .liecat import so_pi1, so_pi1_map
 
 
 def parity(x: AbElem) -> int:
@@ -132,17 +132,14 @@ def spin_lift_query(sigma_pi1: AbHom, n: int) -> LiftQuery:
 def inclusion_pi1(r: int, s: int) -> AbHom:
     """Map induced on pi1 by the top-left block inclusion SO(r) -> SO(s).
 
-    The zero map out of the trivial pi1(SO(1)).  Otherwise s >= 3, so
-    the codomain is Z2 and the generator goes to its generator: the
-    identity Z2 -> Z2 for r >= 3, and for r = 2 the winding number
-    reduced mod 2.
+    The rotation loop goes to the rotation loop: the identity Z2 -> Z2
+    for r >= 3, the winding number reduced mod 2 for r = 2, and the zero
+    map out of the trivial pi1(SO(1)).
     """
     if s <= r:
         raise ValueError(f"inclusion needs s > r, got r={r}, s={s}")
-    dom, cod = so_pi1(r), so_pi1(s)
-    if r == 1:
-        return zero_hom(dom, cod)
-    return AbHom(dom, cod, (cod.elem([1]),))
+    dom = so_pi1(r)
+    return so_pi1_map(dom, s, (1,) * dom.rank)
 
 
 def induce(phi_pi1: AbHom, r: int, s: int) -> AbHom:

@@ -22,12 +22,12 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import NamedTuple
 
 from .abelian import AbHom, FgAbGroup
 from .catalogfile import Block, CatalogParseError
-from .liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_pi1
+from .liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_pi1_map
 
 
 # --- congruence constraints ---------------------------------------------------
@@ -48,18 +48,6 @@ class Congruence(namedtuple("Congruence", "modulus residue")):
 
     def contains(self, s: int) -> bool:
         return s % self.modulus == self.residue
-
-    def intersect(self, other: Congruence) -> "Congruence | None":
-        """CRT intersection; None when the classes are disjoint."""
-        g = gcd(self.modulus, other.modulus)
-        if (self.residue - other.residue) % g != 0:
-            return None
-        lcm = self.modulus // g * other.modulus
-        # walk one class until it meets the other; moduli here are tiny
-        s = self.residue
-        while s % other.modulus != other.residue:
-            s += self.modulus
-        return Congruence(lcm, s)
 
     def sample(self, count: int = 3) -> list[int]:
         """A few admissible values, straddling zero."""
@@ -223,16 +211,9 @@ class OrthRepFamily(
                     f"family {self.name}: parameter {s} violates "
                     f"'{self.param_constraint}'"
                 )
-        cod = so_pi1(r)
-        images = []
-        for expr in self.pi1_images:
-            v = expr.eval(s) if self.parameterized else expr.eval(0)
-            if cod.rank == 0 and v != 0:
-                raise ValueError(
-                    f"family {self.name}: nonzero image in trivial pi1(SO({r}))"
-                )
-            images.append(cod.elem([v] if cod.rank else []))
-        return AbHom(domain_pi1, cod, tuple(images))
+        else:
+            s = 0
+        return so_pi1_map(domain_pi1, r, [e.eval(s) for e in self.pi1_images])
 
     def validate_against(self, group: CompactGroupRec):
         """Well-definedness of the induced map over the whole family."""
@@ -243,14 +224,6 @@ class OrthRepFamily(
                 f"family {self.name}: {len(self.pi1_images)} images for "
                 f"{group.pi1.rank} generators of {self.domain}"
             )
-        cod = so_pi1(self.target_r)
-        if cod.rank == 0:
-            for expr in self.pi1_images:
-                if expr.coeff != 0 or expr.offset != 0:
-                    raise ValueError(
-                        f"family {self.name}: nonzero image in trivial pi1"
-                    )
-            return
         samples = (
             self.param_constraint.sample(3) if self.parameterized else [None]
         )
@@ -427,32 +400,25 @@ def build_family(entry: tuple) -> OrthRepFamily:
         labels = tuple(node.str_list("labels"))
     if node.child("param", required=False) is not None:
         param = Block(node.child("param"), _PARAM_KEYS)
-        pname = param.require_str("name")
-        if pname != "s":
+        if param.require_str("name") != "s":
             raise CatalogParseError("parameter must be named 's'", param.line)
-        try:
-            constraint = parse_congruence(param.require_str("constraint"))
-        except ValueError as err:
-            raise CatalogParseError(str(err), param.line) from err
-    # read outside the try below, which would wrap its error at the record line
+        constraint = param.build(parse_congruence, param.require_str("constraint"))
     extends_to = None
     if node.child("extends_to", required=False) is not None:
         extends_to = node.require_str("extends_to")
-    try:
-        images = tuple(parse_affine(t) for t in node.str_list("pi1_images"))
-        fam = OrthRepFamily(
-            name=node.require_str("name"),
-            domain=node.require_str("domain"),
-            target_r=node.require_int("target_r"),
-            pi1_images=images,
-            labels=labels,
-            param_constraint=constraint,
-            distinct_classes=node.require_str("distinct_classes"),
-            extends_to=extends_to,
-            certificate=node.require_str("certificate"),
-        )
-    except ValueError as err:
-        raise CatalogParseError(str(err), node.line) from err
+    images = tuple(node.build(parse_affine, t) for t in node.str_list("pi1_images"))
+    fam = node.build(
+        OrthRepFamily,
+        name=node.require_str("name"),
+        domain=node.require_str("domain"),
+        target_r=node.require_int("target_r"),
+        pi1_images=images,
+        labels=labels,
+        param_constraint=constraint,
+        distinct_classes=node.require_str("distinct_classes"),
+        extends_to=extends_to,
+        certificate=node.require_str("certificate"),
+    )
     if fam.parameterized and fam.pi1_images and all(
         e.is_constant() for e in fam.pi1_images
     ):

@@ -22,11 +22,10 @@ from typing import NamedTuple
 from .abelian import AbHom, FgAbGroup
 from .catalogfile import Block, CatalogParseError, SpinrError
 from .lifting import LiftQuery, lifts, parity
-from .liecat import so_pi1
+from .liecat import so_pi1, so_pi1_map
 from .repcat import (
     Congruence,
     OrthRepFamily,
-    UNCONSTRAINED,
     enumerate_homs,
     first_possible_rank,
     trivial_family,
@@ -122,22 +121,6 @@ class SpinTypeResult(NamedTuple):
 
 # --- record construction -------------------------------------------------------
 
-def _images_hom(domain: FgAbGroup, r: int, images: list[int], line: int) -> AbHom:
-    cod = so_pi1(r)
-    if cod.rank == 0:
-        if any(v != 0 for v in images):
-            raise CatalogParseError(
-                f"nonzero image in the trivial pi1(SO({r}))", line
-            )
-        elems = tuple(cod.elem([]) for _ in images)
-    else:
-        elems = tuple(cod.elem([v]) for v in images)
-    try:
-        return AbHom(domain, cod, elems)
-    except ValueError as err:
-        raise CatalogParseError(str(err), line) from err
-
-
 _SPACE_KEYS = frozenset({"name", "G", "H", "n", "sigma_pi1_images", "provenance"})
 _HOLONOMY_KEYS = frozenset({"group", "m", "h_pi1_images", "provenance"})
 
@@ -157,7 +140,7 @@ def build_space(entry: tuple, groups) -> HomSpaceRec:
         raise CatalogParseError(f"space {name}: dimension must be >= 1", node.line)
     # A disconnected stabiliser is loadable data but refused by
     # classify(), which needs the connectedness hypothesis.
-    sigma = _images_hom(h.pi1, n, node.int_list("sigma_pi1_images"), node.line)
+    sigma = node.build(so_pi1_map, h.pi1, n, node.int_list("sigma_pi1_images"))
     return HomSpaceRec(
         name=name,
         G=g_name,
@@ -176,7 +159,7 @@ def build_holonomy(entry: tuple, groups) -> HolonomyRec:
     m = node.require_int("m")
     if m < 1:
         raise CatalogParseError("holonomy record: dimension must be >= 1", node.line)
-    h = _images_hom(groups[g_name].pi1, m, node.int_list("h_pi1_images"), node.line)
+    h = node.build(so_pi1_map, groups[g_name].pi1, m, node.int_list("h_pi1_images"))
     return HolonomyRec(
         group=g_name,
         m=m,
@@ -193,12 +176,13 @@ def _solve_parameter(sigma: AbHom, family: OrthRepFamily) -> Congruence | None:
     With s = rho + mu*t running over the family's admissible values,
     each domain generator imposes a parity condition on the affine
     image, which in t is either vacuous, unsatisfiable, or a single
-    class mod 2.  The intersection converts back to a congruence on s.
+    class mod 2.  The classes must agree, and the one they fix (if any)
+    converts back to a congruence on s.
     """
     base = family.param_constraint
     mu, rho = base.modulus, base.residue
     cod_rank = so_pi1(family.target_r).rank
-    t_class = UNCONSTRAINED
+    t_parity = None  # the class of t mod 2, once a generator fixes it
     for i in range(sigma.domain.rank):
         eps = parity(sigma.images[i])
         if cod_rank == 0:
@@ -217,10 +201,13 @@ def _solve_parameter(sigma: AbHom, family: OrthRepFamily) -> Congruence | None:
             if v0 % 2 != eps:
                 return None
         else:
-            t_class = t_class.intersect(Congruence(2, (eps - v0) % 2))
-            if t_class is None:
+            want = (eps - v0) % 2
+            if t_parity not in (None, want):
                 return None
-    return Congruence(mu * t_class.modulus, rho + mu * t_class.residue)
+            t_parity = want
+    if t_parity is None:
+        return base
+    return Congruence(2 * mu, rho + mu * t_parity)
 
 
 def _test_family(

@@ -5,6 +5,7 @@ bundled catalog."""
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,8 @@ from spinr.catalog import (
     load_default,
     loads,
 )
-from spinr.catalogfile import CatalogParseError, SpinrError
+from spinr import liecat, repcat, spaces
+from spinr.catalogfile import CatalogParseError, SpinrError, parse
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "perfbench"))
@@ -149,6 +151,13 @@ def _line_of(snippet: str, after: str = "") -> int:
          "zero denominator"),
         ("n: 2", "n: 0", "space {", "space {", "dimension must be >= 1"),
         ("m: 2", "m: 0", "holonomy {", "holonomy {", "dimension must be >= 1"),
+        # an odd image into the trivial pi1(SO(1)), one message for each record
+        ("n: 2", "n: 1", "space {", "space {",
+         "nonzero image in the trivial pi1(SO(1))"),
+        ("m: 2", "m: 1", "holonomy {", "holonomy {",
+         "nonzero image in the trivial pi1(SO(1))"),
+        ("target_r: 2", "target_r: 1", "", "repfamily {",
+         "nonzero image in the trivial pi1(SO(1))"),
         # the family check against its domain group
         ('pi1_images: ["1"]', 'pi1_images: ["1", "1"]', "so2-circle-powers",
          "repfamily {", "2 images for 1"),
@@ -211,6 +220,60 @@ def test_an_unknown_key_is_refused_at_its_line_in_every_block(
         load(str(path))
     key, line = typo.split(":")[0], BASE[:at].count("\n") + 1
     assert str(err.value) == f"{path}:{line}: unknown key '{key}' in '{block}' block"
+
+
+# every key a record builder reads with a typed accessor, by block: the
+# builders' key tables less the nested blocks and the ideal's provenance,
+# which no builder reads
+_TYPED_KEYS = sorted(
+    (block, key)
+    for block, keys in {
+        "group": liecat._GROUP_KEYS,
+        "pi1": liecat._PI1_KEYS,
+        "algebra": liecat._ALGEBRA_KEYS,
+        "ideal": liecat._IDEAL_KEYS - {"provenance"},
+        "repfamily": repcat._FAMILY_KEYS,
+        "param": repcat._PARAM_KEYS,
+        "space": spaces._SPACE_KEYS,
+        "holonomy": spaces._HOLONOMY_KEYS,
+    }.items()
+    for key in keys - {"pi1", "algebra", "ideal", "param"}
+)
+
+
+def _first_values() -> dict[tuple[str, str], tuple[int, object]]:
+    """(block, key) -> (line, value) of its first occurrence in the
+    bundled catalog, which must hold every typed key."""
+    first = {}
+
+    def walk(block, entries):
+        for key, line, value, children in entries:
+            if children is None:
+                first.setdefault((block, key), (line, value))
+            else:
+                walk(key, children)
+
+    walk(None, parse(bundled_catalog_text()))
+    return first
+
+
+@pytest.mark.parametrize("block, key", _TYPED_KEYS, ids=lambda v: v)
+def test_a_mistyped_value_is_reported_at_its_key_and_nowhere_else(
+    tmp_path, block, key
+):
+    line, value = _first_values()[block, key]
+    wrong = "x" if value.__class__ is int else "5"
+    lines = bundled_catalog_text().split("\n")
+    old = lines[line - 1]
+    lines[line - 1] = f"{old[: len(old) - len(old.lstrip())]}{key}: {wrong}"
+    path = tmp_path / "c.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(CatalogParseError) as err:
+        load(str(path))
+    prefix = f"{path}:{line}: "
+    assert str(err.value).startswith(prefix)
+    assert f"'{key}' must be" in err.value.message
+    assert re.search(r":\d+:", str(err.value)[len(prefix):]) is None
 
 
 @pytest.mark.parametrize(

@@ -232,6 +232,36 @@ def test_catalog_parse_error_exit_four(tmp_path):
     assert "catalog error" in res.stderr
 
 
+def test_a_mistyped_family_name_exits_four_naming_its_line_alone(tmp_path):
+    text = bundled_catalog_text()
+    old = 'name: "so3-identity"'
+    at = text.index(old)
+    path = tmp_path / "cat.txt"
+    path.write_text(text[:at] + "name: 5" + text[at + len(old):], encoding="utf-8")
+    res = run("--catalog", str(path), "table1")
+    line = text[:at].count("\n") + 1
+    assert res.exit_code == 4
+    assert res.stderr == (
+        f"catalog error: {path}:{line}: 'name' must be a string, got 5\n"
+    )
+
+
+def test_a_second_family_of_the_same_name_exits_four_at_its_line(tmp_path):
+    # loaded, it would make classify cite the SO(3) family's certificate
+    # for a U(2) class
+    text = bundled_catalog_text().replace('"u2-det-powers"', '"so3-identity"')
+    path = tmp_path / "dup.txt"
+    path.write_text(text, encoding="utf-8")
+    res = run("--catalog", str(path), "classify", "S5:U(3)", "--r", "2")
+    second = text.index('name: "so3-identity"', text.index('name: "so3-identity"') + 1)
+    line = text[: text.rindex("repfamily {", 0, second)].count("\n") + 1
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert res.stderr == (
+        f"catalog error: {path}:{line}: duplicate family 'so3-identity'\n"
+    )
+
+
 def test_catalog_env_var_override(tmp_path):
     path = tmp_path / "broken.txt"
     path.write_text("nonsense!\n", encoding="utf-8")

@@ -13,7 +13,6 @@ from spinr.liecat import AlgebraProfile, SimpleIdeal, so_group
 from spinr.repcat import (
     AffineInt,
     Congruence,
-    UNCONSTRAINED,
     enumerate_homs,
     first_possible_rank,
     hom_rule_trace,
@@ -42,15 +41,6 @@ def test_congruence_parse_and_render():
     assert str(parse_congruence("s ≡ 2 mod 4")) == "s ≡ 2 mod 4"
     with pytest.raises(ValueError):
         parse_congruence("whenever s feels like it")
-
-
-def test_congruence_intersection():
-    even = Congruence(2, 0)
-    two_mod_three = Congruence(3, 2)
-    meet = even.intersect(two_mod_three)
-    assert (meet.modulus, meet.residue) == (6, 2)
-    assert even.intersect(Congruence(2, 1)) is None
-    assert UNCONSTRAINED.intersect(even) == even
 
 
 def test_congruence_samples_are_admissible():

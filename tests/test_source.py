@@ -45,6 +45,45 @@ def test_no_dataclasses_in_the_package():
     assert found == []
 
 
+def test_value_errors_are_caught_only_at_the_named_boundaries():
+    # a CatalogParseError is a ValueError, so a builder that catches
+    # ValueError around its own typed reads reports their located error
+    # again at the block's line, naming two locations.  Block.build is the
+    # one boundary for constructors; _assemble locates a family's check
+    # against its domain, and _validate_group words its own messages.
+    allowed = {
+        ("catalogfile.py", "Block.build"),
+        ("catalog.py", "_assemble"),
+        ("liecat.py", "_validate_group"),
+    }
+    broad = {"ValueError", "Exception", "BaseException"}
+
+    def catches_value_error(handler):
+        if handler.type is None:
+            return True
+        types = handler.type
+        types = types.elts if isinstance(types, ast.Tuple) else [types]
+        return any(isinstance(t, ast.Name) and t.id in broad for t in types)
+
+    def handlers(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from handlers(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.ExceptHandler) and catches_value_error(child):
+                yield ".".join(scope), child.lineno
+            yield from handlers(child, scope)
+
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for scope, line in handlers(ast.parse(path.read_text("utf-8")), ()):
+            found.setdefault((path.name, scope), line)
+    stray = [f"{n}:{line} in {scope}" for (n, scope), line in found.items()
+             if (n, scope) not in allowed]
+    assert stray == []
+    assert set(found) == allowed  # the list names only handlers that exist
+
+
 def test_importing_the_cli_leaves_out_dataclasses_and_json():
     # json is imported where JSON is read or written, so the markdown
     # commands never load it; and every module the import adds is spinr's
