@@ -11,6 +11,7 @@ variable.
 
 from __future__ import annotations
 
+import gc
 import os
 from importlib import resources
 
@@ -117,14 +118,20 @@ class Catalog:
 
 
 def loads(text: str, path: str = "<catalog>") -> Catalog:
-    entries = catalogfile.parse(text, path)
+    # Everything built here is an acyclic tuple, list or dict, freed by
+    # reference counting, so cyclic collections during a load find nothing.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return _assemble(entries, path)
+        return _assemble(catalogfile.parse(text, path), path)
     except CatalogParseError as err:
         if err.path == path:
             raise
         # the record builders see entries only; name the file they came from
         raise CatalogParseError(err.message, err.line, path) from err
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _assemble(entries: list[tuple], path: str) -> Catalog:
@@ -132,9 +139,11 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
     groups: dict[str, CompactGroupRec] = {}
     deferred = []
     for entry in entries:
-        key, line, value, children = entry
+        key, line, _, children = entry
         if key == "catalog_version":
-            version = value
+            if version is not None:
+                raise CatalogParseError("duplicate key 'catalog_version'", line, path)
+            version = catalogfile.entry_value(entry, int, "an integer")
             continue
         if key not in _KNOWN_RECORDS:
             raise CatalogParseError(f"unknown record type '{key}'", line, path)
@@ -147,11 +156,12 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
             groups[rec.name] = rec
         else:
             deferred.append(entry)
-    if not isinstance(version, int):
+    if version is None:
         raise CatalogParseError("missing or non-integer catalog_version", 1, path)
 
     families: list[OrthRepFamily] = []
     family_names: set[str] = set()
+    first_ranks: dict[str, int | None] = {}  # domain -> first_possible_rank
     spaces: dict[str, HomSpaceRec] = {}
     holonomies: dict[tuple[str, int], HolonomyRec] = {}
     for entry in deferred:
@@ -172,7 +182,9 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
                 raise CatalogParseError(str(err), line, path) from err
             # below the domain's first_possible_rank the rule engine proves
             # that only the zero map exists, so no family may be listed there
-            r0 = first_possible_rank(domain.algebra)
+            if fam.domain not in first_ranks:
+                first_ranks[fam.domain] = first_possible_rank(domain.algebra)
+            r0 = first_ranks[fam.domain]
             if r0 is None or fam.target_r < r0:
                 raise CatalogParseError(
                     f"family {fam.name} at ({fam.domain}, {fam.target_r}) "
@@ -218,7 +230,9 @@ def load(path: str) -> Catalog:
     except UnicodeDecodeError as err:
         raise CatalogParseError(
             f"not UTF-8 text: byte {data[err.start]:#04x} ({err.reason})",
-            data.count(b"\n", 0, err.start) + 1,
+            # number lines as the parser does, by str.splitlines; the "x"
+            # stands for the bad byte, so a break just before it counts
+            len((data[: err.start].decode("utf-8") + "x").splitlines()),
             path,
         ) from err
     return loads(text, path)

@@ -50,6 +50,17 @@ class CatalogParseError(SpinrError, ValueError):
 Scalar = str | int | bool
 
 
+def entry_value(entry: tuple, kind: type, what: str):
+    """The value of a ``key: value`` entry, of exactly type ``kind``: an
+    int is never a bool."""
+    key, line, value, _ = entry
+    if value is None:
+        raise CatalogParseError(f"'{key}' must carry a value", line)
+    if value.__class__ is not kind:
+        raise CatalogParseError(f"'{key}' must be {what}, got {value!r}", line)
+    return value
+
+
 class Block:
     """One block's entries, read through a key table built in one pass that
     refuses the first key not in ``known``.  A repeated key is refused only
@@ -61,19 +72,27 @@ class Block:
         key, self.line, _, entries = entry
         if entries is None:
             raise CatalogParseError(f"'{key}' must be a block", self.line)
+        # one pass for the usual block; a loop, as a comprehension would
+        # cost a call per block on Python 3.11
         self._table = table = {}
+        for child in entries:
+            table[child[0]] = (child,)
+        if len(table) == len(entries) and known.issuperset(table):
+            return
+        # a repeated or unknown key: redo the table in file order
+        table.clear()
         for child in entries:
             k = child[0]
             if k not in known:
                 raise CatalogParseError(f"unknown key '{k}' in '{key}' block", child[1])
             table[k] = table.get(k, ()) + (child,)
 
-    def build(self, make, *args, **kwargs):
-        """``make(*args, **kwargs)``, with any ValueError it raises reported
-        at this block's line.  Read the typed keys first and pass them in,
-        so that their own errors keep the key's line."""
+    def build(self, make, *args):
+        """``make(*args)``, with any ValueError it raises reported at this
+        block's line.  Read the typed keys first and pass them in, so that
+        their own errors keep the key's line."""
         try:
-            return make(*args, **kwargs)
+            return make(*args)
         except ValueError as err:
             raise CatalogParseError(str(err), self.line) from err
 
@@ -90,29 +109,17 @@ class Block:
             raise CatalogParseError(f"duplicate key '{key}'", found[1][1])
         return found[0]
 
-    def _require(self, key: str, kind: type, what: str):
-        """The value at ``key``, of exactly type ``kind``: an int is never a bool."""
-        _, line, value, _ = self.child(key)
-        if value is None:
-            raise CatalogParseError(f"'{key}' must carry a value", line)
-        if value.__class__ is not kind:
-            raise CatalogParseError(f"'{key}' must be {what}, got {value!r}", line)
-        return value
-
     def require_str(self, key: str) -> str:
-        return self._require(key, str, "a string")
+        return entry_value(self.child(key), str, "a string")
 
     def require_int(self, key: str) -> int:
-        return self._require(key, int, "an integer")
+        return entry_value(self.child(key), int, "an integer")
 
     def require_bool(self, key: str) -> bool:
-        return self._require(key, bool, "true or false")
+        return entry_value(self.child(key), bool, "true or false")
 
     def require_list(self, key: str) -> list[Scalar]:
-        _, line, value, _ = self.child(key)
-        if value.__class__ is not list:
-            raise CatalogParseError(f"'{key}' must be a list, got {value!r}", line)
-        return value
+        return entry_value(self.child(key), list, "a list")
 
     def str_list(self, key: str) -> list[str]:
         return self._list_of(key, str, "strings")
@@ -130,10 +137,10 @@ class Block:
         return list(values)
 
 
-# One match decides every line: m.lastindex names its form, or is None
-# for a blank or comment-only line, and no match is a malformed line.  A
-# '#' outside double quotes starts a comment; a '"' runs to the next one
-# or, unterminated, to the end of the line.
+# One match decides every line: the one group that matched names its
+# form, none does for a blank or comment-only line, and no match is a
+# malformed line.  A '#' outside double quotes starts a comment; a '"'
+# runs to the next one or, unterminated, to the end of the line.
 _LINE_RE = re.compile(
     r"""\s* (?:
         (\})                                    # 1: '}' closes a block
@@ -203,37 +210,35 @@ def parse(text: str, path: str = "<catalog>") -> list[tuple]:
     """Parse catalog text into its top-level entries."""
     top = children = []
     stack = []  # the entry lists of the enclosing blocks, innermost last
-    match_line = _LINE_RE.fullmatch
     parsed = {}  # value text -> its value: most repeat, such as "[]" or "true"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = match_line(raw)
+    lines = text.splitlines()
+    for lineno, m in enumerate(map(_LINE_RE.fullmatch, lines), start=1):
         if m is None:
+            raw = lines[lineno - 1]
             raise CatalogParseError(f"cannot parse line {raw.strip()!r}", lineno, path)
-        kind = m.lastindex
-        if kind is None:
-            continue
-        if kind == 1:
+        close, key, opens, string, integer, other = m.groups()
+        # the value forms first: they are most of the lines
+        if string is not None:
+            children.append((key, lineno, string, None))
+        elif integer is not None:
+            children.append((key, lineno, int(integer), None))
+        elif other is not None:
+            other = other.rstrip()
+            value = parsed.get(other)
+            if value is None:
+                value = parsed[other] = _parse_value(other, lineno, path)
+            if value.__class__ is list:
+                value = value[:]
+            children.append((key, lineno, value, None))
+        elif opens is not None:
+            block = []
+            children.append((key, lineno, None, block))
+            stack.append(children)
+            children = block
+        elif close is not None:
             if not stack:
                 raise CatalogParseError("unmatched '}'", lineno, path)
             children = stack.pop()
-        elif kind == 3:
-            block = []
-            children.append((m.group(2), lineno, None, block))
-            stack.append(children)
-            children = block
-        else:
-            if kind == 4:
-                value = m.group(4)
-            elif kind == 5:
-                value = int(m.group(5))
-            else:
-                other = m.group(6).rstrip()
-                value = parsed.get(other)
-                if value is None:
-                    value = parsed[other] = _parse_value(other, lineno, path)
-                if value.__class__ is list:
-                    value = value[:]
-            children.append((m.group(2), lineno, value, None))
     if stack:
         # an open block is the last entry of the list that holds it
         raise CatalogParseError("unclosed block", stack[-1][-1][1], path)

@@ -406,18 +406,18 @@ def build_family(entry: tuple) -> OrthRepFamily:
     extends_to = None
     if node.child("extends_to", required=False) is not None:
         extends_to = node.require_str("extends_to")
-    images = tuple(node.build(parse_affine, t) for t in node.str_list("pi1_images"))
+    images = node.build(tuple, map(parse_affine, node.str_list("pi1_images")))
     fam = node.build(
         OrthRepFamily,
-        name=node.require_str("name"),
-        domain=node.require_str("domain"),
-        target_r=node.require_int("target_r"),
-        pi1_images=images,
-        labels=labels,
-        param_constraint=constraint,
-        distinct_classes=node.require_str("distinct_classes"),
-        extends_to=extends_to,
-        certificate=node.require_str("certificate"),
+        node.require_str("name"),
+        node.require_str("domain"),
+        node.require_int("target_r"),
+        images,
+        labels,
+        constraint,
+        node.require_str("distinct_classes"),
+        extends_to,
+        node.require_str("certificate"),
     )
     if fam.parameterized and fam.pi1_images and all(
         e.is_constant() for e in fam.pi1_images

@@ -2,6 +2,7 @@
 arbitrary edits of a valid catalog, and the generator that writes the
 bundled catalog."""
 
+import gc
 import hashlib
 import importlib.util
 import os
@@ -119,6 +120,46 @@ def test_base_catalog_loads():
     assert len(cat.families) == 2
 
 
+@settings(max_examples=60)
+@given(
+    enabled=st.booleans(),
+    text=st.one_of(
+        st.sampled_from([
+            BASE,
+            BASE.replace("n: 2", "n: 0"),  # refused while building records
+            BASE.replace("}", "", 1),  # refused by the parser
+            "catalog_version: true\n",
+        ]),
+        st.text(alphabet='catalog_version:1 {}"\n', max_size=30),
+    ),
+)
+def test_loads_leaves_the_cyclic_collector_as_it_found_it(enabled, text):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            loads(text)
+        except CatalogParseError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_load_leaves_no_cyclic_garbage():
+    # so pausing the cyclic collector during loads defers no work
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for text in (BASE, bundled_catalog_text(), load_catalog(36, 1).text):
+            gc.collect()
+            loads(text)
+            assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
+
 def test_families_at_matches_a_scan_of_every_family(catalog):
     so3_family = BASE[BASE.index('repfamily {\n  name: "so3-identity"') : BASE.index("space {")]
     two_at_so3 = loads(BASE + so3_family.replace("so3-identity", "so3-again"))
@@ -181,6 +222,13 @@ def _line_of(snippet: str, after: str = "") -> int:
          "'ideal' must be a block"),
         ('param {\n    name: "s"\n    constraint: "s in Z"\n  }', "param: s", "",
          "param {", "'param' must be a block"),
+        # a block where a list is required
+        ("torsion: []", "torsion {\n    }", "", "torsion: []",
+         "'torsion' must carry a value"),
+        ('labels: ["identity"]', "labels {\n  }", "", 'labels: ["identity"]',
+         "'labels' must carry a value"),
+        ("sigma_pi1_images: [1]", "sigma_pi1_images {\n  }", "",
+         "sigma_pi1_images: [1]", "'sigma_pi1_images' must carry a value"),
     ],
 )
 def test_loader_errors_name_the_file_and_line(
@@ -195,6 +243,31 @@ def test_loader_errors_name_the_file_and_line(
     assert str(err.value).startswith(f"{path}:{line}: ")
     assert message in str(err.value)
     assert (err.value.path, err.value.line) == (str(path), line)
+
+
+_AFTER_VERSION = BASE.split("\n", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "head, line, message",
+    [
+        ("# header\ncatalog_version: true\n", 2,
+         "'catalog_version' must be an integer, got True"),
+        ('# header\ncatalog_version: "1"\n', 2,
+         "'catalog_version' must be an integer, got '1'"),
+        ("catalog_version: 1\ncatalog_version: 2\n", 2,
+         "duplicate key 'catalog_version'"),
+        ("\ncatalog_version {\n}\n", 2, "'catalog_version' must carry a value"),
+        ("# no version\n", 1, "missing or non-integer catalog_version"),
+    ],
+    ids=["bool", "string", "repeated", "block", "missing"],
+)
+def test_catalog_version_is_read_like_every_integer_key(tmp_path, head, line, message):
+    path = tmp_path / "c.txt"
+    path.write_text(head + _AFTER_VERSION, encoding="utf-8")
+    with pytest.raises(CatalogParseError) as err:
+        load(str(path))
+    assert str(err.value) == f"{path}:{line}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -282,8 +355,14 @@ def test_a_mistyped_value_is_reported_at_its_key_and_nowhere_else(
         (b"catalog_version: 1\n\xff\n", 2),
         (b"\xc3(", 1),  # a lead byte without its continuation
         (BASE.encode() + "# café\n".encode("latin-1"), BASE.count("\n") + 1),
+        # every line break of str.splitlines counts, as in the parser
+        (b"catalog_version: 1\r\r\xff\r", 3),
+        (b"catalog_version: 1\r\n\r\n\xff\r\n", 3),
+        (b"catalog_version: 1\n\x0c\xff\n", 3),
+        ("# \u2028\n".encode() + b"\xff", 3),
     ],
-    ids=["second-line", "truncated-sequence", "latin-1-comment"],
+    ids=["second-line", "truncated-sequence", "latin-1-comment", "cr", "crlf",
+         "form-feed", "line-separator"],
 )
 def test_a_file_that_is_not_utf8_names_the_line_of_the_first_bad_byte(
     tmp_path, monkeypatch, data, line

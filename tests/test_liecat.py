@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinr.abelian import FgAbGroup
+from spinr.abelian import AbElem, AbHom, FgAbGroup
 from spinr.catalog import loads
 from spinr.catalogfile import CatalogParseError
-from spinr.liecat import NotInCatalogError, SimpleIdeal, so_group, so_pi1
+from spinr.liecat import NotInCatalogError, SimpleIdeal, so_group, so_pi1, so_pi1_map
 
 MINIMAL = """
 catalog_version: 1
@@ -43,6 +45,49 @@ def test_so_pi1_formula():
         assert so_pi1(k) == FgAbGroup(0, (2,))
     with pytest.raises(ValueError):
         so_pi1(0)
+
+
+def _checked_so_pi1_map(domain, r, values):
+    """so_pi1_map through the checked constructors: AbElem reduces and
+    checks each image, AbHom checks the length and well-definedness."""
+    cod = so_pi1(r)
+    if not cod.rank:
+        if any(values):
+            raise ValueError(f"nonzero image in the trivial pi1(SO({r}))")
+        return AbHom(domain, cod, (cod.elem(()),) * len(values))
+    return AbHom(domain, cod, tuple(cod.elem((v,)) for v in values))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+@settings(max_examples=400)
+@given(
+    orders=st.lists(st.sampled_from((0, 2, 3, 4)), max_size=4),
+    r=st.integers(1, 6),
+    values=st.lists(st.integers(-9, 9), max_size=5),
+    data=st.data(),
+)
+def test_so_pi1_map_agrees_with_the_checked_construction(orders, r, values, data):
+    # mostly one value per generator; otherwise the drawn, often wrong, length
+    if data.draw(st.booleans()):
+        values = data.draw(st.lists(st.integers(-9, 9), min_size=len(orders),
+                                    max_size=len(orders)))
+    domain = FgAbGroup(orders=orders)
+    fast = _outcome(so_pi1_map, domain, r, values)
+    checked = _outcome(_checked_so_pi1_map, domain, r, values)
+    assert fast == checked
+    if fast.__class__ is AbHom:
+        assert fast.domain is domain and fast.codomain is so_pi1(r)
+        for img in fast.images:
+            assert img.__class__ is AbElem and img.group is fast.codomain
+        assert [img.coords for img in fast.images] == [
+            img.coords for img in checked.images
+        ]
 
 
 def test_so_group_algebra_profiles():
