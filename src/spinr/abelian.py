@@ -183,18 +183,22 @@ class AbHom(namedtuple("AbHom", "domain codomain images")):
     def __new__(
         cls, domain: FgAbGroup, codomain: FgAbGroup, images: tuple[AbElem, ...]
     ):
-        if len(images) != domain.rank:
-            raise ValueError(f"{len(images)} images for {domain.rank} generators")
+        _check_image_count(domain, len(images))
         for img in images:
             if not img.group.same_presentation(codomain):
                 raise DomainMismatchError("image outside the codomain")
-        for i, img in enumerate(images):
-            d = domain.order_of_coord(i)
-            if d and not img.scale(d).is_zero():
-                raise ValueError(
-                    f"generator {domain.labels[i]} has order {d} "
-                    f"but {d} * {img.coords} != 0 in the codomain"
-                )
+        _check_well_defined(domain, codomain, [img.coords for img in images])
+        return tuple.__new__(cls, (domain, codomain, images))
+
+    @classmethod
+    def from_coords(cls, domain: FgAbGroup, codomain: FgAbGroup, coords) -> AbHom:
+        """``AbHom(domain, codomain, tuple(map(codomain.elem, coords)))``,
+        with the same checks made on the reduced integers, so that no
+        element is checked twice."""
+        coords = [codomain.reduce(c) for c in coords]
+        _check_image_count(domain, len(coords))
+        _check_well_defined(domain, codomain, coords)
+        images = tuple([tuple.__new__(AbElem, (codomain, c)) for c in coords])
         return tuple.__new__(cls, (domain, codomain, images))
 
     def apply(self, x: AbElem) -> AbElem:
@@ -207,6 +211,22 @@ class AbHom(namedtuple("AbHom", "domain codomain images")):
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images)
+
+
+def _check_image_count(domain: FgAbGroup, n: int):
+    if n != domain.rank:
+        raise ValueError(f"{n} images for {domain.rank} generators")
+
+
+def _check_well_defined(domain: FgAbGroup, codomain: FgAbGroup, coords):
+    """Refuse a generator of order d whose image, given by its reduced
+    ``coords``, has d * image != 0 in the codomain."""
+    orders = codomain.orders
+    for label, d, c in zip(domain.labels, domain.orders, coords):
+        if d and any(d * x % n if n else x for x, n in zip(c, orders)):
+            raise ValueError(
+                f"generator {label} has order {d} but {d} * {c} != 0 in the codomain"
+            )
 
 
 def zero_hom(domain: FgAbGroup, codomain: FgAbGroup) -> AbHom:

@@ -161,7 +161,6 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
 
     families: list[OrthRepFamily] = []
     family_names: set[str] = set()
-    first_ranks: dict[str, int | None] = {}  # domain -> first_possible_rank
     spaces: dict[str, HomSpaceRec] = {}
     holonomies: dict[tuple[str, int], HolonomyRec] = {}
     for entry in deferred:
@@ -182,9 +181,7 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
                 raise CatalogParseError(str(err), line, path) from err
             # below the domain's first_possible_rank the rule engine proves
             # that only the zero map exists, so no family may be listed there
-            if fam.domain not in first_ranks:
-                first_ranks[fam.domain] = first_possible_rank(domain.algebra)
-            r0 = first_ranks[fam.domain]
+            r0 = first_possible_rank(domain.algebra)
             if r0 is None or fam.target_r < r0:
                 raise CatalogParseError(
                     f"family {fam.name} at ({fam.domain}, {fam.target_r}) "

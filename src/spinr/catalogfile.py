@@ -72,15 +72,7 @@ class Block:
         key, self.line, _, entries = entry
         if entries is None:
             raise CatalogParseError(f"'{key}' must be a block", self.line)
-        # one pass for the usual block; a loop, as a comprehension would
-        # cost a call per block on Python 3.11
         self._table = table = {}
-        for child in entries:
-            table[child[0]] = (child,)
-        if len(table) == len(entries) and known.issuperset(table):
-            return
-        # a repeated or unknown key: redo the table in file order
-        table.clear()
         for child in entries:
             k = child[0]
             if k not in known:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .abelian import AbElem, AbHom, FgAbGroup
+from .abelian import AbHom, FgAbGroup
 from .catalogfile import Block, CatalogParseError, SpinrError
 
 
@@ -83,7 +83,6 @@ _SO_PI1 = (
     FgAbGroup(1, (), (SO_GENERATOR,)),
     FgAbGroup(0, (2,), (SO_GENERATOR,)),
 )
-_TRIVIAL_ELEM = _SO_PI1[0].zero()  # the one element of pi1(SO(1))
 
 
 def so_pi1(k: int) -> FgAbGroup:
@@ -96,29 +95,13 @@ def so_pi1(k: int) -> FgAbGroup:
 def so_pi1_map(domain: FgAbGroup, r: int, values) -> AbHom:
     """The map pi1(H) -> pi1(SO(r)) sending domain generator i to
     ``values[i]`` times the rotation loop.  pi1(SO(1)) is trivial, so
-    there every value must be 0.
-
-    The checks are those of ``AbHom`` (one image per generator, and
-    d * image = 0 for a generator of order d), made on the integers, so
-    the elements and the map are built without being checked again."""
+    there every value must be 0."""
     cod = so_pi1(r)
-    if not cod.orders and any(values):
+    if cod.rank:
+        return AbHom.from_coords(domain, cod, [(v,) for v in values])
+    if any(values):
         raise ValueError(f"nonzero image in the trivial pi1(SO({r}))")
-    if len(values) != len(domain.orders):
-        raise ValueError(f"{len(values)} images for {domain.rank} generators")
-    if not cod.orders:
-        images = (_TRIVIAL_ELEM,) * len(values)
-    else:
-        n = cod.orders[0]  # 0 for pi1(SO(2)) = Z, 2 above
-        coords = [v % n for v in values] if n else values
-        for label, d, c in zip(domain.labels, domain.orders, coords):
-            if d and (d * c % n if n else c):
-                raise ValueError(
-                    f"generator {label} has order {d} "
-                    f"but {d} * {(c,)} != 0 in the codomain"
-                )
-        images = tuple([tuple.__new__(AbElem, (cod, (c,))) for c in coords])
-    return tuple.__new__(AbHom, (domain, cod, images))
+    return AbHom.from_coords(domain, cod, [()] * len(values))
 
 
 def so_ideal(k: int) -> SimpleIdeal:

@@ -113,6 +113,35 @@ def test_hom_well_definedness_enforced():
     AbHom(Z2, Z, (Z.elem([0]),))  # fine
 
 
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as err:
+        return (err.__class__, str(err))
+
+
+_orders = st.lists(st.sampled_from((0, 2, 3, 4, 6)), max_size=3)
+
+
+@settings(max_examples=400)
+@given(domain=_orders, codomain=_orders, data=st.data())
+def test_hom_from_coords_agrees_with_the_checked_construction(domain, codomain, data):
+    domain, codomain = FgAbGroup(orders=domain), FgAbGroup(orders=codomain)
+    # mostly one image per generator, each of the codomain's rank; else any
+    n = data.draw(st.one_of(st.just(domain.rank), st.integers(0, 4)))
+    width = data.draw(st.one_of(st.just(codomain.rank), st.integers(0, 4)))
+    coords = data.draw(st.lists(st.lists(st.integers(-13, 13), min_size=width,
+                                         max_size=width), min_size=n, max_size=n))
+    fast = _outcome(AbHom.from_coords, domain, codomain, coords)
+    checked = _outcome(
+        lambda: AbHom(domain, codomain, tuple(map(codomain.elem, coords)))
+    )
+    assert fast == checked
+    if fast.__class__ is AbHom:
+        assert fast.domain is domain and fast.codomain is codomain
+        assert all(img.group is codomain for img in fast.images)
+
+
 def test_compose_mod2_after_times3():
     times3 = AbHom(Z, Z, (Z.elem([3]),))
     red = mod2(Z)

@@ -123,37 +123,6 @@ def test_the_first_unknown_key_is_refused_when_the_block_is_read():
     assert str(err.value) == "<catalog>:4: unknown key 'x' in 'b' block"
 
 
-def _table_by_loop(entry, known):
-    """A block's key table built one child at a time, refusing the first
-    unknown key in file order."""
-    key, _, _, entries = entry
-    table = {}
-    for child in entries:
-        k = child[0]
-        if k not in known:
-            raise CatalogParseError(f"unknown key '{k}' in '{key}' block", child[1])
-        table[k] = table.get(k, ()) + (child,)
-    return table
-
-
-@settings(max_examples=300)
-@given(
-    keys=st.lists(st.sampled_from("abcxy"), max_size=8),
-    known=st.frozensets(st.sampled_from("abcx")),
-)
-def test_the_one_pass_block_table_agrees_with_the_per_child_loop(keys, known):
-    entries = [(k, line, line, None) for line, k in enumerate(keys, start=2)]
-    entry = ("b", 1, None, entries)
-    try:
-        expected = _table_by_loop(entry, known)
-    except CatalogParseError as err:
-        with pytest.raises(CatalogParseError) as got:
-            Block(entry, known)
-        assert (got.value.message, got.value.line) == (err.message, err.line)
-        return
-    assert Block(entry, known)._table == expected
-
-
 @pytest.mark.parametrize(
     "line, value",
     [
