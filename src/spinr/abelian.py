@@ -89,10 +89,6 @@ class FgAbGroup:
             return False
         return self.labels == other.labels if labels else True
 
-    def order_of_coord(self, i: int) -> int:
-        """Order of generator i (0 marks an infinite-order generator)."""
-        return self.orders[i]
-
     def reduce(self, coords) -> tuple[int, ...]:
         out = []
         for d, c in zip(self.orders, coords, strict=True):
@@ -112,9 +108,6 @@ class FgAbGroup:
 
     def generators(self) -> list[AbElem]:
         return [self.generator(i) for i in range(self.rank)]
-
-    def is_trivial(self) -> bool:
-        return self.rank == 0
 
     def elements(self):
         """Iterate all elements; only allowed for finite groups."""
@@ -229,14 +222,6 @@ def _check_well_defined(domain: FgAbGroup, codomain: FgAbGroup, coords):
             )
 
 
-def zero_hom(domain: FgAbGroup, codomain: FgAbGroup) -> AbHom:
-    return AbHom(domain, codomain, tuple(codomain.zero() for _ in range(domain.rank)))
-
-
-def identity_hom(g: FgAbGroup) -> AbHom:
-    return AbHom(g, g, tuple(g.generators()))
-
-
 def compose(f: AbHom, g: AbHom) -> AbHom:
     """f after g.  Requires codomain(g) = domain(f) coordinatewise.
 
@@ -261,18 +246,13 @@ def direct_product(
     return FgAbGroup(orders=a.orders + b.orders, labels=labels)
 
 
-def product_elem(p: FgAbGroup, a: AbElem, b: AbElem) -> AbElem:
-    """Element (a, b) of a product built by :func:`direct_product`."""
-    return p.elem(a.coords + b.coords)
-
-
 def product_hom(f: AbHom, g: AbHom, prefixes: tuple[str, str] = ("1", "2")) -> AbHom:
     """(f x g) on a shared domain: x -> (f(x), g(x))."""
     if not f.domain.same_presentation(g.domain):
         raise DomainMismatchError("factors must share a domain")
     target = direct_product(f.codomain, g.codomain, prefixes)
     images = tuple(
-        product_elem(target, fi, gi) for fi, gi in zip(f.images, g.images)
+        target.elem(fi.coords + gi.coords) for fi, gi in zip(f.images, g.images)
     )
     return AbHom(f.domain, target, images)
 

@@ -18,7 +18,7 @@ from importlib import resources
 from . import catalogfile
 from .catalogfile import CatalogParseError, SpinrError
 from .liecat import CompactGroupRec, NotInCatalogError, build_group
-from .repcat import OrthRepFamily, build_family, first_possible_rank
+from .repcat import OrthRepFamily, build_family, no_nontrivial_hom
 from .spaces import HolonomyRec, HomSpaceRec, build_holonomy, build_space
 
 ENV_CATALOG = "SPINR_CATALOG"
@@ -179,10 +179,7 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
                 fam.validate_against(domain)
             except ValueError as err:
                 raise CatalogParseError(str(err), line, path) from err
-            # below the domain's first_possible_rank the rule engine proves
-            # that only the zero map exists, so no family may be listed there
-            r0 = first_possible_rank(domain.algebra)
-            if r0 is None or fam.target_r < r0:
+            if no_nontrivial_hom(domain.algebra, fam.target_r):
                 raise CatalogParseError(
                     f"family {fam.name} at ({fam.domain}, {fam.target_r}) "
                     f"contradicts the rule engine's non-existence proof",

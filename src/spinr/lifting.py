@@ -30,7 +30,6 @@ from .abelian import (
     image_subgroup,
     mod2,
     product_hom,
-    zero_hom,
 )
 from .liecat import so_pi1, so_pi1_map
 
@@ -122,11 +121,6 @@ def lifts(q: LiftQuery) -> LiftVerdict:
         if not contains(target, img):
             failures.append((label, img))
     return LiftVerdict(lifts=not failures, witness_failures=tuple(failures))
-
-
-def spin_lift_query(sigma_pi1: AbHom, n: int) -> LiftQuery:
-    """The classical (untwisted) case: r = 1, trivial twist."""
-    return LiftQuery(n, 1, sigma_pi1, zero_hom(sigma_pi1.domain, so_pi1(1)))
 
 
 def inclusion_pi1(r: int, s: int) -> AbHom:

@@ -13,8 +13,10 @@ exhaustive only when it carries a citation, or when the rule engine
 proves outright that every Lie algebra homomorphism into so(r) is zero.
 The engine's rules are necessary conditions on the kernel, which must
 be a sum of simple ideals plus a central subspace; the engine can
-therefore say "impossible" with a proof trace, or "cannot rule out",
-but it never asserts existence.
+therefore prove that only the zero map exists, or say "cannot rule
+out", but it never asserts existence.  The verdict is decided once, in
+closed form, by :func:`first_possible_rank`; :func:`hom_rule_trace`
+writes the proof text behind it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class Congruence(namedtuple("Congruence", "modulus residue")):
     def contains(self, s: int) -> bool:
         return s % self.modulus == self.residue
 
-    def sample(self, count: int = 3) -> list[int]:
+    def sample(self, count: int) -> list[int]:
         """A few admissible values, straddling zero."""
         return [self.residue + k * self.modulus for k in range(-(count // 2), count - count // 2)]
 
@@ -224,8 +226,10 @@ class OrthRepFamily(
                 f"family {self.name}: {len(self.pi1_images)} images for "
                 f"{group.pi1.rank} generators of {self.domain}"
             )
+        # an affine image that is integral and well defined at two
+        # consecutive admissible values is so at every admissible value
         samples = (
-            self.param_constraint.sample(3) if self.parameterized else [None]
+            self.param_constraint.sample(2) if self.parameterized else [None]
         )
         for s in samples:
             self.pi1_map(group.pi1, self.target_r, s)  # raises if ill-defined
@@ -234,9 +238,8 @@ class OrthRepFamily(
 # --- the non-existence rule engine ---------------------------------------------
 
 class RuleTrace(NamedTuple):
-    """Outcome of the kernel-candidate scan, printable as a proof sketch."""
+    """The kernel-candidate scan, printable as a proof sketch."""
 
-    impossible: bool
     lines: tuple[str, ...]
 
     def __str__(self):
@@ -244,7 +247,8 @@ class RuleTrace(NamedTuple):
 
 
 def no_nontrivial_hom(a: AlgebraProfile, r: int) -> bool:
-    """The rule engine's verdict at r, without its proof text."""
+    """The rule engine's verdict: True when only the zero map a -> so(r)
+    exists."""
     r0 = first_possible_rank(a)
     return r0 is None or r < r0
 
@@ -273,7 +277,8 @@ def _ideal_rank(ideal: SimpleIdeal) -> int:
 
 
 def hom_rule_trace(a: AlgebraProfile, r: int) -> RuleTrace:
-    """Try every candidate kernel of a Lie algebra map a -> so(r).
+    """The proof text behind :func:`no_nontrivial_hom`: every candidate
+    kernel of a Lie algebra map a -> so(r) and why it dies.
 
     A kernel is a sum of simple ideals plus a central subspace, so the
     candidate quotients are: any sub-multiset of ideals plus any centre
@@ -285,16 +290,17 @@ def hom_rule_trace(a: AlgebraProfile, r: int) -> RuleTrace:
     * each surviving simple ideal needs a nontrivial orthogonal
       representation of dimension <= r.
 
-    Impossible when no nonzero quotient passes; the trace records why
-    each candidate dies, in kernel-scan order.  For one set of ideals
-    only the dimension test depends on the centre dimension d, so the
-    centre dimensions d >= 1 fall into at most two runs, those that fit
-    and those that exceed; a run of several candidates is one line.
+    The trace records the outcome of each candidate in kernel-scan
+    order, and closes with the non-existence line when the verdict
+    holds.  For one set of ideals only the dimension test depends on the
+    centre dimension d, so the centre dimensions d >= 1 fall into at
+    most two runs, those that fit and those that exceed; a run of
+    several candidates is one line.
     """
     so_r_dim = r * (r - 1) // 2
-    lines = [f"maps {describe_algebra(a)} -> so({r}) (dim {so_r_dim})"]
+    algebra = _describe_sum(a.ideals, a.center_rank)
+    lines = [f"maps {algebra} -> so({r}) (dim {so_r_dim})"]
     ideals = list(a.ideals)
-    survivor_found = False
     for mask in range(1 << len(ideals)):
         kept = [ideals[i] for i in range(len(ideals)) if mask & (1 << i)]
         ideal_dim = sum(i.dim for i in kept)
@@ -305,57 +311,53 @@ def hom_rule_trace(a: AlgebraProfile, r: int) -> RuleTrace:
             (max(1, fit + 1), a.center_rank),
         )
         for lo, hi in runs:
-            if lo > hi:
-                continue
-            line, survives = _quotient_outcome(kept, ideal_dim, lo, hi, r, so_r_dim)
-            lines.append(line)
-            survivor_found = survivor_found or survives
-    if not survivor_found:
+            if lo <= hi:
+                lines.append(_quotient_outcome(kept, ideal_dim, lo, hi, r, so_r_dim))
+    if no_nontrivial_hom(a, r):
         lines.append("every nonzero quotient is excluded: only the zero map exists")
-    return RuleTrace(impossible=not survivor_found, lines=tuple(lines))
+    return RuleTrace(tuple(lines))
 
 
-def _quotient_outcome(kept, ideal_dim, lo, hi, r, so_r_dim) -> tuple[str, bool]:
-    """One trace line for the quotients kept + R^d, lo <= d <= hi, which
-    share one outcome; True when they cannot be ruled out."""
+def _quotient_outcome(kept, ideal_dim, lo, hi, r, so_r_dim) -> str:
+    """The trace line for the quotients kept + R^d, lo <= d <= hi, which
+    share one outcome."""
     if lo == hi:
-        quotient = _describe_quotient(kept, lo)
+        quotient = _describe_sum(kept, lo)
         qdim = f"dim {ideal_dim + lo}"
     else:
-        quotient = f"{_describe_quotient(kept, 'd')} for {lo} ≤ d ≤ {hi}"
+        quotient = f"{_describe_sum(kept, 'd')} for {lo} ≤ d ≤ {hi}"
         qdim = f"dim {ideal_dim + lo} to {ideal_dim + hi}"
     if ideal_dim + lo > so_r_dim:
-        return f"quotient {quotient} ({qdim}) exceeds dim so({r})", False
+        return f"quotient {quotient} ({qdim}) exceeds dim so({r})"
     if r <= 2 and kept:
-        return f"quotient {quotient} is non-abelian but so({r}) is abelian", False
+        return f"quotient {quotient} is non-abelian but so({r}) is abelian"
     bad = [i for i in kept if i.min_orth_rep_dim > r]
     if bad:
         return (
             f"quotient {quotient}: ideal {bad[0].kind} has no "
             f"nontrivial orthogonal representation below dim "
-            f"{bad[0].min_orth_rep_dim} > {r}",
-            False,
+            f"{bad[0].min_orth_rep_dim} > {r}"
         )
-    return f"quotient {quotient} ({qdim}) cannot be ruled out", True
+    return f"quotient {quotient} ({qdim}) cannot be ruled out"
 
 
-def describe_algebra(a: AlgebraProfile) -> str:
-    parts = [i.kind for i in a.ideals]
-    if a.center_rank:
-        parts.append(f"R^{a.center_rank}")
-    return " + ".join(parts) if parts else "0"
-
-
-def _describe_quotient(kept, center_dim) -> str:
-    parts = [i.kind for i in kept]
+def _describe_sum(ideals, center_dim) -> str:
+    """The ideal kinds plus R^center_dim, joined by ' + '; '0' when empty."""
+    parts = [i.kind for i in ideals]
     if center_dim:
         parts.append(f"R^{center_dim}")
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 # --- enumeration ----------------------------------------------------------------
 
 TRIVIAL_FAMILY_NAME = "trivial"
+DIAGONAL_FAMILY_NAME = "diagonal(isotropy)"  # the canonical rank-n twist
+HOLONOMY_DIAGONAL_NAME = "diagonal(holonomy)"  # a holonomy's own twist, r = m
+# the answers give their own classes these names, so no family may take one
+RESERVED_FAMILY_NAMES = frozenset(
+    {TRIVIAL_FAMILY_NAME, DIAGONAL_FAMILY_NAME, HOLONOMY_DIAGONAL_NAME}
+)
 
 
 def trivial_family(domain: str, r: int, domain_rank: int) -> OrthRepFamily:
@@ -380,9 +382,6 @@ class EnumResult(NamedTuple):
     families: tuple[OrthRepFamily, ...]
     complete: bool
     certificate: str
-
-    def nontrivial(self) -> tuple[OrthRepFamily, ...]:
-        return tuple(f for f in self.families if f.name != TRIVIAL_FAMILY_NAME)
 
 
 _FAMILY_KEYS = frozenset({
@@ -419,6 +418,8 @@ def build_family(entry: tuple) -> OrthRepFamily:
         extends_to,
         node.require_str("certificate"),
     )
+    if fam.name in RESERVED_FAMILY_NAMES:
+        raise CatalogParseError(f"family name '{fam.name}' is reserved", node.line)
     if fam.parameterized and fam.pi1_images and all(
         e.is_constant() for e in fam.pi1_images
     ):
@@ -446,7 +447,7 @@ def enumerate_homs(catalog, H: str, r: int) -> EnumResult:
             return EnumResult(H, r, families, False, "incomplete")
         cert = "; ".join(f.certificate for f in listed)
         return EnumResult(H, r, families, True, cert)
-    trace = hom_rule_trace(group.algebra, r)
-    if trace.impossible:
-        return EnumResult(H, r, families, True, f"rule engine: {trace}")
-    return EnumResult(H, r, families, False, f"rule engine: {trace}")
+    return EnumResult(
+        H, r, families, no_nontrivial_hom(group.algebra, r),
+        f"rule engine: {hom_rule_trace(group.algebra, r)}",
+    )

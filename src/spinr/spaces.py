@@ -24,6 +24,8 @@ from .catalogfile import Block, CatalogParseError, SpinrError
 from .lifting import LiftQuery, lifts, parity
 from .liecat import so_pi1, so_pi1_map
 from .repcat import (
+    DIAGONAL_FAMILY_NAME,
+    HOLONOMY_DIAGONAL_NAME,
     Congruence,
     OrthRepFamily,
     enumerate_homs,
@@ -42,9 +44,6 @@ class InvalidArgumentError(SpinrError, ValueError):
 
 class InconsistentCatalogError(SpinrError, RuntimeError):
     """The catalog's data contradicts the existence theorem."""
-
-
-DIAGONAL_FAMILY_NAME = "diagonal(isotropy)"
 
 
 class HomSpaceRec(NamedTuple):
@@ -452,9 +451,7 @@ def holonomy_lift(catalog, group: str, m: int, r: int) -> HolonomyVerdict:
     enum = enumerate_homs(catalog, group, r)
     via, rejected = _lift_families(m, rec.h_pi1, enum.families, g.pi1)
     if r == m:
-        via.append(
-            ClassRecord(family="diagonal(holonomy)", label="diagonal")
-        )
+        via.append(ClassRecord(family=HOLONOMY_DIAGONAL_NAME, label="diagonal"))
     if via:
         return HolonomyVerdict(
             group, m, r, "yes", tuple(via), enum.complete, enum.certificate,

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 import re
+from typing import NamedTuple
 
 import numpy as np
 
 from spinr.abelian import AbElem, Subgroup
 from spinr.catalogfile import CatalogParseError
-from spinr.repcat import RuleTrace, describe_algebra
+from spinr.repcat import RuleTrace
 from spinr.spaces import (
     InconsistentCatalogError,
     SpinTypeResult,
@@ -44,7 +45,7 @@ def brute_force_contains(s: Subgroup, x: AbElem, box: int = COEFF_BOX) -> bool:
     )
     combos = coeffs @ gens
     for j in range(amb.rank):
-        d = amb.order_of_coord(j)
+        d = amb.orders[j]
         if d:
             combos[:, j] %= d
     return bool((combos == np.array(x.coords, dtype=np.int64)).all(axis=1).any())
@@ -249,11 +250,24 @@ def reference_parse(text: str, path: str = "<catalog>") -> list[tuple]:
 
 # --- reference kernel scan -----------------------------------------------------
 
-def scan_hom_rule_trace(a, r: int) -> RuleTrace:
+class ScanVerdict(NamedTuple):
+    """The scan's own verdict and the trace it wrote."""
+
+    impossible: bool
+    trace: RuleTrace
+
+
+def _sum_text(kinds, center_dim) -> str:
+    return " + ".join(list(kinds) + ([f"R^{center_dim}"] if center_dim else [])) or "0"
+
+
+def scan_hom_rule_trace(a, r: int) -> ScanVerdict:
     """The rule engine's kernel scan with one trace line per candidate
-    quotient, every centre dimension visited in turn."""
+    quotient, every centre dimension visited in turn.  A map is ruled out
+    when no nonzero quotient survives, decided here by the scan itself."""
     so_r_dim = r * (r - 1) // 2
-    lines = [f"maps {describe_algebra(a)} -> so({r}) (dim {so_r_dim})"]
+    header = _sum_text((i.kind for i in a.ideals), a.center_rank)
+    lines = [f"maps {header} -> so({r}) (dim {so_r_dim})"]
     ideals = list(a.ideals)
     survivor_found = False
     for mask in range(1 << len(ideals)):
@@ -262,9 +276,7 @@ def scan_hom_rule_trace(a, r: int) -> RuleTrace:
             if not kept and center_dim == 0:
                 continue  # the zero quotient is the trivial homomorphism
             qdim = center_dim + sum(i.dim for i in kept)
-            quotient = " + ".join(
-                [i.kind for i in kept] + ([f"R^{center_dim}"] if center_dim else [])
-            )
+            quotient = _sum_text((i.kind for i in kept), center_dim)
             if qdim > so_r_dim:
                 lines.append(
                     f"quotient {quotient} (dim {qdim}) exceeds dim so({r})"
@@ -287,7 +299,7 @@ def scan_hom_rule_trace(a, r: int) -> RuleTrace:
             survivor_found = True
     if not survivor_found:
         lines.append("every nonzero quotient is excluded: only the zero map exists")
-    return RuleTrace(impossible=not survivor_found, lines=tuple(lines))
+    return ScanVerdict(not survivor_found, RuleTrace(tuple(lines)))
 
 
 def scan_invariant_spin_type(catalog, space) -> SpinTypeResult:

@@ -262,6 +262,26 @@ def test_a_second_family_of_the_same_name_exits_four_at_its_line(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "name", ["trivial", "diagonal(isotropy)", "diagonal(holonomy)"]
+)
+def test_a_family_under_a_reserved_name_exits_four_at_its_line(tmp_path, name):
+    # the answers give these names to the zero map and the diagonal
+    # twists; loaded, a family named "trivial" was listed both as a class
+    # and as a rejected family
+    text = bundled_catalog_text().replace('"u2-det-powers"', f'"{name}"')
+    path = tmp_path / "reserved.txt"
+    path.write_text(text, encoding="utf-8")
+    res = run("--catalog", str(path), "classify", "S5:U(3)", "--r", "2")
+    at = text.index(f'name: "{name}"')
+    line = text[: text.rindex("repfamily {", 0, at)].count("\n") + 1
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert res.stderr == (
+        f"catalog error: {path}:{line}: family name '{name}' is reserved\n"
+    )
+
+
 def test_catalog_env_var_override(tmp_path):
     path = tmp_path / "broken.txt"
     path.write_text("nonsense!\n", encoding="utf-8")

@@ -12,7 +12,6 @@ from spinr.abelian import (
     contains,
     subgroup_eq,
     subgroup_index,
-    zero_hom,
 )
 from spinr.liecat import so_pi1
 from spinr.lifting import (
@@ -22,8 +21,8 @@ from spinr.lifting import (
     induce,
     lift_subgroup,
     lifts,
-    spin_lift_query,
 )
+from test_abelian import zero_hom
 
 
 def test_doctests():
@@ -150,6 +149,11 @@ def test_mismatched_domains_rejected():
     b = FgAbGroup(0, (2,), ("x",))
     with pytest.raises(DomainMismatchError):
         LiftQuery(3, 2, zero_hom(a, so_pi1(3)), zero_hom(b, so_pi1(2)))
+
+
+def spin_lift_query(sigma_pi1: AbHom, n: int) -> LiftQuery:
+    """The classical (untwisted) case: r = 1, trivial twist."""
+    return LiftQuery(n, 1, sigma_pi1, zero_hom(sigma_pi1.domain, so_pi1(1)))
 
 
 def test_spin_criterion_iff_zero_isotropy_class():

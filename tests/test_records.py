@@ -74,7 +74,7 @@ RECORDS = [
      ("name", "domain", "target_r", "pi1_images", "labels", "param_constraint",
       "distinct_classes", "extends_to", "certificate"),
      _family),
-    (RuleTrace, ("impossible", "lines"), lambda: RuleTrace(True, ("a", "b"))),
+    (RuleTrace, ("lines",), lambda: RuleTrace(("a", "b"))),
     (EnumResult, ("domain", "r", "families", "complete", "certificate"),
      lambda: EnumResult("SO(3)", 3, (_family(),), True, "c")),
     (LiftQuery, ("n", "r", "sigma_pi1", "phi_pi1"),

@@ -9,10 +9,13 @@ from oracles import scan_hom_rule_trace
 
 from spinr.catalog import loads
 from spinr.catalogfile import CatalogParseError
-from spinr.liecat import AlgebraProfile, SimpleIdeal, so_group
+from spinr.abelian import FgAbGroup
+from spinr.liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_group
 from spinr.repcat import (
+    TRIVIAL_FAMILY_NAME,
     AffineInt,
     Congruence,
+    OrthRepFamily,
     enumerate_homs,
     first_possible_rank,
     hom_rule_trace,
@@ -23,6 +26,14 @@ from spinr.repcat import (
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from gencat import load_catalog, scale_catalog  # noqa: E402  (the benchmark's generators)
+
+
+CLOSING_LINE = "every nonzero quotient is excluded: only the zero map exists"
+
+
+def nontrivial(res):
+    """The listed families of an enumeration: all but the synthetic zero map."""
+    return tuple(f for f in res.families if f.name != TRIVIAL_FAMILY_NAME)
 
 
 def sp_ideal(k):
@@ -41,6 +52,53 @@ def test_congruence_parse_and_render():
     assert str(parse_congruence("s ≡ 2 mod 4")) == "s ≡ 2 mod 4"
     with pytest.raises(ValueError):
         parse_congruence("whenever s feels like it")
+
+
+_ORDERS = st.sampled_from([0, 2, 3, 4])
+_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
+
+
+def _first_error_on_window(fam, group, width=8):
+    """The first error of the family's map over 2 * width admissible
+    values, its two samples first, or None."""
+    c = fam.param_constraint
+    ks = [-1, 0] + [k for j in range(1, width) for k in (j, -1 - j)]
+    for k in ks:
+        try:
+            fam.pi1_map(group.pi1, fam.target_r, c.residue + k * c.modulus)
+        except ValueError as err:
+            return str(err)
+    return None
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(_ORDERS, min_size=1, max_size=2),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_validate_against_agrees_with_a_window_of_admissible_values(
+    orders, r, modulus, residue, data
+):
+    # an affine image integral and well defined at two consecutive
+    # admissible values is so at all of them: the two samples decide
+    group = CompactGroupRec(
+        "D", FgAbGroup(orders=orders), AlgebraProfile(1), True, "generated"
+    )
+    images = tuple(
+        data.draw(st.builds(AffineInt, _RATIONALS, _RATIONALS)) for _ in orders
+    )
+    fam = OrthRepFamily(
+        "f", "D", r, images, param_constraint=Congruence(modulus, residue)
+    )
+    try:
+        fam.validate_against(group)
+        outcome = None
+    except ValueError as err:
+        outcome = str(err)
+    assert outcome == _first_error_on_window(fam, group)
 
 
 def test_congruence_samples_are_admissible():
@@ -116,8 +174,11 @@ def test_abelian_algebra_small_targets():
 
 
 def test_rule_trace_mentions_reasons():
-    trace = hom_rule_trace(so_group(4).algebra, 2)
-    assert trace.impossible
+    algebra = so_group(4).algebra
+    assert no_nontrivial_hom(algebra, 2)
+    assert scan_hom_rule_trace(algebra, 2).impossible
+    trace = hom_rule_trace(algebra, 2)
+    assert trace.lines[-1] == CLOSING_LINE
     text = str(trace)
     assert "so(3)" in text
     assert "exceeds" in text or "abelian" in text
@@ -153,9 +214,10 @@ _IDEALS = st.builds(
 )
 def test_rule_trace_verdict_matches_full_scan(algebra, r):
     trace, scan = hom_rule_trace(algebra, r), scan_hom_rule_trace(algebra, r)
-    assert trace.impossible == scan.impossible
+    assert no_nontrivial_hom(algebra, r) == scan.impossible
+    assert (trace.lines[-1] == CLOSING_LINE) == scan.impossible
     if algebra.center_rank <= 1:
-        assert trace == scan  # every run is one candidate: same wording
+        assert trace == scan.trace  # every run is one candidate: same wording
     assert len(trace.lines) <= 3 * 2 ** len(algebra.ideals) + 2
 
 
@@ -164,8 +226,9 @@ def test_rule_trace_verdict_matches_full_scan(algebra, r):
 def _threshold_agrees(algebra, below: int):
     r0 = first_possible_rank(algebra)
     for r in range(1, below):
-        assert hom_rule_trace(algebra, r).impossible == (r0 is None or r < r0), r
-        assert no_nontrivial_hom(algebra, r) == (r0 is None or r < r0), r
+        verdict = r0 is None or r < r0
+        assert scan_hom_rule_trace(algebra, r).impossible == verdict, r
+        assert no_nontrivial_hom(algebra, r) == verdict, r
 
 
 def test_threshold_matches_rule_engine_on_every_catalog_group(catalog):
@@ -220,7 +283,7 @@ _PROFILES = st.builds(
 @given(_PROFILES)
 def test_threshold_is_the_rule_engine_verdict_and_upward_closed(algebra):
     r0 = first_possible_rank(algebra)
-    impossible = [hom_rule_trace(algebra, r).impossible for r in range(1, 40)]
+    impossible = [scan_hom_rule_trace(algebra, r).impossible for r in range(1, 40)]
     # upward closed: once a map cannot be ruled out, it never can again
     assert impossible == sorted(impossible, reverse=True)
     assert impossible == [r0 is None or r < r0 for r in range(1, 40)]
@@ -230,12 +293,12 @@ def test_rule_trace_identical_to_scan_on_bundled_groups(catalog):
     for group in catalog.groups.values():
         for r in range(1, 20):
             trace = hom_rule_trace(group.algebra, r)
-            assert trace == scan_hom_rule_trace(group.algebra, r)
+            assert trace == scan_hom_rule_trace(group.algebra, r).trace
 
 
 def test_rule_trace_bounded_in_centre_rank():
     trace = hom_rule_trace(AlgebraProfile(100000), 3)
-    assert not trace.impossible
+    assert not no_nontrivial_hom(AlgebraProfile(100000), 3)
     assert trace.lines == (
         "maps R^100000 -> so(3) (dim 3)",
         "quotient R^d for 1 ≤ d ≤ 3 (dim 1 to 3) cannot be ruled out",
@@ -248,7 +311,7 @@ def test_rule_trace_bounded_in_centre_rank():
 def test_enumerate_u_groups_at_rank_two(catalog):
     res = enumerate_homs(catalog, "U(3)", 2)
     assert res.complete
-    fams = res.nontrivial()
+    fams = nontrivial(res)
     assert len(fams) == 1
     assert fams[0].parameterized
     assert str(fams[0].param_constraint) == "s ∈ Z"
@@ -257,7 +320,7 @@ def test_enumerate_u_groups_at_rank_two(catalog):
 def test_enumerate_odd_so_at_own_rank(catalog):
     res = enumerate_homs(catalog, "SO(5)", 5)
     assert res.complete
-    (fam,) = res.nontrivial()
+    (fam,) = nontrivial(res)
     assert fam.labels == ("identity",)
 
 
@@ -265,28 +328,28 @@ def test_enumerate_odd_so_at_own_rank(catalog):
 def test_enumerate_even_so_at_own_rank(catalog, n):
     res = enumerate_homs(catalog, f"SO({n})", n)
     assert res.complete
-    (fam,) = res.nontrivial()
+    (fam,) = nontrivial(res)
     assert fam.labels == ("identity", "conjugate-by-reflection")
 
 
 def test_enumerate_sp_sp1_at_rank_three(catalog):
     res = enumerate_homs(catalog, "Sp(2)·Sp(1)", 3)
     assert res.complete
-    (fam,) = res.nontrivial()
+    (fam,) = nontrivial(res)
     assert fam.labels == ("sp1-adjoint",)
 
 
 def test_enumerate_so4_at_rank_four_incomplete(catalog):
     res = enumerate_homs(catalog, "SO(4)", 4)
     assert not res.complete
-    assert any(f.labels == ("identity",) for f in res.nontrivial())
+    assert any(f.labels == ("identity",) for f in nontrivial(res))
 
 
 def test_enumerate_rank_one_always_complete(catalog):
     for name in ["SO(5)", "U(3)", "Sp(2)·Sp(1)", "G2"]:
         res = enumerate_homs(catalog, name, 1)
         assert res.complete
-        assert not res.nontrivial()
+        assert not nontrivial(res)
         assert len(res.families) == 1
 
 
@@ -300,7 +363,7 @@ def test_enumerate_unknown_group(catalog):
 # --- parameterised pi1 maps against hand computation ----------------------------------
 
 def test_det_power_pi1_values(catalog):
-    (fam,) = enumerate_homs(catalog, "U(2)", 2).nontrivial()
+    (fam,) = nontrivial(enumerate_homs(catalog, "U(2)", 2))
     u2 = catalog.lookup("U(2)").pi1
     # winding of det^s on the center loop is s
     for s in (-3, 0, 5):
@@ -308,7 +371,7 @@ def test_det_power_pi1_values(catalog):
 
 
 def test_circle_power_pi1_values_on_quotient(catalog):
-    (fam,) = enumerate_homs(catalog, "Sp(1)·U(1)", 2).nontrivial()
+    (fam,) = nontrivial(enumerate_homs(catalog, "Sp(1)·U(1)", 2))
     dom = catalog.lookup("Sp(1)·U(1)").pi1
     # the half-diagonal generator maps to winding s/2, s even
     for s, expect in ((-2, -1), (0, 0), (6, 3)):
@@ -318,12 +381,37 @@ def test_circle_power_pi1_values_on_quotient(catalog):
 
 
 def test_adjoint_twist_pi1_value(catalog):
-    (fam,) = enumerate_homs(catalog, "Sp(2)·Sp(1)", 3).nontrivial()
+    (fam,) = nontrivial(enumerate_homs(catalog, "Sp(2)·Sp(1)", 3))
     dom = catalog.lookup("Sp(2)·Sp(1)").pi1
     assert fam.pi1_map(dom, 3).images[0].coords == (1,)
 
 
 # --- soundness cross-check ----------------------------------------------------------------
+
+def test_unlisted_ranks_are_decided_by_the_closed_form(catalog):
+    # at a rank with no listed family, enumerate_homs is complete exactly
+    # when first_possible_rank excludes a map, and cites the kernel scan
+    catalogs = (
+        catalog,
+        loads(load_catalog(36, 1).text, "load.txt"),
+        loads(scale_catalog(200, 1).text, "scale.txt"),
+    )
+    checked = 0
+    for cat in catalogs:
+        for name, group in cat.groups.items():
+            a = group.algebra
+            r0 = first_possible_rank(a)
+            for r in range(1, (2 if r0 is None else r0) + 2):
+                if cat.families_at(name, r):
+                    continue
+                res = enumerate_homs(cat, name, r)
+                scan = scan_hom_rule_trace(a, r)
+                assert res.complete == no_nontrivial_hom(a, r) == scan.impossible
+                if a.center_rank <= 1:  # no run of centre dimensions merges
+                    assert res.certificate == f"rule engine: {scan.trace}"
+                checked += 1
+    assert checked > 300
+
 
 def test_no_family_contradicts_the_rule_engine(catalog):
     for fam in catalog.families:

@@ -2,11 +2,15 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from spinr.liecat import so_group
+from spinr.repcat import hom_rule_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "spinr"
@@ -111,6 +115,29 @@ def test_importing_the_cli_leaves_out_dataclasses_and_json():
         check=True,
     )
     assert out.stdout.split("\n") == ["[]", "[]", ""]
+
+
+def test_every_site_the_benchmark_tracer_wraps_exists():
+    # perfbench/tracer.py wraps spinr's functions by (module, attribute)
+    # name and reads `.lines` off each rule trace; after a rename a traced
+    # cli child dies, and the run still reports "correct": true
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_spinr_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    importlib.import_module("spinr.cli")
+    missing = [
+        f"{module}.{attr}"
+        for table in (tracer.SPANNED, tracer.COUNTED)
+        for sites in table.values()
+        for module, attr in sites
+        if not hasattr(sys.modules.get(module), attr)
+    ]
+    assert missing == []
+    result = hom_rule_trace(so_group(4).algebra, 3)
+    t = tracer.Tracer()
+    t._count_result("repcat.hom_rule_trace", (), result)
+    assert t.extra["repcat.hom_rule_trace.lines"] == len(result.lines) > 1
 
 
 def test_patterns_compile_on_python_3_10():

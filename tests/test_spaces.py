@@ -310,9 +310,9 @@ def _group_block(name, orders, center, ideals, connected):
 @st.composite
 def small_catalogs(draw, parameterized: bool = False):
     """One space X over a generated stabiliser H and a few families
-    listed at random ranks: finite or parameterised, some incomplete,
-    possibly one named "trivial".  With `parameterized`, every family
-    (at least one) has an integer parameter.
+    listed at random ranks: finite or parameterised, some incomplete.
+    With `parameterized`, every family (at least one) has an integer
+    parameter.
 
     H has a centre (the rule engine then cannot rule out a map at any
     rank r >= 2) or none, and up to two simple ideals whose first
@@ -349,9 +349,8 @@ def small_catalogs(draw, parameterized: bool = False):
     if r0 is not None:
         rank |= st.integers(r0, r0 + 1)
     ranks = draw(st.lists(rank, min_size=int(parameterized), max_size=4))
-    trivial_at = draw(st.sampled_from([None, *range(len(ranks))]))
     for k, r in enumerate(ranks):
-        name = "trivial" if k == trivial_at else f"fam{k}"
+        name = f"fam{k}"
         if parameterized or (0 in orders and r > 1 and draw(st.booleans())):
             images = [
                 draw(st.sampled_from(["s", "2*s", "s+1", "3*s"]))
@@ -493,18 +492,16 @@ space {
 """
 
 
-# a listed family named "trivial" is a family like any other
-@pytest.mark.parametrize("family", ["circle-rank3", "trivial"])
-def test_spin_type_bounded_below_first_witness(family):
+def test_spin_type_bounded_below_first_witness():
     # r = 1 fails the odd class with a complete enumeration; at r = 2
     # the centre leaves the rule engine unable to rule out a map and
     # nothing is listed, so the witness at r = 3 gives [2, 3]
-    cat = loads(BOUNDED_CATALOG.replace("circle-rank3", family))
+    cat = loads(BOUNDED_CATALOG)
     space = cat.space("X3:Ambient")
     res = invariant_spin_type(cat, space)
     assert (res.status, res.lo, res.hi, res.value) == ("bounded", 2, 3, None)
     (witness,) = res.witnesses
-    assert (witness.family, witness.label) == (family, "odd")
+    assert (witness.family, witness.label) == ("circle-rank3", "odd")
     assert res == scan_invariant_spin_type(cat, space)
 
 
