@@ -184,13 +184,10 @@ class AbHom(namedtuple("AbHom", "domain codomain images")):
         return tuple.__new__(cls, (domain, codomain, images))
 
     @classmethod
-    def from_coords(cls, domain: FgAbGroup, codomain: FgAbGroup, coords) -> AbHom:
-        """``AbHom(domain, codomain, tuple(map(codomain.elem, coords)))``,
-        with the same checks made on the reduced integers, so that no
-        element is checked twice."""
-        coords = [codomain.reduce(c) for c in coords]
-        _check_image_count(domain, len(coords))
-        _check_well_defined(domain, codomain, coords)
+    def from_coords(cls, domain: FgAbGroup, codomain: FgAbGroup, values) -> AbHom:
+        """``AbHom(domain, codomain, images)`` for the images of
+        :func:`cyclic_images`, with the same checks made on integers."""
+        coords = cyclic_images(domain, codomain, values)
         images = tuple([tuple.__new__(AbElem, (codomain, c)) for c in coords])
         return tuple.__new__(cls, (domain, codomain, images))
 
@@ -220,6 +217,22 @@ def _check_well_defined(domain: FgAbGroup, codomain: FgAbGroup, coords):
             raise ValueError(
                 f"generator {label} has order {d} but {d} * {c} != 0 in the codomain"
             )
+
+
+def cyclic_images(domain: FgAbGroup, codomain: FgAbGroup, values) -> list[tuple]:
+    """The reduced coordinates of ``codomain.elem([v] * codomain.rank)`` for
+    each of ``values``, refused as :class:`AbHom` refuses them: generator i
+    goes to ``values[i]`` times the one generator of ``codomain``, or to 0
+    when it has none."""
+    _check_image_count(domain, len(values))
+    if not codomain.orders:
+        return [()] * len(values)
+    (n,) = codomain.orders
+    coords = [(v % n,) for v in values] if n else [(v,) for v in values]
+    for d, (c,) in zip(domain.orders, coords):
+        if d and (d * c % n if n else c):
+            _check_well_defined(domain, codomain, coords)  # raises its message
+    return coords
 
 
 def compose(f: AbHom, g: AbHom) -> AbHom:

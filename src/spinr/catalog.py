@@ -143,7 +143,7 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
         if key == "catalog_version":
             if version is not None:
                 raise CatalogParseError("duplicate key 'catalog_version'", line, path)
-            version = catalogfile.entry_value(entry, int, "an integer")
+            version = catalogfile.entry_value(entry, int)
             continue
         if key not in _KNOWN_RECORDS:
             raise CatalogParseError(f"unknown record type '{key}'", line, path)

@@ -50,15 +50,23 @@ class CatalogParseError(SpinrError, ValueError):
 Scalar = str | int | bool
 
 
-def entry_value(entry: tuple, kind: type, what: str):
+# how a "must be" message names a value of each type
+_KIND_WORDS = {
+    str: "a string", int: "an integer", bool: "true or false", list: "a list"
+}
+_PLURAL = {str: "strings", int: "integers"}
+_REQUIRED = object()
+
+
+def entry_value(entry: tuple, kind: type):
     """The value of a ``key: value`` entry, of exactly type ``kind``: an
     int is never a bool."""
     key, line, value, _ = entry
+    if value.__class__ is kind:
+        return value
     if value is None:
         raise CatalogParseError(f"'{key}' must carry a value", line)
-    if value.__class__ is not kind:
-        raise CatalogParseError(f"'{key}' must be {what}, got {value!r}", line)
-    return value
+    raise CatalogParseError(f"'{key}' must be {_KIND_WORDS[kind]}, got {value!r}", line)
 
 
 class Block:
@@ -91,40 +99,33 @@ class Block:
     def items(self, key: str) -> tuple[tuple, ...]:
         return self._table.get(key, ())
 
-    def child(self, key: str, required: bool = True) -> tuple | None:
+    def child(self, key: str) -> tuple:
         found = self._table.get(key)
         if found is None:
-            if required:
-                raise CatalogParseError(f"missing key '{key}'", self.line)
-            return None
+            raise CatalogParseError(f"missing key '{key}'", self.line)
         if len(found) > 1:
             raise CatalogParseError(f"duplicate key '{key}'", found[1][1])
         return found[0]
 
-    def require_str(self, key: str) -> str:
-        return entry_value(self.child(key), str, "a string")
+    def value(self, key: str, kind: type, default=_REQUIRED):
+        """``entry_value(self.child(key), kind)`` in one step, or ``default``,
+        if given, when the key is absent."""
+        found = self._table.get(key)
+        if found is None:
+            if default is not _REQUIRED:
+                return default
+        elif len(found) == 1 and found[0][2].__class__ is kind:
+            return found[0][2]
+        return entry_value(self.child(key), kind)  # raises
 
-    def require_int(self, key: str) -> int:
-        return entry_value(self.child(key), int, "an integer")
-
-    def require_bool(self, key: str) -> bool:
-        return entry_value(self.child(key), bool, "true or false")
-
-    def require_list(self, key: str) -> list[Scalar]:
-        return entry_value(self.child(key), list, "a list")
-
-    def str_list(self, key: str) -> list[str]:
-        return self._list_of(key, str, "strings")
-
-    def int_list(self, key: str) -> list[int]:
-        return self._list_of(key, int, "integers")
-
-    def _list_of(self, key: str, kind: type, what: str) -> list:
-        values = self.require_list(key)
+    def list_of(self, key: str, kind: type) -> list:
+        """``value(key, list)``, each entry of exactly type ``kind``."""
+        values = self.value(key, list)
         for v in values:
             if v.__class__ is not kind:
                 raise CatalogParseError(
-                    f"'{key}' entries must be {what}, got {v!r}", self.child(key)[1]
+                    f"'{key}' entries must be {_PLURAL[kind]}, got {v!r}",
+                    self.child(key)[1],
                 )
         return list(values)
 
@@ -140,7 +141,7 @@ _LINE_RE = re.compile(
             (\{)                                # 3: '{' opens a block
           | : \s* (?:
                 "([^"]*)"                       # 4: a string
-              | (-?\d+)                         # 5: an integer
+              | (-?[0-9]+)                      # 5: an integer
               | ((?=[^\s\#]) [^"\#]* (?: "[^"]*" [^"\#]* )* (?: "[^"]* )?)
             ))                                  # 6: any other value, and the
                                                 #    spaces after it
@@ -148,7 +149,7 @@ _LINE_RE = re.compile(
     ) \s* (?: \#.* | )""",
     re.VERBOSE,
 )
-_INT_RE = re.compile(r"^-?\d+$")
+_INT_RE = re.compile(r"^-?[0-9]+$")
 
 
 def _parse_scalar(text: str, line: int, path: str) -> Scalar:

@@ -92,16 +92,18 @@ def so_pi1(k: int) -> FgAbGroup:
     return _SO_PI1[min(k, 3) - 1]
 
 
+def so_pi1_target(r: int, values) -> FgAbGroup:
+    """pi1(SO(r)), refusing nonzero ``values`` when it is trivial (r = 1)."""
+    cod = so_pi1(r)
+    if not cod.orders and any(values):
+        raise ValueError(f"nonzero image in the trivial pi1(SO({r}))")
+    return cod
+
+
 def so_pi1_map(domain: FgAbGroup, r: int, values) -> AbHom:
     """The map pi1(H) -> pi1(SO(r)) sending domain generator i to
-    ``values[i]`` times the rotation loop.  pi1(SO(1)) is trivial, so
-    there every value must be 0."""
-    cod = so_pi1(r)
-    if cod.rank:
-        return AbHom.from_coords(domain, cod, [(v,) for v in values])
-    if any(values):
-        raise ValueError(f"nonzero image in the trivial pi1(SO({r}))")
-    return AbHom.from_coords(domain, cod, [()] * len(values))
+    ``values[i]`` times the rotation loop."""
+    return AbHom.from_coords(domain, so_pi1_target(r, values), values)
 
 
 def so_ideal(k: int) -> SimpleIdeal:
@@ -145,12 +147,12 @@ _IDEAL_KEYS = frozenset({"kind", "dim", "min_orth_rep", "provenance"})
 
 def _build_pi1(entry: tuple) -> FgAbGroup:
     node = Block(entry, _PI1_KEYS)
-    free_rank = node.require_int("free_rank")
+    free_rank = node.value("free_rank", int)
     if free_rank < 0:
         raise CatalogParseError(
             f"free_rank must be >= 0, got {free_rank}", node.child("free_rank")[1]
         )
-    torsion = node.require_list("torsion")
+    torsion = node.value("torsion", list)
     for d in torsion:
         if isinstance(d, bool) or not isinstance(d, int):
             raise CatalogParseError(
@@ -160,7 +162,7 @@ def _build_pi1(entry: tuple) -> FgAbGroup:
             raise CatalogParseError(
                 f"torsion entries must be >= 2, got {d}", node.child("torsion")[1]
             )
-    generators = tuple(node.str_list("generators"))
+    generators = tuple(node.list_of("generators", str))
     return node.build(FgAbGroup, free_rank, tuple(torsion), generators)
 
 
@@ -168,15 +170,15 @@ def _build_ideal(entry: tuple) -> SimpleIdeal:
     node = Block(entry, _IDEAL_KEYS)
     return node.build(
         SimpleIdeal,
-        node.require_str("kind"),
-        node.require_int("dim"),
-        node.require_int("min_orth_rep"),
+        node.value("kind", str),
+        node.value("dim", int),
+        node.value("min_orth_rep", int),
     )
 
 
 def _build_algebra(entry: tuple) -> AlgebraProfile:
     node = Block(entry, _ALGEBRA_KEYS)
-    center_rank = node.require_int("center_rank")
+    center_rank = node.value("center_rank", int)
     if center_rank < 0:
         raise CatalogParseError(
             f"center_rank must be >= 0, got {center_rank}",
@@ -191,15 +193,11 @@ def _build_algebra(entry: tuple) -> AlgebraProfile:
 def build_group(entry: tuple) -> CompactGroupRec:
     node = Block(entry, _GROUP_KEYS)
     rec = CompactGroupRec(
-        name=node.require_str("name"),
+        name=node.value("name", str),
         pi1=_build_pi1(node.child("pi1")),
         algebra=_build_algebra(node.child("algebra")),
-        connected=(
-            node.require_bool("connected")
-            if node.child("connected", required=False) is not None
-            else True
-        ),
-        provenance=node.require_str("provenance"),
+        connected=node.value("connected", bool, True),
+        provenance=node.value("provenance", str),
     )
     if not rec.provenance.strip():
         raise CatalogParseError("empty provenance", node.line)

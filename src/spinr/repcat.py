@@ -27,9 +27,11 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .abelian import AbHom, FgAbGroup
+from .abelian import AbHom, FgAbGroup, cyclic_images
 from .catalogfile import Block, CatalogParseError
-from .liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_pi1_map
+from .liecat import (
+    AlgebraProfile, CompactGroupRec, SimpleIdeal, so_pi1_map, so_pi1_target,
+)
 
 
 # --- congruence constraints ---------------------------------------------------
@@ -37,8 +39,8 @@ from .liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_pi1_map
 class Congruence(namedtuple("Congruence", "modulus residue")):
     """The set of integers s with s = residue (mod modulus).
 
-    modulus 1 is the unconstrained set; use EMPTY for the empty set.
-    The residue is stored reduced into [0, modulus).
+    modulus 1 is the unconstrained set.  The residue is stored reduced
+    into [0, modulus).
     """
 
     __slots__ = ()
@@ -65,7 +67,7 @@ class Congruence(namedtuple("Congruence", "modulus residue")):
 
 UNCONSTRAINED = Congruence(1, 0)
 
-_CONG_RE = re.compile(r"^s\s*(?:=|≡)\s*(-?\d+)\s*mod\s*(\d+)$")
+_CONG_RE = re.compile(r"^s\s*(?:=|≡)\s*(-?[0-9]+)\s*mod\s*([0-9]+)$")
 
 
 def parse_congruence(text: str) -> Congruence:
@@ -121,37 +123,32 @@ class AffineInt(NamedTuple):
         return "".join(parts)
 
 
-_TERM_RE = re.compile(
-    r"^(?:(?P<num>-?\d+)\*)?s(?:/(?P<den>\d+))?$|^(?P<const>-?\d+)$"
-)
+# one signed term: [sign] [num*] s [/den], or [sign] const
+_TERM_RE = re.compile(r"([+-]?)(?:(?:([0-9]+)\*)?s(?:/([0-9]+))?|([0-9]+))")
 
 
 def parse_affine(text: str) -> AffineInt:
-    """Parse '1', 's', '-s', '2*s', 's/2', '3*s/2+1', 's+4' etc."""
+    """Parse '1', 's', '-s', '2*s', 's/2', '3*s/2+1', 's+4' etc.: terms
+    joined by signs, each sign followed by a term."""
     src = text.replace(" ", "")
     if not src:
         raise ValueError("empty affine expression")
-    # split into signed terms
-    terms = re.findall(r"[+-]?[^+-]+", src)
     coeff = offset = 0  # plain integers until a term has a denominator
-    for term in terms:
-        sign = 1
-        if term.startswith("+"):
-            term = term[1:]
-        elif term.startswith("-") and term != "-s" and not term[1:].isdigit():
-            sign = -1
-            term = term[1:]
-        m = _TERM_RE.match(term if term != "-s" else "-1*s")
-        if not m:
-            raise ValueError(f"cannot parse affine term {term!r} in {text!r}")
-        if m.group("const") is not None:
-            offset += sign * int(m.group("const"))
+    pos = 0
+    while pos < len(src):
+        m = _TERM_RE.match(src, pos)
+        if m is None or not (pos == 0 or m[1]):
+            raise ValueError(f"cannot parse affine term {src[pos:]!r} in {text!r}")
+        sign, num, den, const = m.groups()
+        sign = -1 if sign == "-" else 1
+        if const is not None:
+            offset += sign * int(const)
         else:
-            num = int(m.group("num")) if m.group("num") else 1
-            den = int(m.group("den")) if m.group("den") else 1
+            num, den = int(num or 1), int(den or 1)
             if den == 0:
                 raise ValueError(f"zero denominator in {text!r}")
             coeff += sign * (Fraction(num, den) if den != 1 else num)
+        pos = m.end()
     return AffineInt(Fraction(coeff), Fraction(offset))
 
 
@@ -227,12 +224,12 @@ class OrthRepFamily(
                 f"{group.pi1.rank} generators of {self.domain}"
             )
         # an affine image that is integral and well defined at two
-        # consecutive admissible values is so at every admissible value
-        samples = (
-            self.param_constraint.sample(2) if self.parameterized else [None]
-        )
+        # consecutive admissible values is so at every admissible value;
+        # the check is pi1_map's, made without building the map
+        samples = self.param_constraint.sample(2) if self.parameterized else [0]
         for s in samples:
-            self.pi1_map(group.pi1, self.target_r, s)  # raises if ill-defined
+            values = [e.eval(s) for e in self.pi1_images]
+            cyclic_images(group.pi1, so_pi1_target(self.target_r, values), values)
 
 
 # --- the non-existence rule engine ---------------------------------------------
@@ -393,30 +390,26 @@ _PARAM_KEYS = frozenset({"name", "constraint"})
 
 def build_family(entry: tuple) -> OrthRepFamily:
     node = Block(entry, _FAMILY_KEYS)
-    labels = None
+    labels = tuple(node.list_of("labels", str)) if node.items("labels") else None
     constraint = None
-    if node.child("labels", required=False) is not None:
-        labels = tuple(node.str_list("labels"))
-    if node.child("param", required=False) is not None:
+    if node.items("param"):
         param = Block(node.child("param"), _PARAM_KEYS)
-        if param.require_str("name") != "s":
+        if param.value("name", str) != "s":
             raise CatalogParseError("parameter must be named 's'", param.line)
-        constraint = param.build(parse_congruence, param.require_str("constraint"))
-    extends_to = None
-    if node.child("extends_to", required=False) is not None:
-        extends_to = node.require_str("extends_to")
-    images = node.build(tuple, map(parse_affine, node.str_list("pi1_images")))
+        constraint = param.build(parse_congruence, param.value("constraint", str))
+    extends_to = node.value("extends_to", str, None)
+    images = node.build(tuple, map(parse_affine, node.list_of("pi1_images", str)))
     fam = node.build(
         OrthRepFamily,
-        node.require_str("name"),
-        node.require_str("domain"),
-        node.require_int("target_r"),
+        node.value("name", str),
+        node.value("domain", str),
+        node.value("target_r", int),
         images,
         labels,
         constraint,
-        node.require_str("distinct_classes"),
+        node.value("distinct_classes", str),
         extends_to,
-        node.require_str("certificate"),
+        node.value("certificate", str),
     )
     if fam.name in RESERVED_FAMILY_NAMES:
         raise CatalogParseError(f"family name '{fam.name}' is reserved", node.line)

@@ -126,45 +126,33 @@ _HOLONOMY_KEYS = frozenset({"group", "m", "h_pi1_images", "provenance"})
 
 def build_space(entry: tuple, groups) -> HomSpaceRec:
     node = Block(entry, _SPACE_KEYS)
-    name = node.require_str("name")
-    h_name = node.require_str("H")
+    name = node.value("name", str)
+    h_name = node.value("H", str)
     if h_name not in groups:
         raise CatalogParseError(f"space {name}: unknown stabiliser {h_name}", node.line)
-    g_name = node.require_str("G")
+    g_name = node.value("G", str)
     if g_name not in groups:
         raise CatalogParseError(f"space {name}: unknown group {g_name}", node.line)
     h = groups[h_name]
-    n = node.require_int("n")
+    n = node.value("n", int)
     if n < 1:
         raise CatalogParseError(f"space {name}: dimension must be >= 1", node.line)
     # A disconnected stabiliser is loadable data but refused by
     # classify(), which needs the connectedness hypothesis.
-    sigma = node.build(so_pi1_map, h.pi1, n, node.int_list("sigma_pi1_images"))
-    return HomSpaceRec(
-        name=name,
-        G=g_name,
-        H=h_name,
-        n=n,
-        sigma_pi1=sigma,
-        provenance=node.require_str("provenance"),
-    )
+    sigma = node.build(so_pi1_map, h.pi1, n, node.list_of("sigma_pi1_images", int))
+    return HomSpaceRec(name, g_name, h_name, n, sigma, node.value("provenance", str))
 
 
 def build_holonomy(entry: tuple, groups) -> HolonomyRec:
     node = Block(entry, _HOLONOMY_KEYS)
-    g_name = node.require_str("group")
+    g_name = node.value("group", str)
     if g_name not in groups:
         raise CatalogParseError(f"holonomy record: unknown group {g_name}", node.line)
-    m = node.require_int("m")
+    m = node.value("m", int)
     if m < 1:
         raise CatalogParseError("holonomy record: dimension must be >= 1", node.line)
-    h = node.build(so_pi1_map, groups[g_name].pi1, m, node.int_list("h_pi1_images"))
-    return HolonomyRec(
-        group=g_name,
-        m=m,
-        h_pi1=h,
-        provenance=node.require_str("provenance"),
-    )
+    h = node.build(so_pi1_map, groups[g_name].pi1, m, node.list_of("h_pi1_images", int))
+    return HolonomyRec(g_name, m, h, node.value("provenance", str))
 
 
 # --- the lift test against one family -------------------------------------------

@@ -14,6 +14,7 @@ from spinr.abelian import (
     compose,
     contains,
     cyclic,
+    cyclic_images,
     direct_product,
     image_subgroup,
     mod2,
@@ -130,22 +131,27 @@ _orders = st.lists(st.sampled_from((0, 2, 3, 4, 6)), max_size=3)
 
 
 @settings(max_examples=400)
-@given(domain=_orders, codomain=_orders, data=st.data())
+@given(domain=_orders, codomain=st.lists(st.sampled_from((0, 2, 3, 4, 6)), max_size=1),
+       data=st.data())
 def test_hom_from_coords_agrees_with_the_checked_construction(domain, codomain, data):
+    # from_coords takes one integer per generator into a group with at most
+    # one generator, whose element [v] * rank it is; every such input
     domain, codomain = FgAbGroup(orders=domain), FgAbGroup(orders=codomain)
-    # mostly one image per generator, each of the codomain's rank; else any
+    # mostly one image per generator; else any count
     n = data.draw(st.one_of(st.just(domain.rank), st.integers(0, 4)))
-    width = data.draw(st.one_of(st.just(codomain.rank), st.integers(0, 4)))
-    coords = data.draw(st.lists(st.lists(st.integers(-13, 13), min_size=width,
-                                         max_size=width), min_size=n, max_size=n))
-    fast = _outcome(AbHom.from_coords, domain, codomain, coords)
-    checked = _outcome(
-        lambda: AbHom(domain, codomain, tuple(map(codomain.elem, coords)))
-    )
+    values = data.draw(st.lists(st.integers(-13, 13), min_size=n, max_size=n))
+    fast = _outcome(AbHom.from_coords, domain, codomain, values)
+    checked = _outcome(lambda: AbHom(
+        domain, codomain, tuple(codomain.elem([v] * codomain.rank) for v in values)
+    ))
     assert fast == checked
     if fast.__class__ is AbHom:
         assert fast.domain is domain and fast.codomain is codomain
         assert all(img.group is codomain for img in fast.images)
+    # cyclic_images makes the same check and gives the same coordinates
+    coords = _outcome(cyclic_images, domain, codomain, values)
+    assert coords == (fast if fast.__class__ is tuple else
+                      [img.coords for img in fast.images])
 
 
 def test_compose_mod2_after_times3():

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from clirunner import run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +191,14 @@ def _line_of(snippet: str, after: str = "") -> int:
         # build_family, build_space, build_holonomy: at the record
         ('pi1_images: ["s"]', 'pi1_images: ["s/0"]', "", "repfamily {",
          "zero denominator"),
+        # only ASCII digits are digits: anything else is a word, not a number
+        ("n: 2", "n: ٢", "space {", "n: 2", "'n' must be an integer, got '٢'"),
+        ("min_orth_rep: 3", "min_orth_rep: -３", "", "min_orth_rep: 3",
+         "'min_orth_rep' must be an integer, got '-３'"),
+        ('pi1_images: ["s"]', 'pi1_images: ["٣*s"]', "", "repfamily {",
+         "cannot parse affine term '٣*s'"),
+        ('constraint: "s in Z"', 'constraint: "s = ١ mod ٤"', "", "param {",
+         "cannot parse congruence constraint 's = ١ mod ٤'"),
         ("n: 2", "n: 0", "space {", "space {", "dimension must be >= 1"),
         ("m: 2", "m: 0", "holonomy {", "holonomy {", "dimension must be >= 1"),
         # an odd image into the trivial pi1(SO(1)), one message for each record
@@ -245,6 +254,24 @@ def test_loader_errors_name_the_file_and_line(
     assert (err.value.path, err.value.line) == (str(path), line)
 
 
+@pytest.mark.parametrize("image", ["s+", "s+-1", "s++1", "1-", "+-s", "s-+"])
+def test_a_stray_sign_in_a_family_image_is_refused_at_the_family(tmp_path, image):
+    path = tmp_path / "c.txt"
+    path.write_text(
+        BASE.replace('pi1_images: ["s"]', f'pi1_images: ["{image}"]'), encoding="utf-8"
+    )
+    line = _line_of("repfamily {")
+    with pytest.raises(CatalogParseError) as err:
+        load(str(path))
+    assert (err.value.path, err.value.line) == (str(path), line)
+    message = err.value.message
+    assert message.startswith("cannot parse affine term ")
+    assert message.endswith(f" in {image!r}")
+    res = run("--catalog", str(path), "table1")
+    assert (res.exit_code, res.exception) == (4, None)
+    assert res.stderr.startswith(f"catalog error: {path}:{line}: {message}")
+
+
 _AFTER_VERSION = BASE.split("\n", 1)[1]
 
 
@@ -259,8 +286,9 @@ _AFTER_VERSION = BASE.split("\n", 1)[1]
          "duplicate key 'catalog_version'"),
         ("\ncatalog_version {\n}\n", 2, "'catalog_version' must carry a value"),
         ("# no version\n", 1, "missing or non-integer catalog_version"),
+        ("catalog_version: ١\n", 1, "'catalog_version' must be an integer, got '١'"),
     ],
-    ids=["bool", "string", "repeated", "block", "missing"],
+    ids=["bool", "string", "repeated", "block", "missing", "arabic-indic-digit"],
 )
 def test_catalog_version_is_read_like_every_integer_key(tmp_path, head, line, message):
     path = tmp_path / "c.txt"

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_parse
 
-from spinr.catalogfile import Block, CatalogParseError, parse
+from spinr.catalogfile import Block, CatalogParseError, entry_value, parse
 
 SAMPLE = """
 # a comment
@@ -32,13 +32,13 @@ def test_parse_structure():
     assert [e[0] for e in entries] == ["catalog_version", "group"]
     assert entries[0] == ("catalog_version", 3, 1, None)
     group = _block(entries[1], "name", "pi1", "connected", "tags", "count")
-    assert group.require_str("name") == "SO(4)"
+    assert group.value("name", str) == "SO(4)"
     pi1 = _block(group.child("pi1"), "free_rank", "torsion", "generators")
-    assert pi1.require_int("free_rank") == 0
-    assert pi1.require_list("torsion") == [2]
-    assert group.require_bool("connected") is True
-    assert group.require_list("tags") == ["a", "b", "c d"]
-    assert group.require_int("count") == -3
+    assert pi1.value("free_rank", int) == 0
+    assert pi1.value("torsion", list) == [2]
+    assert group.value("connected", bool) is True
+    assert group.value("tags", list) == ["a", "b", "c d"]
+    assert group.value("count", int) == -3
 
 
 def test_line_numbers_attached():
@@ -90,7 +90,7 @@ def test_duplicate_scalar_key_detected_via_child():
 def test_missing_key_points_at_block():
     (entry,) = parse("b {\n  k: 1\n}\n")
     with pytest.raises(CatalogParseError) as err:
-        _block(entry, "k").require_str("nope")
+        _block(entry, "k").value("nope", str)
     assert err.value.line == 1
 
 
@@ -101,19 +101,41 @@ def test_repeated_block_keys_collected():
 
 def test_middle_dot_in_barewords():
     (entry,) = parse("g {\n  name: Sp(2)·Sp(1)\n}\n")
-    assert _block(entry, "name").require_str("name") == "Sp(2)·Sp(1)"
+    assert _block(entry, "name").value("name", str) == "Sp(2)·Sp(1)"
 
 
-def test_require_bool_rejects_quoted_and_integer_flags():
+def test_bool_values_reject_quoted_and_integer_flags():
     (entry,) = parse('b {\n  yes: true\n  no: false\n  quoted: "false"\n  one: 1\n}\n')
     node = _block(entry, "yes", "no", "quoted", "one")
-    assert node.require_bool("yes") is True
-    assert node.require_bool("no") is False
+    assert node.value("yes", bool) is True
+    assert node.value("no", bool) is False
     for key, line in (("quoted", 4), ("one", 5)):
         with pytest.raises(CatalogParseError) as err:
-            node.require_bool(key)
+            node.value(key, bool)
         assert err.value.line == line
         assert "must be true or false" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", [str, int, bool, list])
+@pytest.mark.parametrize("key", ["s", "i", "b", "l", "blk", "dup", "nope"])
+def test_value_reads_as_child_then_entry_value(key, kind):
+    # one step does what the lookup, the duplicate check and the type
+    # check do one after the other, with the same message and line
+    text = 'b {\n s: "x"\n i: 4\n b: true\n l: [1]\n blk {\n }\n dup: 1\n dup: 2\n}\n'
+    node = _block(parse(text)[0], "s", "i", "b", "l", "blk", "dup", "nope")
+
+    def outcome(read):
+        try:
+            return read()
+        except CatalogParseError as err:
+            return str(err)
+
+    expected = outcome(lambda: entry_value(node.child(key), kind))
+    assert outcome(lambda: node.value(key, kind)) == expected
+    if key == "nope":
+        assert node.value(key, kind, None) is None
+    else:
+        assert outcome(lambda: node.value(key, kind, None)) == expected
 
 
 def test_the_first_unknown_key_is_refused_when_the_block_is_read():

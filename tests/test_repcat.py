@@ -101,6 +101,26 @@ def test_validate_against_agrees_with_a_window_of_admissible_values(
     assert outcome == _first_error_on_window(fam, group)
 
 
+@settings(max_examples=200)
+@given(st.lists(_ORDERS, max_size=3), st.integers(1, 4), st.data())
+def test_validate_against_a_finite_family_agrees_with_its_map(orders, r, data):
+    group = CompactGroupRec(
+        "D", FgAbGroup(orders=orders), AlgebraProfile(1), True, "generated"
+    )
+    images = tuple(
+        AffineInt(Fraction(0), data.draw(_RATIONALS)) for _ in orders
+    )
+    fam = OrthRepFamily("f", "D", r, images, labels=("a",))
+    outcomes = []
+    for check in (fam.validate_against, lambda g: fam.pi1_map(g.pi1, r)):
+        try:
+            check(group)
+            outcomes.append(None)
+        except ValueError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_congruence_samples_are_admissible():
     c = Congruence(4, 2)
     for s in c.sample(5):
@@ -122,11 +142,59 @@ def test_congruence_samples_are_admissible():
         ("s+4", 1, 4),
         ("3*s/2", Fraction(3, 2), 0),
         ("s/2-1", Fraction(1, 2), -1),
+        ("+s", 1, 0),
+        ("+3*s/2-4", Fraction(3, 2), -4),
     ],
 )
 def test_parse_affine(text, coeff, offset):
     got = parse_affine(text)
     assert got == AffineInt(Fraction(coeff), Fraction(offset))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a sign must be followed by a term, and a term after the first
+        # must follow a sign
+        "s+", "s+-1", "s++1", "1-", "-", "+", "--s", "+-s", "s-+1", "s+ ", "2s",
+        "s2", "s/", "s/2/3", "1*2", "s*s",
+        # digits are ASCII digits only
+        "٣", "٣*s", "s/٢", "s+١", "-３", "²*s",
+    ],
+)
+def test_parse_affine_refuses_malformed_expressions(text):
+    with pytest.raises(ValueError, match="cannot parse affine term"):
+        parse_affine(text)
+
+
+@pytest.mark.parametrize("text", ["s = ١ mod ٤", "s ≡ 1 mod ４", "s = ² mod 4"])
+def test_parse_congruence_reads_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="cannot parse congruence constraint"):
+        parse_congruence(text)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from("+-"), st.integers(0, 20),
+                          st.sampled_from(["", "s", "*s", "s/"]), st.integers(1, 5)),
+                min_size=1, max_size=4),
+       st.booleans())
+def test_parse_affine_sums_its_signed_terms(terms, lead):
+    # every expression written as sign, term, sign, term, ... is the sum of
+    # its terms, and the first sign may be left out when it is '+'
+    text, coeff, offset = "", Fraction(0), Fraction(0)
+    for sign, n, form, d in terms:
+        k = -1 if sign == "-" else 1
+        if form == "":
+            text, offset = text + f"{sign}{n}", offset + k * n
+        elif form == "s":
+            text, coeff = text + f"{sign}s", coeff + k
+        elif form == "*s":
+            text, coeff = text + f"{sign}{n}*s", coeff + k * n
+        else:
+            text, coeff = text + f"{sign}s/{d}", coeff + Fraction(k, d)
+    if lead and text[0] == "+":
+        text = text[1:]
+    assert parse_affine(text) == AffineInt(coeff, offset)
 
 
 def test_affine_eval_requires_integrality():

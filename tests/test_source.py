@@ -140,21 +140,12 @@ def test_every_site_the_benchmark_tracer_wraps_exists():
     assert t.extra["repcat.hom_rule_trace.lines"] == len(result.lines) > 1
 
 
-def test_patterns_compile_on_python_3_10():
-    # pyproject.toml accepts Python 3.10, whose re module refuses the
-    # possessive quantifiers and atomic groups that came in 3.11
-    parser = getattr(re, "_parser", None) or importlib.import_module("sre_parse")
+_PARSER = getattr(re, "_parser", None) or importlib.import_module("sre_parse")
 
-    def opcodes(tree):
-        if isinstance(tree, parser.SubPattern):
-            for op, av in tree:
-                yield str(op)
-                yield from opcodes(av)
-        elif isinstance(tree, (list, tuple)):
-            for item in tree:
-                yield from opcodes(item)
 
-    found = []
+def _patterns():
+    """(file name, line, parsed pattern, flags) for every ``re.<function>``
+    call on a literal pattern in the package."""
     for n, node in _nodes():
         if not (
             isinstance(node, ast.Call)
@@ -169,11 +160,49 @@ def test_patterns_compile_on_python_3_10():
         for arg in [*node.args[1:], *(k.value for k in node.keywords)]:
             if isinstance(arg, ast.Attribute) and arg.attr in re.RegexFlag.__members__:
                 flags |= re.RegexFlag[arg.attr]
+        yield n, node.lineno, _PARSER.parse(node.args[0].value, flags), flags
+
+
+def _opcodes(tree):
+    """The name of every opcode, category and flag in a parsed pattern."""
+    if isinstance(tree, _PARSER.SubPattern):
+        tree = list(tree)
+    if isinstance(tree, (list, tuple)):
+        for item in tree:
+            yield from _opcodes(item)
+    elif isinstance(tree, int) and hasattr(tree, "name"):
+        yield str(tree)
+
+
+def test_patterns_compile_on_python_3_10():
+    # pyproject.toml accepts Python 3.10, whose re module refuses the
+    # possessive quantifiers and atomic groups that came in 3.11
+    found = []
+    for n, line, tree, _ in _patterns():
         found.append(n)
-        tree = parser.parse(node.args[0].value, flags)
-        newer = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"} & set(opcodes(tree))
-        assert not newer, f"{n}:{node.lineno} uses {sorted(newer)}"
+        newer = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"} & set(_opcodes(tree))
+        assert not newer, f"{n}:{line} uses {sorted(newer)}"
     assert "catalogfile.py" in found
+
+
+def _unicode_digits(tree, flags) -> bool:
+    return not flags & re.ASCII and bool(
+        {"CATEGORY_DIGIT", "CATEGORY_NOT_DIGIT"} & set(_opcodes(tree))
+    )
+
+
+def test_no_pattern_reads_unicode_digits():
+    # without re.ASCII, \d matches every Unicode decimal digit and int()
+    # reads them all, so '١' would load as the integer 1; catalog values
+    # are read strictly, in ASCII digits only
+    found = [f"{n}:{line}" for n, line, tree, flags in _patterns()
+             if _unicode_digits(tree, flags)]
+    assert found == []
+    assert _unicode_digits(_PARSER.parse(r"x[\d,]"), 0)
+    assert _unicode_digits(_PARSER.parse(r"(?:\D)+"), 0)
+    assert not _unicode_digits(_PARSER.parse(r"\d", re.ASCII), re.ASCII)
+    assert not _unicode_digits(_PARSER.parse(r"[0-9]\\d"), 0)
+    assert {"catalogfile.py", "repcat.py"} <= {n for n, *_ in _patterns()}
 
 
 def test_every_python_file_parses_with_the_python_3_10_grammar():
