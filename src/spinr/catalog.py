@@ -4,16 +4,15 @@ run the cross-record consistency checks.
 One file carries four record types: ``group``, ``repfamily``, ``space``
 and ``holonomy``.  Groups must parse before anything that refers to
 them; the loader therefore builds in two passes regardless of record
-order in the file.  The bundled catalog ships as package data and can
-be overridden per call, by flag, or with the SPINR_CATALOG environment
-variable.
+order in the file.  The bundled catalog ships as package data, read
+from the installed files beside this module, and can be overridden per
+call, by flag, or with the SPINR_CATALOG environment variable.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-from importlib import resources
 
 from . import catalogfile
 from .catalogfile import CatalogParseError, SpinrError
@@ -22,6 +21,7 @@ from .repcat import OrthRepFamily, build_family, no_nontrivial_hom
 from .spaces import HolonomyRec, HomSpaceRec, build_holonomy, build_space
 
 ENV_CATALOG = "SPINR_CATALOG"
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 _KNOWN_RECORDS = ("group", "repfamily", "space", "holonomy")
 
@@ -213,12 +213,22 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
     )
 
 
-def load(path: str) -> Catalog:
+def _read(path: str) -> bytes:
+    """The file's bytes; an OSError becomes a CatalogReadError naming it."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as err:
         raise CatalogReadError(err.errno, err.strerror, err.filename) from err
+
+
+def read_data(name: str) -> str:
+    """The text of the package data file ``name``, e.g. "catalog.txt"."""
+    return _read(os.path.join(DATA_DIR, name)).decode("utf-8")
+
+
+def load(path: str) -> Catalog:
+    data = _read(path)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -236,9 +246,7 @@ _default: Catalog | None = None
 
 
 def bundled_catalog_text() -> str:
-    return (
-        resources.files("spinr").joinpath("data/catalog.txt").read_text("utf-8")
-    )
+    return read_data("catalog.txt")
 
 
 def load_default(path: str | None = None) -> Catalog:

@@ -149,7 +149,10 @@ _LINE_RE = re.compile(
     ) \s* (?: \#.* | )""",
     re.VERBOSE,
 )
-_INT_RE = re.compile(r"^-?[0-9]+$")
+# every integer spinr reads (catalog values, --r and --m, the k of SO(k)):
+# an optional '-' and ASCII digits.  Python's int would also take '٣',
+# '0_3' and ' 3'.
+INT_RE = re.compile(r"^-?[0-9]+$")
 
 
 def _parse_scalar(text: str, line: int, path: str) -> Scalar:
@@ -160,7 +163,7 @@ def _parse_scalar(text: str, line: int, path: str) -> Scalar:
         if text[-1] != '"' or len(text) < 2:
             raise CatalogParseError(f"unterminated string {text!r}", line, path)
         return text[1:-1]
-    if _INT_RE.match(text):
+    if INT_RE.match(text):
         return int(text)
     if text == "true":
         return True

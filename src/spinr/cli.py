@@ -26,10 +26,9 @@ import argparse
 import codecs
 import os
 import sys
-from importlib import resources
 
-from .catalog import Catalog, CatalogReadError, load_default
-from .catalogfile import CatalogParseError, SpinrError
+from .catalog import Catalog, CatalogReadError, load_default, read_data
+from .catalogfile import INT_RE, CatalogParseError, SpinrError
 from .liecat import NotInCatalogError
 from .spaces import (
     Classification,
@@ -56,6 +55,13 @@ EXIT_CODES = {
     InconsistentCatalogError: (4, "catalog error: "),
     InvalidArgumentError: (5, "invalid argument: "),
 }
+
+
+def _ascii_int(text: str) -> int:
+    """An integer as the catalog reads one (INT_RE), not as int() does."""
+    if not INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _require_positive(option: str, value: int):
@@ -220,11 +226,7 @@ def table1(catalog_path, fmt):
     import json
 
     catalog = load_default(catalog_path)
-    fixture = json.loads(
-        resources.files("spinr")
-        .joinpath("data/table1_expected.json")
-        .read_text("utf-8")
-    )
+    fixture = json.loads(read_data("table1_expected.json"))
     rows = []
     mismatches = []
     for row in fixture["rows"]:
@@ -372,7 +374,7 @@ def _parser(prog: str) -> _Parser:
     command(table1)
     sub = command(classify)
     sub.add_argument("space", metavar="SPACE")
-    sub.add_argument("--r", type=int, required=True, help=r_help)
+    sub.add_argument("--r", type=_ascii_int, required=True, help=r_help)
     sub = command(spin_type)
     sub.add_argument("space", metavar="SPACE")
     sub.add_argument(
@@ -382,8 +384,10 @@ def _parser(prog: str) -> _Parser:
     )
     sub = command(holonomy)
     sub.add_argument("group", metavar="GROUP")
-    sub.add_argument("--m", type=int, required=True, help="Manifold dimension m >= 1.")
-    sub.add_argument("--r", type=int, required=True, help=r_help)
+    sub.add_argument(
+        "--m", type=_ascii_int, required=True, help="Manifold dimension m >= 1."
+    )
+    sub.add_argument("--r", type=_ascii_int, required=True, help=r_help)
     for sub in commands.choices.values():
         sub.add_argument(
             "--format", dest="fmt", choices=["md", "json"], default="md",

@@ -13,10 +13,9 @@ representation.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
 
 from .abelian import AbHom, FgAbGroup
-from .catalogfile import Block, CatalogParseError, SpinrError
+from .catalogfile import INT_RE, Block, CatalogParseError, SpinrError
 
 
 class NotInCatalogError(SpinrError, KeyError):
@@ -48,23 +47,22 @@ class SimpleIdeal(
         return tuple.__new__(cls, (kind, dim, min_orth_rep_dim, is_abelian))
 
 
-class AlgebraProfile(NamedTuple):
-    """Centre dimension plus the list of simple ideals."""
+class AlgebraProfile(
+    namedtuple("AlgebraProfile", "center_rank ideals", defaults=((),))
+):
+    """Centre dimension plus the tuple of simple ideals."""
 
-    center_rank: int
-    ideals: tuple[SimpleIdeal, ...] = ()
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
         return self.center_rank + sum(i.dim for i in self.ideals)
 
 
-class CompactGroupRec(NamedTuple):
-    name: str
-    pi1: FgAbGroup
-    algebra: AlgebraProfile
-    connected: bool
-    provenance: str
+class CompactGroupRec(
+    namedtuple("CompactGroupRec", "name pi1 algebra connected provenance")
+):
+    __slots__ = ()
 
 
 # --- the SO(k) family, by formula --------------------------------------------
@@ -214,11 +212,13 @@ def _validate_group(rec: CompactGroupRec, line: int):
     name = rec.name
     if name.startswith("SO(") and name.endswith(")"):
         try:
-            k = int(name[3:-1])
+            k = _so_index(name)
             pi1 = so_pi1(k)
         except ValueError as err:
             raise CatalogParseError(
-                f"group {name}: SO(k) needs an integer k >= 1", line
+                f"group {name}: SO(k) needs an integer k >= 1 in canonical "
+                f"ASCII decimal",
+                line,
             ) from err
         if rec.pi1 != pi1 or rec.pi1.labels != pi1.labels:
             raise CatalogParseError(
@@ -234,11 +234,11 @@ def _validate_group(rec: CompactGroupRec, line: int):
     for ideal in rec.algebra.ideals:
         if ideal.kind.startswith("so(") and ideal.kind.endswith(")"):
             try:
-                ref = so_ideal(int(ideal.kind[3:-1]))
+                ref = so_ideal(_so_index(ideal.kind))
             except ValueError as err:
                 raise CatalogParseError(
                     f"ideal {ideal.kind}: so(k) is simple only for an integer "
-                    f"k = 3 or k >= 5",
+                    f"k = 3 or k >= 5, in canonical ASCII decimal",
                     line,
                 ) from err
             if (ideal.dim, ideal.min_orth_rep_dim) != (ref.dim, ref.min_orth_rep_dim):
@@ -247,3 +247,11 @@ def _validate_group(rec: CompactGroupRec, line: int):
                     f"min_orth_rep {ref.min_orth_rep_dim}",
                     line,
                 )
+
+
+def _so_index(name: str) -> int:
+    """The k of 'SO(k)' or 'so(k)', written as str(k) writes it."""
+    text = name[3:-1]
+    if not INT_RE.fullmatch(text) or text != str(int(text)):
+        raise ValueError(f"{name}: k is not in canonical ASCII decimal")
+    return int(text)

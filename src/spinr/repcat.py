@@ -25,7 +25,6 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple
 
 from .abelian import AbHom, FgAbGroup, cyclic_images
 from .catalogfile import Block, CatalogParseError
@@ -87,12 +86,11 @@ def parse_congruence(text: str) -> Congruence:
 
 # --- affine expressions in the family parameter -------------------------------
 
-class AffineInt(NamedTuple):
-    """coeff * s + offset with rational coefficients that are integral
-    on every admissible parameter value."""
+class AffineInt(namedtuple("AffineInt", "coeff offset")):
+    """coeff * s + offset with rational (Fraction) coefficients that are
+    integral on every admissible parameter value."""
 
-    coeff: Fraction
-    offset: Fraction
+    __slots__ = ()
 
     def eval(self, s: int) -> int:
         coeff, offset = self
@@ -234,10 +232,10 @@ class OrthRepFamily(
 
 # --- the non-existence rule engine ---------------------------------------------
 
-class RuleTrace(NamedTuple):
-    """The kernel-candidate scan, printable as a proof sketch."""
+class RuleTrace(namedtuple("RuleTrace", "lines")):
+    """The kernel-candidate scan: a tuple of lines, printed as a proof sketch."""
 
-    lines: tuple[str, ...]
+    __slots__ = ()
 
     def __str__(self):
         return "; ".join(self.lines)
@@ -371,14 +369,10 @@ def trivial_family(domain: str, r: int, domain_rank: int) -> OrthRepFamily:
     )
 
 
-class EnumResult(NamedTuple):
+class EnumResult(namedtuple("EnumResult", "domain r families complete certificate")):
     """All known families at (domain, r), with a completeness verdict."""
 
-    domain: str
-    r: int
-    families: tuple[OrthRepFamily, ...]
-    complete: bool
-    certificate: str
+    __slots__ = ()
 
 
 _FAMILY_KEYS = frozenset({

@@ -17,7 +17,7 @@ degrades to an honest interval instead of returning a wrong number.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .abelian import AbHom, FgAbGroup
 from .catalogfile import Block, CatalogParseError, SpinrError
@@ -46,72 +46,60 @@ class InconsistentCatalogError(SpinrError, RuntimeError):
     """The catalog's data contradicts the existence theorem."""
 
 
-class HomSpaceRec(NamedTuple):
+class HomSpaceRec(namedtuple("HomSpaceRec", "name G H n sigma_pi1 provenance")):
     """One homogeneous realisation, e.g. S7:Sp(2) for the 7-sphere."""
 
-    name: str
-    G: str
-    H: str
-    n: int
-    sigma_pi1: AbHom
-    provenance: str
+    __slots__ = ()
 
 
-class HolonomyRec(NamedTuple):
+class HolonomyRec(namedtuple("HolonomyRec", "group m h_pi1 provenance")):
     """A holonomy group from the irreducible non-symmetric list, acting
     on an m-dimensional tangent space."""
 
-    group: str
-    m: int
-    h_pi1: AbHom
-    provenance: str
+    __slots__ = ()
 
 
-class ClassRecord(NamedTuple):
+class ClassRecord(
+    namedtuple("ClassRecord", "family label constraint extends_to", defaults=[None] * 3)
+):
     """One equivalence class (or constrained family of classes) of
     invariant structures: a family reference plus, for parameterised
     families, the exact congruence the parameter must satisfy."""
 
-    family: str
-    label: str | None = None
-    constraint: Congruence | None = None
-    extends_to: str | None = None
+    __slots__ = ()
 
 
-class RejectedFamily(NamedTuple):
+class RejectedFamily(namedtuple("RejectedFamily", "family witnesses")):
     """A family that fails the lift test, with per-generator witnesses
     (generator label, image pair that escapes the covering subgroup)."""
 
-    family: str
-    witnesses: tuple[tuple[str, tuple[int, ...]], ...]
+    __slots__ = ()
 
 
-class Classification(NamedTuple):
-    space: str
-    r: int
-    classes: tuple[ClassRecord, ...]
-    count: int | None  # None marks an infinite family
-    complete: bool
-    certificate: str
-    rejected: tuple[RejectedFamily, ...] = ()
+class Classification(
+    namedtuple(
+        "Classification",
+        "space r classes count complete certificate rejected",
+        defaults=((),),
+    )
+):
+    """The classes at one rank; ``count`` is None for an infinite family."""
+
+    __slots__ = ()
 
     def is_empty(self) -> bool:
         return not self.classes
 
 
-class SpinTypeResult(NamedTuple):
+class SpinTypeResult(namedtuple("SpinTypeResult", "space status lo hi witnesses")):
     """Least twist rank admitting an invariant structure.
 
     status "exact" needs complete (and empty) classifications at every
-    smaller rank plus a witness at the reported rank; otherwise the
-    honest interval [lo, hi] is reported.
+    smaller rank plus a witness at the reported rank; otherwise it is
+    "bounded" and the honest interval [lo, hi] is reported.
     """
 
-    space: str
-    status: str  # "exact" | "bounded"
-    lo: int
-    hi: int
-    witnesses: tuple[ClassRecord, ...]
+    __slots__ = ()
 
     @property
     def value(self) -> int | None:
@@ -395,32 +383,22 @@ def canonical_structure(catalog, space: HomSpaceRec) -> Classification:
     return Classification(
         space=space.name,
         r=space.n,
-        classes=(
-            ClassRecord(
-                family=DIAGONAL_FAMILY_NAME,
-                label="diagonal",
-                extends_to=None,
-            ),
-        ),
+        classes=(ClassRecord(family=DIAGONAL_FAMILY_NAME, label="diagonal"),),
         count=1,
         complete=False,
         certificate=(
             "distinguished witness built from the isotropy representation; "
             "not an enumeration of rank-n structures"
         ),
-        rejected=(),
     )
 
 
-class HolonomyVerdict(NamedTuple):
-    group: str
-    m: int
-    r: int
-    verdict: str  # "yes" | "no" | "unknown"
-    via: tuple[ClassRecord, ...]
-    complete: bool
-    certificate: str
-    rejected: tuple[RejectedFamily, ...]
+class HolonomyVerdict(
+    namedtuple("HolonomyVerdict", "group m r verdict via complete certificate rejected")
+):
+    """A holonomy lift answer; ``verdict`` is "yes", "no" or "unknown"."""
+
+    __slots__ = ()
 
 
 def holonomy_lift(catalog, group: str, m: int, r: int) -> HolonomyVerdict:
@@ -440,15 +418,8 @@ def holonomy_lift(catalog, group: str, m: int, r: int) -> HolonomyVerdict:
     via, rejected = _lift_families(m, rec.h_pi1, enum.families, g.pi1)
     if r == m:
         via.append(ClassRecord(family=HOLONOMY_DIAGONAL_NAME, label="diagonal"))
-    if via:
-        return HolonomyVerdict(
-            group, m, r, "yes", tuple(via), enum.complete, enum.certificate,
-            tuple(rejected),
-        )
-    if enum.complete:
-        return HolonomyVerdict(
-            group, m, r, "no", (), True, enum.certificate, tuple(rejected)
-        )
+    verdict = "yes" if via else "no" if enum.complete else "unknown"
     return HolonomyVerdict(
-        group, m, r, "unknown", (), False, enum.certificate, tuple(rejected)
+        group, m, r, verdict, tuple(via), enum.complete, enum.certificate,
+        tuple(rejected),
     )

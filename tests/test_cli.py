@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import spinr.catalog
 from spinr.catalog import bundled_catalog_text, loads
 from spinr.catalogfile import SpinrError
 from spinr.cli import EXIT_CLOSED_STDOUT, EXIT_CODES, main
@@ -351,6 +352,47 @@ def test_rank_and_dimension_below_one_exit_five(args, option, value):
     assert res.exit_code == 5
     assert res.stdout == ""
     assert res.stderr == f"invalid argument: {option} must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "args, option, value",
+    [
+        (("classify", "S4:SO(5)", "--r", "٣"), "--r", "٣"),
+        (("classify", "S4:SO(5)", "--r", "0_3"), "--r", "0_3"),
+        (("classify", "S4:SO(5)", "--r", " 3"), "--r", " 3"),
+        (("classify", "S4:SO(5)", "--r", "+3"), "--r", "+3"),
+        (("classify", "S4:SO(5)", "--r", "-"), "--r", "-"),
+        (("holonomy", "Sp(3)·Sp(1)", "--m", "١٢", "--r", "2"), "--m", "١٢"),
+        (("holonomy", "Sp(3)·Sp(1)", "--m", "12", "--r", "٣"), "--r", "٣"),
+    ],
+)
+def test_rank_and_dimension_read_ascii_digits_only(args, option, value):
+    # Python's int reads every Unicode digit, '_' and surrounding spaces;
+    # the options read integers as the catalog does
+    res = run(*args)
+    assert (res.exit_code, res.stdout, res.exception) == (6, "", None)
+    message = f"error: argument {option}: invalid int value: {value!r}\n"
+    assert res.stderr.endswith(message)
+
+
+def test_a_missing_package_data_file_exits_four_naming_it(tmp_path, monkeypatch):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text(bundled_catalog_text(), encoding="utf-8")
+    data = tmp_path / "data"
+    data.mkdir()
+    monkeypatch.setattr(spinr.catalog, "DATA_DIR", str(data))
+    monkeypatch.setattr(spinr.catalog, "_default", None)  # not the cached load
+    for args, name in [
+        (("table1",), "catalog.txt"),
+        (("classify", "S4:SO(5)", "--r", "3"), "catalog.txt"),
+        (("--catalog", str(catalog), "table1"), "table1_expected.json"),
+    ]:
+        res = run(*args, env={"SPINR_CATALOG": None})
+        assert (res.exit_code, res.stdout, res.exception) == (4, "", None)
+        path = os.path.join(str(data), name)
+        assert res.stderr == (
+            f"catalog error: [Errno 2] No such file or directory: {path!r}\n"
+        )
 
 
 # --- spin-type --------------------------------------------------------------------

@@ -3,9 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinr.abelian import AbElem, AbHom, FgAbGroup
-from spinr.catalog import loads
+from spinr.catalog import bundled_catalog_text, load, loads
 from spinr.catalogfile import CatalogParseError
 from spinr.liecat import NotInCatalogError, SimpleIdeal, so_group, so_pi1, so_pi1_map
+from clirunner import run
 
 MINIMAL = """
 catalog_version: 1
@@ -194,7 +195,6 @@ def test_connected_flag_read_strictly():
 
 
 def test_quoted_false_in_bundled_catalog_is_rejected():
-    from spinr.catalog import bundled_catalog_text
     from spinr.spaces import HypothesisError, classify
 
     text = bundled_catalog_text()
@@ -220,6 +220,11 @@ def test_quoted_false_in_bundled_catalog_is_rejected():
         ('"SO(4)"', '"SO(0)"', "group SO(0): SO(k) needs an integer k >= 1"),
         ('kind: "so(3)"', 'kind: "so(x)"', "ideal so(x): so(k) is simple only"),
         ('kind: "so(3)"', 'kind: "so(4)"', "ideal so(4): so(k) is simple only"),
+        # int() reads each of these as 3; only str(k) itself names so(k)
+        *(('kind: "so(3)"', f'kind: "{kind}"',
+           f"ideal {kind}: so(k) is simple only for an integer k = 3 or k >= 5, "
+           f"in canonical ASCII decimal")
+          for kind in ("so(+3)", "so(٣)", "so( 3)", "so(03)", "so(0_3)")),
     ],
 )
 def test_malformed_so_names_raise_parse_errors(old, new, message):
@@ -228,6 +233,27 @@ def test_malformed_so_names_raise_parse_errors(old, new, message):
     with pytest.raises(CatalogParseError) as err:
         loads(bad)
     assert message in str(err.value)
+
+
+_GROUP_BLOCK = MINIMAL.split("\n\n", 1)[1]  # the SO(4) record, without the version
+
+
+@pytest.mark.parametrize("name", ["SO(+٤)", "SO(٤)", "SO( 4)", "SO(04)", "SO(0_4)"])
+def test_an_so_name_must_spell_k_in_ascii_decimal(tmp_path, name):
+    # Python's int reads each of these k as 4, so the record passed the
+    # SO(4) formula check and loaded as a second group beside SO(4)
+    bundled = bundled_catalog_text()
+    path = tmp_path / "c.txt"
+    path.write_text(bundled + _GROUP_BLOCK.replace('"SO(4)"', f'"{name}"'), "utf-8")
+    line = bundled.count("\n") + 1
+    with pytest.raises(CatalogParseError) as err:
+        load(str(path))
+    assert (err.value.path, err.value.line) == (str(path), line)
+    message = f"group {name}: SO(k) needs an integer k >= 1 in canonical ASCII decimal"
+    assert err.value.message == message
+    res = run("--catalog", str(path), "table1")
+    assert (res.exit_code, res.exception) == (4, None)
+    assert res.stderr == f"catalog error: {path}:{line}: {message}\n"
 
 
 # --- bundled catalog sanity ---------------------------------------------------

@@ -148,16 +148,43 @@ def test_repr_is_type_then_fields(record):
     assert repr(obj) == f"{cls.__name__}({body})"
 
 
-def test_defaults():
-    assert SimpleIdeal("so(3)", 3, 3).is_abelian is False
-    assert AlgebraProfile(2).ideals == ()
-    assert ClassRecord("f") == ClassRecord("f", None, None, None)
-    fam = OrthRepFamily("f", "D", 2, (), param_constraint=Congruence(1, 0))
-    assert (fam.labels, fam.distinct_classes, fam.extends_to, fam.certificate) == (
-        None, "", None, "incomplete"
-    )
-    assert Classification("X", 1, (), 0, True, "c").rejected == ()
-    assert loads(BASE).path == "<catalog>"
+@pytest.mark.parametrize(
+    "make, defaults",
+    [
+        (lambda: SimpleIdeal("so(3)", 3, 3), {"is_abelian": False}),
+        (lambda: AlgebraProfile(0), {"ideals": ()}),
+        (lambda: AlgebraProfile(2), {"ideals": ()}),
+        (lambda: ClassRecord("f"),
+         {"label": None, "constraint": None, "extends_to": None}),
+        (lambda: OrthRepFamily("f", "D", 2, (), param_constraint=Congruence(1, 0)),
+         {"labels": None, "distinct_classes": "", "extends_to": None,
+          "certificate": "incomplete"}),
+        (lambda: Classification("X", 1, (), 0, True, "c"), {"rejected": ()}),
+        (lambda: loads(BASE), {"path": "<catalog>"}),
+    ],
+)
+def test_defaults(make, defaults):
+    obj = make()
+    assert {name: getattr(obj, name) for name in defaults} == defaults
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (lambda: SpinTypeResult("X", "exact", 3, 3, ()).value, 3),
+        (lambda: SpinTypeResult("X", "bounded", 2, 3, (_class(),)).value, None),
+        (lambda: Classification("X", 1, (), 0, True, "c").is_empty(), True),
+        (lambda: Classification("X", 2, (_class(),), None, True, "c").is_empty(),
+         False),
+        (lambda: str(RuleTrace(("a", "b"))), "a; b"),
+        (lambda: str(RuleTrace(())), ""),
+        (lambda: AlgebraProfile(1, (SimpleIdeal("so(3)", 3, 3),)).dim, 4),
+        (lambda: str(AffineInt(Fraction(3, 2), Fraction(-1))), "3*s/2-1"),
+        (lambda: AffineInt(Fraction(1, 2), Fraction(0)).eval(4), 2),
+    ],
+)
+def test_derived_values(value, expected):
+    assert value() == expected
 
 
 def test_congruence_stores_its_residue_reduced():

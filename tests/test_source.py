@@ -102,19 +102,39 @@ def test_importing_the_cli_leaves_out_dataclasses_and_json():
         "print(sorted(m for m in new if m != 'spinr' and not m.startswith('spinr.')\n"
         "             and m.split('.')[0] not in sys.stdlib_module_names))\n"
     )
+    assert _child(code) == ["[]", "[]", ""]
+    # -S runs no site, so no .pth file has imported anything first, as in
+    # a plain venv; there the CLI and the bundled load must not pull in
+    # importlib.resources (which brings pathlib, tempfile, shutil, ...)
+    # or typing.  fractions stays: perfbench/checks.py reads AffineInt's
+    # coefficients as rationals.
+    code = (
+        "import sys\n"
+        "import spinr.cli\n"
+        "spinr.cli.load_default()\n"
+        "print(sorted({'importlib.resources', 'typing', 'pathlib'}\n"
+        "             & set(sys.modules)))\n"
+    )
+    assert _child(code, "-S") == ["[]", ""]
+
+
+def _child(code: str, *flags: str) -> list[str]:
+    """The stdout lines of a fresh interpreter running code on the bundled
+    catalog."""
     env = dict(os.environ)
+    env.pop("SPINR_CATALOG", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    assert out.stdout.split("\n") == ["[]", "[]", ""]
+    return out.stdout.split("\n")
 
 
 def test_every_site_the_benchmark_tracer_wraps_exists():
