@@ -1,12 +1,12 @@
-"""Catalog assembly: load the shared data file into typed records and
-run the cross-record consistency checks.
+"""Catalog assembly: load a catalog file into typed records and run the
+cross-record consistency checks.
 
 One file carries four record types: ``group``, ``repfamily``, ``space``
 and ``holonomy``.  Groups must parse before anything that refers to
 them; the loader therefore builds in two passes regardless of record
-order in the file.  The bundled catalog ships as package data, read
-from the installed files beside this module, and can be overridden per
-call, by flag, or with the SPINR_CATALOG environment variable.
+order in the file.  The bundled catalog is built in code by
+:mod:`spinr.bundled`, and can be overridden per call, by flag, or with
+the SPINR_CATALOG environment variable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 from . import catalogfile
 from .catalogfile import CatalogParseError, SpinrError
 from .liecat import CompactGroupRec, NotInCatalogError, build_group
-from .repcat import OrthRepFamily, build_family, no_nontrivial_hom
+from .repcat import OrthRepFamily, build_family
 from .spaces import HolonomyRec, HomSpaceRec, build_holonomy, build_space
 
 ENV_CATALOG = "SPINR_CATALOG"
@@ -151,6 +151,7 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
             raise CatalogParseError(f"record '{key}' must be a block", line, path)
         if key == "group":
             rec = build_group(entry)
+            _require_normal_name("group", rec.name, line, path)
             if rec.name in groups:
                 raise CatalogParseError(f"duplicate group '{rec.name}'", line, path)
             groups[rec.name] = rec
@@ -179,16 +180,10 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
                 fam.validate_against(domain)
             except ValueError as err:
                 raise CatalogParseError(str(err), line, path) from err
-            if no_nontrivial_hom(domain.algebra, fam.target_r):
-                raise CatalogParseError(
-                    f"family {fam.name} at ({fam.domain}, {fam.target_r}) "
-                    f"contradicts the rule engine's non-existence proof",
-                    line,
-                    path,
-                )
             families.append(fam)
         elif key == "space":
             rec = build_space(entry, groups)
+            _require_normal_name("space", rec.name, line, path)
             if rec.name in spaces:
                 raise CatalogParseError(
                     f"duplicate space '{rec.name}'", line, path
@@ -213,6 +208,18 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
     )
 
 
+def _require_normal_name(kind: str, name: str, line: int, path: str):
+    """Refuse a name that no lookup can reach: every lookup reads its
+    argument through normalize_name, so the stored name must be normal."""
+    key = normalize_name(name)
+    if key != name:
+        raise CatalogParseError(
+            f"{kind} name {name!r} cannot be looked up: lookups read it as {key!r}",
+            line,
+            path,
+        )
+
+
 def _read(path: str) -> bytes:
     """The file's bytes; an OSError becomes a CatalogReadError naming it."""
     try:
@@ -223,7 +230,7 @@ def _read(path: str) -> bytes:
 
 
 def read_data(name: str) -> str:
-    """The text of the package data file ``name``, e.g. "catalog.txt"."""
+    """The text of the package data file ``name``, e.g. "table1_expected.json"."""
     return _read(os.path.join(DATA_DIR, name)).decode("utf-8")
 
 
@@ -245,15 +252,11 @@ def load(path: str) -> Catalog:
 _default: Catalog | None = None
 
 
-def bundled_catalog_text() -> str:
-    return read_data("catalog.txt")
-
-
 def load_default(path: str | None = None) -> Catalog:
     """Resolve the catalog: explicit path, else $SPINR_CATALOG, else the
-    bundled data file (cached).  An empty path or an empty
-    $SPINR_CATALOG counts as unset.  This is the only place that reads
-    $SPINR_CATALOG."""
+    bundled catalog that :mod:`spinr.bundled` builds (cached).  An empty
+    path or an empty $SPINR_CATALOG counts as unset.  This is the only
+    place that reads $SPINR_CATALOG."""
     global _default
     if path:
         return load(path)
@@ -261,5 +264,7 @@ def load_default(path: str | None = None) -> Catalog:
     if env:
         return load(env)
     if _default is None:
-        _default = loads(bundled_catalog_text(), "<bundled>")
+        from .bundled import build_catalog  # a catalog file never needs it
+
+        _default = build_catalog()
     return _default

@@ -1,13 +1,13 @@
 """Compact connected Lie group records: fundamental groups with chosen
 generators, plus the ideal structure of the Lie algebra.
 
-Only two kinds of knowledge are encoded here.  Formulaic families
-(the special orthogonal groups) are built by :func:`so_group`; every
-other group ships as a catalog record whose fundamental group and
-algebra profile carry a provenance citation.  The ideal profiles feed
-the non-existence rule engine, which needs, for each simple ideal, its
-dimension and the smallest dimension of a nontrivial real orthogonal
-representation.
+The formulas here are the groups SO(k) (:func:`so_group`) and the
+simple ideals so(k), su(k) and sp(k).  :mod:`spinr.bundled` builds the
+bundled catalog from them, and the loader checks a file's SO(k) groups
+against :func:`so_group`; every group record carries a provenance
+citation.  The ideal profiles feed the non-existence rule engine, which
+needs, for each simple ideal, its dimension and the smallest dimension
+of a nontrivial real orthogonal representation.
 """
 
 from __future__ import annotations
@@ -106,11 +106,42 @@ def so_pi1_map(domain: FgAbGroup, r: int, values) -> AbHom:
 
 def so_ideal(k: int) -> SimpleIdeal:
     """so(k) as a simple ideal; only defined for k = 3 and k >= 5."""
+    # so(3): the adjoint (= vector) rep in dim 3 is the smallest nontrivial
+    # orthogonal rep; the targets so(1), so(2) are abelian.  k >= 5: the
+    # vector rep in dim k is minimal, and the spinor reps have real
+    # dimension >= k (Onishchik-Vinberg tables).
     if k == 3:
         return SimpleIdeal("so(3)", 3, 3)
     if k >= 5:
         return SimpleIdeal(f"so({k})", k * (k - 1) // 2, k)
     raise ValueError(f"so({k}) is not simple")
+
+
+def su_ideal(k: int) -> SimpleIdeal:
+    """su(k) as a simple ideal, for k >= 2."""
+    # su(2) = so(3).  k >= 3: the realified vector rep C^k = R^2k is the
+    # smallest orthogonal rep; the complex irreps below dim k^2 - 1 are the
+    # vector rep and its dual, both of complex type.
+    if k == 2:
+        return SimpleIdeal("su(2)", 3, 3)
+    if k >= 3:
+        return SimpleIdeal(f"su({k})", k * k - 1, 2 * k)
+    raise ValueError(f"su({k}) is not simple")
+
+
+def sp_ideal(k: int) -> SimpleIdeal:
+    """sp(k) as a simple ideal, for k >= 1."""
+    # sp(1) = so(3) and sp(2) = so(5), whose vector rep in dim 5 is minimal.
+    # k >= 3: the realified vector rep H^k = R^4k is the smallest
+    # orthogonal rep (the quaternionic vector irrep doubles; the other
+    # fundamental reps are larger).
+    if k == 1:
+        return SimpleIdeal("sp(1)", 3, 3)
+    if k == 2:
+        return SimpleIdeal("sp(2)", 10, 5)
+    if k >= 3:
+        return SimpleIdeal(f"sp({k})", k * (2 * k + 1), 4 * k)
+    raise ValueError(f"sp({k}) is not simple")
 
 
 def so_algebra(k: int) -> AlgebraProfile:

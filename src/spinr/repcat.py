@@ -213,7 +213,9 @@ class OrthRepFamily(
         return so_pi1_map(domain_pi1, r, [e.eval(s) for e in self.pi1_images])
 
     def validate_against(self, group: CompactGroupRec):
-        """Well-definedness of the induced map over the whole family."""
+        """Well-definedness of the induced map over the whole family, and
+        agreement with the rule engine: a family cannot sit at a rank
+        where only the zero map exists."""
         if group.name != self.domain:
             raise ValueError(f"family {self.name} validated against wrong group")
         if len(self.pi1_images) != group.pi1.rank:
@@ -228,6 +230,11 @@ class OrthRepFamily(
         for s in samples:
             values = [e.eval(s) for e in self.pi1_images]
             cyclic_images(group.pi1, so_pi1_target(self.target_r, values), values)
+        if no_nontrivial_hom(group.algebra, self.target_r):
+            raise ValueError(
+                f"family {self.name} at ({self.domain}, {self.target_r}) "
+                f"contradicts the rule engine's non-existence proof"
+            )
 
 
 # --- the non-existence rule engine ---------------------------------------------

@@ -302,6 +302,32 @@ def scan_hom_rule_trace(a, r: int) -> ScanVerdict:
     return ScanVerdict(not survivor_found, RuleTrace(tuple(lines)))
 
 
+_CENTRE_RUN_RE = re.compile(r"R\^d for ([0-9]+) ≤ d ≤ ([0-9]+)")
+_RUN_DIMS_RE = re.compile(r"\(dim ([0-9]+) to ([0-9]+)\)")
+
+
+def expand_centre_runs(lines) -> RuleTrace:
+    """Rule-trace lines with each merged run ('... R^d for lo ≤ d ≤ hi
+    (dim a to b) ...') written out as one line per centre dimension d, in
+    the words of scan_hom_rule_trace."""
+    out = []
+    for line in lines:
+        run = _CENTRE_RUN_RE.search(line)
+        if run is None:
+            out.append(line)
+            continue
+        lo, hi = int(run[1]), int(run[2])
+        dims = _RUN_DIMS_RE.search(line)
+        if dims is not None and int(dims[2]) - int(dims[1]) != hi - lo:
+            raise ValueError(f"dimensions do not match the run in {line!r}")
+        for d in range(lo, hi + 1):
+            one = f"{line[:run.start()]}R^{d}{line[run.end():]}"
+            if dims is not None:
+                one = _RUN_DIMS_RE.sub(f"(dim {int(dims[1]) + d - lo})", one)
+            out.append(one)
+    return RuleTrace(tuple(out))
+
+
 def scan_invariant_spin_type(catalog, space) -> SpinTypeResult:
     """The least twist rank from a full `classify` (lift test of every
     family, the trivial one included) at every rank r <= n."""

@@ -1,10 +1,9 @@
 """The loader as a whole: where its errors point, what it does with
-arbitrary edits of a valid catalog, and the generator that writes the
-bundled catalog."""
+arbitrary edits of a valid catalog, and the bundled catalog that the
+library builds against the same catalog in the file format."""
 
 import gc
 import hashlib
-import importlib.util
 import os
 import re
 import subprocess
@@ -13,18 +12,18 @@ from pathlib import Path
 
 import pytest
 from clirunner import run
+from fixtures import BUNDLED_TEXT
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinr.catalog import (
     Catalog,
     CatalogReadError,
-    bundled_catalog_text,
     load,
     load_default,
     loads,
 )
-from spinr import liecat, repcat, spaces
+from spinr import bundled, liecat, repcat, spaces
 from spinr.catalogfile import CatalogParseError, SpinrError, parse
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -152,7 +151,7 @@ def test_a_load_leaves_no_cyclic_garbage():
     was = gc.isenabled()
     gc.disable()
     try:
-        for text in (BASE, bundled_catalog_text(), load_catalog(36, 1).text):
+        for text in (BASE, BUNDLED_TEXT, load_catalog(36, 1).text):
             gc.collect()
             loads(text)
             assert gc.collect() == 0
@@ -354,7 +353,7 @@ def _first_values() -> dict[tuple[str, str], tuple[int, object]]:
             else:
                 walk(key, children)
 
-    walk(None, parse(bundled_catalog_text()))
+    walk(None, parse(BUNDLED_TEXT))
     return first
 
 
@@ -364,7 +363,7 @@ def test_a_mistyped_value_is_reported_at_its_key_and_nowhere_else(
 ):
     line, value = _first_values()[block, key]
     wrong = "x" if value.__class__ is int else "5"
-    lines = bundled_catalog_text().split("\n")
+    lines = BUNDLED_TEXT.split("\n")
     old = lines[line - 1]
     lines[line - 1] = f"{old[: len(old) - len(old.lstrip())]}{key}: {wrong}"
     path = tmp_path / "c.txt"
@@ -416,6 +415,35 @@ def test_a_file_that_cannot_be_read_is_a_spinr_error_and_an_oserror(tmp_path):
     assert str(err.value) == f"[Errno 2] No such file or directory: '{missing}'"
     with pytest.raises(CatalogReadError, match=r"^\[Errno 21\] Is a directory: "):
         load_default(str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('name: "T"', 'name: "A.B"', "group name 'A.B' cannot be looked up: "
+         "lookups read it as 'A·B'"),
+        ('name: "T"', 'name: " T"', "group name ' T' cannot be looked up: "
+         "lookups read it as 'T'"),
+        ('name: "S2:SO(3)"', 'name: "S2:SO(3)\u2003"', "space name "
+         "'S2:SO(3)\\u2003' cannot be looked up: lookups read it as 'S2:SO(3)'"),
+        ('name: "S2:SO(3)"', 'name: "S2.SO(3)"', "space name 'S2.SO(3)' cannot "
+         "be looked up: lookups read it as 'S2·SO(3)'"),
+    ],
+)
+def test_a_name_that_no_lookup_can_reach_is_refused_at_its_record(
+    tmp_path, old, new, message
+):
+    # every lookup reads a name through normalize_name ('.' as '·', no
+    # surrounding spaces); stored verbatim, such a record loaded but no
+    # query could reach it
+    path = tmp_path / "c.txt"
+    path.write_text(BASE.replace(old, new), encoding="utf-8")
+    with pytest.raises(CatalogParseError) as err:
+        load(str(path))
+    line = _line_of(old) - 1  # the record's line, above its name
+    assert (err.value.path, err.value.line, err.value.message) == (
+        str(path), line, message
+    )
 
 
 def test_cross_validation_error_names_the_file(tmp_path):
@@ -568,28 +596,37 @@ def test_loads_returns_a_catalog_or_raises_catalog_parse_error(text):
         assert isinstance(cat, Catalog)
 
 
-# --- the generator ---------------------------------------------------------------
-
-def test_generator_renders_the_bundled_catalog():
-    spec = importlib.util.spec_from_file_location(
-        "make_catalog", ROOT / "tools" / "make_catalog.py"
-    )
-    make_catalog = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_catalog)
-    bundled = (ROOT / "src" / "spinr" / "data" / "catalog.txt").read_text("utf-8")
-    assert make_catalog.render() == bundled
-    assert make_catalog.render() == bundled  # rendering twice starts afresh
-
-
 # --- the records themselves ------------------------------------------------------
 
-# sha256 of repr(loads(text)), taken from the loader before its one-pass
-# rewrite: the same text must still build the same records, field by field.
+# sha256 of repr(loads(text)) of the bundled catalog, taken from the
+# loader before its one-pass rewrite, when the bundled catalog was a
+# package data file
+BUNDLED_DIGEST = "dfd36331c8d5b3601dfa69cbe6c80a6e3440098273e6de74c078499f82ff2aea"
+
+
+def test_the_library_builds_the_records_the_fixture_loads_into():
+    # every record, field by field and in order, as the file built them
+    built = bundled.build_catalog("<catalog>")
+    assert hashlib.sha256(repr(built).encode()).hexdigest() == BUNDLED_DIGEST
+    assert repr(built) == repr(loads(BUNDLED_TEXT))
+    assert [len(built.groups), len(built.families), len(built.spaces),
+            len(built.holonomies)] == [40, 28, 27, 24]
+
+
+def test_load_default_builds_the_bundled_catalog_once(monkeypatch):
+    monkeypatch.delenv("SPINR_CATALOG", raising=False)
+    monkeypatch.setattr("spinr.catalog._default", None)
+    first = load_default()
+    assert (first.path, first.version) == ("<bundled>", 1)
+    assert repr(first) == repr(bundled.build_catalog())
+    assert load_default() is first
+
+
+# the same text must still build the same records, field by field
 @pytest.mark.parametrize(
     "make_text, digest",
     [
-        (bundled_catalog_text,
-         "dfd36331c8d5b3601dfa69cbe6c80a6e3440098273e6de74c078499f82ff2aea"),
+        (lambda: BUNDLED_TEXT, BUNDLED_DIGEST),
         (lambda: load_catalog(36, 1).text,
          "5523f21e81ac4fa4f239a44e0d668d4f2683289e1a8da6a6e698145f17b4de1e"),
         (lambda: scale_catalog(200, 1).text,

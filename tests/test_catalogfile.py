@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fixtures import BUNDLED_TEXT
 from oracles import reference_parse
 
 from spinr.catalogfile import Block, CatalogParseError, entry_value, parse
@@ -211,10 +212,7 @@ def test_parse_matches_reference_parser(text):
 
 
 def test_bundled_catalog_parses_as_the_reference_does():
-    from spinr.catalog import bundled_catalog_text
-
-    text = bundled_catalog_text()
-    assert repr(parse(text)) == repr(reference_parse(text))
+    assert repr(parse(BUNDLED_TEXT)) == repr(reference_parse(BUNDLED_TEXT))
 
 
 # --- whitespace and line breaks beyond ASCII -------------------------------------

@@ -9,11 +9,12 @@ import jsonschema
 import pytest
 
 import spinr.catalog
-from spinr.catalog import bundled_catalog_text, loads
+from spinr.catalog import loads
 from spinr.catalogfile import SpinrError
 from spinr.cli import EXIT_CLOSED_STDOUT, EXIT_CODES, main
 from spinr.spaces import HypothesisError, holonomy_lift
 from clirunner import run
+from fixtures import BUNDLED_PATH, BUNDLED_TEXT
 from test_spaces import BOUNDED_CATALOG
 
 
@@ -192,7 +193,7 @@ def test_holonomy_disconnected_group_exit_three(tmp_path):
 
 
 # the bundled catalog plus a space with no structure at any rank up to n
-INCONSISTENT_CATALOG = bundled_catalog_text() + """
+INCONSISTENT_CATALOG = BUNDLED_TEXT + """
 space {
   name: "X3:SO(12)"
   G: "SO(12)"
@@ -207,7 +208,7 @@ space {
 def _bundled_with_so4_disconnected() -> str:
     """The bundled catalog with SO(4), the stabiliser of a table1 row,
     marked disconnected."""
-    text = bundled_catalog_text()
+    text = BUNDLED_TEXT
     at = text.index("connected: true", text.index('name: "SO(4)"'))
     return text[:at] + "connected: false" + text[at + len("connected: true"):]
 
@@ -234,7 +235,7 @@ def test_catalog_parse_error_exit_four(tmp_path):
 
 
 def test_a_mistyped_family_name_exits_four_naming_its_line_alone(tmp_path):
-    text = bundled_catalog_text()
+    text = BUNDLED_TEXT
     old = 'name: "so3-identity"'
     at = text.index(old)
     path = tmp_path / "cat.txt"
@@ -250,7 +251,7 @@ def test_a_mistyped_family_name_exits_four_naming_its_line_alone(tmp_path):
 def test_a_second_family_of_the_same_name_exits_four_at_its_line(tmp_path):
     # loaded, it would make classify cite the SO(3) family's certificate
     # for a U(2) class
-    text = bundled_catalog_text().replace('"u2-det-powers"', '"so3-identity"')
+    text = BUNDLED_TEXT.replace('"u2-det-powers"', '"so3-identity"')
     path = tmp_path / "dup.txt"
     path.write_text(text, encoding="utf-8")
     res = run("--catalog", str(path), "classify", "S5:U(3)", "--r", "2")
@@ -270,7 +271,7 @@ def test_a_family_under_a_reserved_name_exits_four_at_its_line(tmp_path, name):
     # the answers give these names to the zero map and the diagonal
     # twists; loaded, a family named "trivial" was listed both as a class
     # and as a rejected family
-    text = bundled_catalog_text().replace('"u2-det-powers"', f'"{name}"')
+    text = BUNDLED_TEXT.replace('"u2-det-powers"', f'"{name}"')
     path = tmp_path / "reserved.txt"
     path.write_text(text, encoding="utf-8")
     res = run("--catalog", str(path), "classify", "S5:U(3)", "--r", "2")
@@ -331,6 +332,26 @@ def test_environment_beats_the_bundled_catalog(catalogs):
     assert run(*X3, env={"SPINR_CATALOG": None}).exit_code == 2
 
 
+@pytest.mark.parametrize("fmt", ["md", "json"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("table1",),
+        ("classify", "S7:Sp(2)·U(1)", "--r", "2"),
+        ("classify", "S4:SO(5)", "--r", "4"),
+        ("spin-type", "S8:SO(9)"),
+        ("holonomy", "Sp(3)·Sp(1)", "--m", "12", "--r", "3"),
+    ],
+)
+def test_the_fixture_answers_as_the_bundled_catalog_does(args, fmt):
+    # the bundled catalog is built in code; the fixture writes it in the
+    # file format, and a --catalog run of it gives the same bytes
+    bundled = run(*args, "--format", fmt, env={"SPINR_CATALOG": None})
+    from_file = run("--catalog", str(BUNDLED_PATH), *args, "--format", fmt)
+    assert bundled.exit_code == 0
+    assert from_file == bundled
+
+
 def test_empty_environment_variable_means_the_bundled_catalog():
     bundled = run("table1", env={"SPINR_CATALOG": None})
     res = run("table1", env={"SPINR_CATALOG": ""})
@@ -376,23 +397,20 @@ def test_rank_and_dimension_read_ascii_digits_only(args, option, value):
 
 
 def test_a_missing_package_data_file_exits_four_naming_it(tmp_path, monkeypatch):
-    catalog = tmp_path / "catalog.txt"
-    catalog.write_text(bundled_catalog_text(), encoding="utf-8")
     data = tmp_path / "data"
     data.mkdir()
     monkeypatch.setattr(spinr.catalog, "DATA_DIR", str(data))
-    monkeypatch.setattr(spinr.catalog, "_default", None)  # not the cached load
-    for args, name in [
-        (("table1",), "catalog.txt"),
-        (("classify", "S4:SO(5)", "--r", "3"), "catalog.txt"),
-        (("--catalog", str(catalog), "table1"), "table1_expected.json"),
-    ]:
+    monkeypatch.setattr(spinr.catalog, "_default", None)  # not the cached build
+    for args in [("table1",), ("--catalog", str(BUNDLED_PATH), "table1")]:
         res = run(*args, env={"SPINR_CATALOG": None})
         assert (res.exit_code, res.stdout, res.exception) == (4, "", None)
-        path = os.path.join(str(data), name)
+        path = os.path.join(str(data), "table1_expected.json")
         assert res.stderr == (
             f"catalog error: [Errno 2] No such file or directory: {path!r}\n"
         )
+    # the bundled catalog is built in code, so classify reads no data file
+    res = run("classify", "S4:SO(5)", "--r", "3", env={"SPINR_CATALOG": None})
+    assert (res.exit_code, res.stderr, res.exception) == (0, "", None)
 
 
 # --- spin-type --------------------------------------------------------------------
@@ -473,6 +491,43 @@ def test_holonomy_ascii_dot_name_finds_the_families():
 
 MISSING = "a --catalog path with no file behind it"
 
+# a group whose name every lookup reads as 'A·B', and a space over it
+DOTTED_NAME_CATALOG = """catalog_version: 1
+group {
+  name: "A.B"
+  pi1 {
+    free_rank: 0
+    torsion: []
+    generators: []
+  }
+  algebra {
+    center_rank: 0
+  }
+  provenance: "test data"
+}
+space {
+  name: "S1:A.B"
+  G: "A.B"
+  H: "A.B"
+  n: 1
+  sigma_pi1_images: []
+  provenance: "test data"
+}
+"""
+
+
+def test_a_name_that_no_lookup_can_reach_exits_four_at_its_record(tmp_path):
+    # loaded verbatim, the space was listed as available and yet not found:
+    # "space 'S1:A.B' not in catalog; available: S1:A.B", exit 2
+    path = tmp_path / "dotted.txt"
+    path.write_text(DOTTED_NAME_CATALOG, encoding="utf-8")
+    res = run("--catalog", str(path), "classify", "S1:A.B", "--r", "1")
+    assert (res.exit_code, res.stdout, res.exception) == (4, "", None)
+    assert res.stderr == (
+        f"catalog error: {path}:2: group name 'A.B' cannot be looked up: "
+        f"lookups read it as 'A·B'\n"
+    )
+
 # (catalog text, or None for the bundled one, or MISSING; args; exit code)
 FAILURE_MODES = [
     (BOUNDED_CATALOG, ("spin-type", "X3:Ambient", "--strict"), 1),
@@ -505,6 +560,10 @@ FAILURE_MODES = [
     (DISCONNECTED_CATALOG.replace("connected: false", "conected: false"),
      ("holonomy", "Twisty", "--m", "3", "--r", "1"), 4),
     (None, ("classify", "S4:SO(5)", "--r", "1", "--"), 0),
+    # no lookup can reach a name that normalize_name changes
+    (DOTTED_NAME_CATALOG, ("classify", "S1:A.B", "--r", "1"), 4),
+    (DOTTED_NAME_CATALOG.replace('"A.B"', '" A"'), ("classify", "S1:A.B", "--r", "1"),
+     4),
 ]
 
 

@@ -3,10 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinr.abelian import AbElem, AbHom, FgAbGroup
-from spinr.catalog import bundled_catalog_text, load, loads
+from spinr.catalog import load, loads
 from spinr.catalogfile import CatalogParseError
 from spinr.liecat import NotInCatalogError, SimpleIdeal, so_group, so_pi1, so_pi1_map
 from clirunner import run
+from fixtures import BUNDLED_TEXT
 
 MINIMAL = """
 catalog_version: 1
@@ -197,7 +198,7 @@ def test_connected_flag_read_strictly():
 def test_quoted_false_in_bundled_catalog_is_rejected():
     from spinr.spaces import HypothesisError, classify
 
-    text = bundled_catalog_text()
+    text = BUNDLED_TEXT
     at = text.index("connected: true", text.index('name: "SO(4)"'))
 
     def with_flag(flag):
@@ -242,7 +243,7 @@ _GROUP_BLOCK = MINIMAL.split("\n\n", 1)[1]  # the SO(4) record, without the vers
 def test_an_so_name_must_spell_k_in_ascii_decimal(tmp_path, name):
     # Python's int reads each of these k as 4, so the record passed the
     # SO(4) formula check and loaded as a second group beside SO(4)
-    bundled = bundled_catalog_text()
+    bundled = BUNDLED_TEXT
     path = tmp_path / "c.txt"
     path.write_text(bundled + _GROUP_BLOCK.replace('"SO(4)"', f'"{name}"'), "utf-8")
     line = bundled.count("\n") + 1

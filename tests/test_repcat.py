@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import scan_hom_rule_trace
+from oracles import expand_centre_runs, scan_hom_rule_trace
 
 from spinr.catalog import loads
 from spinr.catalogfile import CatalogParseError
@@ -58,9 +58,21 @@ _ORDERS = st.sampled_from([0, 2, 3, 4])
 _RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
 
 
+def _contradiction(fam, group):
+    """The rule engine's objection to the family, checked after its maps,
+    or None."""
+    if no_nontrivial_hom(group.algebra, fam.target_r):
+        return (
+            f"family {fam.name} at ({fam.domain}, {fam.target_r}) "
+            f"contradicts the rule engine's non-existence proof"
+        )
+    return None
+
+
 def _first_error_on_window(fam, group, width=8):
     """The first error of the family's map over 2 * width admissible
-    values, its two samples first, or None."""
+    values, its two samples first, else the rule engine's objection, or
+    None."""
     c = fam.param_constraint
     ks = [-1, 0] + [k for j in range(1, width) for k in (j, -1 - j)]
     for k in ks:
@@ -68,7 +80,7 @@ def _first_error_on_window(fam, group, width=8):
             fam.pi1_map(group.pi1, fam.target_r, c.residue + k * c.modulus)
         except ValueError as err:
             return str(err)
-    return None
+    return _contradiction(fam, group)
 
 
 @settings(max_examples=300)
@@ -118,7 +130,7 @@ def test_validate_against_a_finite_family_agrees_with_its_map(orders, r, data):
             outcomes.append(None)
         except ValueError as err:
             outcomes.append(str(err))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (outcomes[1] or _contradiction(fam, group))
 
 
 def test_congruence_samples_are_admissible():
@@ -479,6 +491,82 @@ def test_unlisted_ranks_are_decided_by_the_closed_form(catalog):
                     assert res.certificate == f"rule engine: {scan.trace}"
                 checked += 1
     assert checked > 300
+
+
+# a centre of rank 2 and one of rank 3 with two ideals: no bundled or
+# generated group has a centre rank above 1, where the rule trace merges
+# runs of centre dimensions into one line
+CENTRE_CATALOG = """catalog_version: 1
+group {
+  name: "T2"
+  pi1 {
+    free_rank: 2
+    torsion: []
+    generators: ["a", "b"]
+  }
+  algebra {
+    center_rank: 2
+  }
+  provenance: "test data"
+}
+group {
+  name: "T3×Sp(2)×SU(3)"
+  pi1 {
+    free_rank: 3
+    torsion: []
+    generators: ["a", "b", "c"]
+  }
+  algebra {
+    center_rank: 3
+    ideal {
+      kind: "sp(2)"
+      dim: 10
+      min_orth_rep: 5
+    }
+    ideal {
+      kind: "su(3)"
+      dim: 8
+      min_orth_rep: 6
+    }
+  }
+  provenance: "test data"
+}
+repfamily {
+  name: "t3-first-circle"
+  domain: "T3×Sp(2)×SU(3)"
+  target_r: 2
+  param {
+    name: "s"
+    constraint: "s in Z"
+  }
+  pi1_images: ["s", "0", "0"]
+  distinct_classes: "test data"
+  certificate: "incomplete"
+}
+"""
+
+
+def test_merged_centre_runs_match_the_scan_on_a_catalog():
+    # every unlisted rank up to r0 + 1 = 3, and on to where each ideal fits
+    cat = loads(CENTRE_CATALOG)
+    merged = checked = 0
+    for name, group in cat.groups.items():
+        a = group.algebra
+        assert a.center_rank >= 2 and first_possible_rank(a) == 2
+        for r in range(1, 9):
+            if cat.families_at(name, r):
+                continue
+            res = enumerate_homs(cat, name, r)
+            scan = scan_hom_rule_trace(a, r)
+            assert res.complete == no_nontrivial_hom(a, r) == scan.impossible
+            prefix, lines = res.certificate.split(": ", 1)
+            assert prefix == "rule engine"
+            lines = lines.split("; ")
+            assert expand_centre_runs(lines) == scan.trace
+            merged += sum("R^d for" in line for line in lines)
+            checked += 1
+    assert checked == 15
+    assert merged > checked
 
 
 def test_no_family_contradicts_the_rule_engine(catalog):

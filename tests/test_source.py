@@ -88,6 +88,49 @@ def test_value_errors_are_caught_only_at_the_named_boundaries():
     assert set(found) == allowed  # the list names only handlers that exist
 
 
+def _scoped(tree, scope=()):
+    """(dotted scope, node) for every node below tree, each node scoped by
+    the functions and classes that enclose it."""
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = (*scope, child.name)
+        yield ".".join(scope), child
+        yield from _scoped(child, inner)
+
+
+def test_int_is_called_only_by_the_strict_readers():
+    # int() reads every Unicode digit, '_' and surrounding spaces, so text
+    # reaches it only through a reader that has matched catalogfile.INT_RE
+    # (or an equally strict pattern); the other calls take integers
+    allowed = {
+        ("abelian.py", "FgAbGroup.__init__"),
+        ("abelian.py", "FgAbGroup.reduce"),
+        ("abelian.py", "smith_diagonalize"),
+        ("catalogfile.py", "_parse_scalar"),
+        ("catalogfile.py", "parse"),
+        ("cli.py", "_ascii_int"),
+        ("liecat.py", "_so_index"),
+        ("repcat.py", "parse_congruence"),
+        ("repcat.py", "AffineInt.eval"),
+        ("repcat.py", "parse_affine"),
+        ("spaces.py", "_solve_parameter"),
+    }
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text("utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "int"
+            ):
+                found.setdefault((path.name, scope), node.lineno)
+    stray = [f"{n}:{line} in {scope}" for (n, scope), line in found.items()
+             if (n, scope) not in allowed]
+    assert stray == []
+    assert set(found) == allowed  # the list names only call sites that exist
+
+
 def test_importing_the_cli_leaves_out_dataclasses_and_json():
     # json is imported where JSON is read or written, so the markdown
     # commands never load it; and every module the import adds is spinr's
@@ -104,18 +147,20 @@ def test_importing_the_cli_leaves_out_dataclasses_and_json():
     )
     assert _child(code) == ["[]", "[]", ""]
     # -S runs no site, so no .pth file has imported anything first, as in
-    # a plain venv; there the CLI and the bundled load must not pull in
-    # importlib.resources (which brings pathlib, tempfile, shutil, ...)
-    # or typing.  fractions stays: perfbench/checks.py reads AffineInt's
-    # coefficients as rationals.
+    # a plain venv; there the CLI and the bundled build (spinr.bundled)
+    # must not pull in importlib or importlib.resources (which brings
+    # pathlib, tempfile, shutil, ...), typing, dataclasses or json.
+    # fractions stays: perfbench/checks.py reads AffineInt's coefficients
+    # as rationals.
     code = (
         "import sys\n"
         "import spinr.cli\n"
         "spinr.cli.load_default()\n"
-        "print(sorted({'importlib.resources', 'typing', 'pathlib'}\n"
-        "             & set(sys.modules)))\n"
+        "print('spinr.bundled' in sys.modules)\n"
+        "print(sorted({'importlib', 'importlib.resources', 'typing', 'pathlib',\n"
+        "              'dataclasses', 'json'} & set(sys.modules)))\n"
     )
-    assert _child(code, "-S") == ["[]", ""]
+    assert _child(code, "-S") == ["True", "[]", ""]
 
 
 def _child(code: str, *flags: str) -> list[str]:
@@ -228,7 +273,7 @@ def test_no_pattern_reads_unicode_digits():
 def test_every_python_file_parses_with_the_python_3_10_grammar():
     # pyproject.toml accepts 3.10; this checks its grammar only, not its
     # standard library API
-    paths = [p for d in ("src", "tests", "perfbench", "tools")
+    paths = [p for d in ("src", "tests", "perfbench")
              for p in sorted((ROOT / d).rglob("*.py"))]
     assert len(paths) > 20
     for path in paths:
