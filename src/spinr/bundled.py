@@ -38,8 +38,8 @@ _HALF_DIAG_CITE = (
 )
 
 
-def build_catalog(path: str = "<bundled>") -> Catalog:
-    """The bundled catalog, named ``path`` in its messages."""
+def build_catalog() -> Catalog:
+    """The bundled catalog, named ``<bundled>`` in its messages."""
     groups = {g.name: g for g in _groups()}
     families = _families()
     for fam in families:
@@ -54,7 +54,7 @@ def build_catalog(path: str = "<bundled>") -> Catalog:
         (g, m): HolonomyRec(g, m, so_pi1_map(groups[g].pi1, m, images), provenance)
         for g, m, images, provenance in _holonomies()
     }
-    return Catalog(1, groups, families, spaces, holonomies, path)
+    return Catalog(1, groups, families, spaces, holonomies, "<bundled>")
 
 
 def _groups() -> list[CompactGroupRec]:
