@@ -12,8 +12,6 @@ format, and a test holds the two equal record by record.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .abelian import FgAbGroup
 from .catalog import Catalog
 from .liecat import (
@@ -26,9 +24,9 @@ from .spaces import HolonomyRec, HomSpaceRec
 DOT = "·"  # the middle dot in group names like Sp(2)·Sp(1)
 
 # pi1 images as parse_affine returns them
-ONE = AffineInt(Fraction(0), Fraction(1))
-S = AffineInt(Fraction(1), Fraction(0))
-HALF_S = AffineInt(Fraction(1, 2), Fraction(0))
+ONE = AffineInt(0, 1)
+S = AffineInt(1, 0)
+HALF_S = AffineInt(1, 0, 2)
 
 _SIMPLY_CONNECTED = FgAbGroup()
 _HALF_DIAG_CITE = (

@@ -30,6 +30,7 @@ offending line.  Record builders read a block through :class:`Block`.
 from __future__ import annotations
 
 import re
+from functools import cache
 
 
 class SpinrError(Exception):
@@ -134,21 +135,25 @@ class Block:
 # form, none does for a blank or comment-only line, and no match is a
 # malformed line.  A '#' outside double quotes starts a comment; a '"'
 # runs to the next one or, unterminated, to the end of the line.
-_LINE_RE = re.compile(
-    r"""\s* (?:
-        (\})                                    # 1: '}' closes a block
-      | ([A-Za-z_][\w-]*) \s* (?:               # 2: a key, then
-            (\{)                                # 3: '{' opens a block
-          | : \s* (?:
-                "([^"]*)"                       # 4: a string
-              | (-?[0-9]+)                      # 5: an integer
-              | ((?=[^\s\#]) [^"\#]* (?: "[^"]*" [^"\#]* )* (?: "[^"]* )?)
-            ))                                  # 6: any other value, and the
-                                                #    spaces after it
-      |                                         # a blank line
-    ) \s* (?: \#.* | )""",
-    re.VERBOSE,
-)
+@cache
+def _line_re():
+    return re.compile(
+        r"""\s* (?:
+            (\})                                    # 1: '}' closes a block
+          | ([A-Za-z_][\w-]*) \s* (?:               # 2: a key, then
+                (\{)                                # 3: '{' opens a block
+              | : \s* (?:
+                    "([^"]*)"                       # 4: a string
+                  | (-?[0-9]+)                      # 5: an integer
+                  | ((?=[^\s\#]) [^"\#]* (?: "[^"]*" [^"\#]* )* (?: "[^"]* )?)
+                ))                                  # 6: any other value, and the
+                                                    #    spaces after it
+          |                                         # a blank line
+        ) \s* (?: \#.* | )""",
+        re.VERBOSE,
+    )
+
+
 # every integer spinr reads (catalog values, --r and --m, the k of SO(k)):
 # an optional '-' and ASCII digits.  Python's int would also take '٣',
 # '0_3' and ' 3'.
@@ -208,7 +213,7 @@ def parse(text: str, path: str = "<catalog>") -> list[tuple]:
     stack = []  # the entry lists of the enclosing blocks, innermost last
     parsed = {}  # value text -> its value: most repeat, such as "[]" or "true"
     lines = text.splitlines()
-    for lineno, m in enumerate(map(_LINE_RE.fullmatch, lines), start=1):
+    for lineno, m in enumerate(map(_line_re().fullmatch, lines), start=1):
         if m is None:
             raw = lines[lineno - 1]
             raise CatalogParseError(f"cannot parse line {raw.strip()!r}", lineno, path)

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from fractions import Fraction
-from math import isqrt
+from functools import cache
+from math import gcd, isqrt
 
 from .abelian import AbHom, FgAbGroup, cyclic_images
 from .catalogfile import Block, CatalogParseError
@@ -66,7 +66,10 @@ class Congruence(namedtuple("Congruence", "modulus residue")):
 
 UNCONSTRAINED = Congruence(1, 0)
 
-_CONG_RE = re.compile(r"^s\s*(?:=|≡)\s*(-?[0-9]+)\s*mod\s*([0-9]+)$")
+
+@cache
+def _cong_re():
+    return re.compile(r"^s\s*(?:=|≡)\s*(-?[0-9]+)\s*mod\s*([0-9]+)$")
 
 
 def parse_congruence(text: str) -> Congruence:
@@ -78,7 +81,7 @@ def parse_congruence(text: str) -> Congruence:
         return Congruence(2, 0)
     if t == "s odd":
         return Congruence(2, 1)
-    m = _CONG_RE.match(t)
+    m = _cong_re().match(t)
     if m:
         return Congruence(int(m.group(2)), int(m.group(1)))
     raise ValueError(f"cannot parse congruence constraint {text!r}")
@@ -86,43 +89,66 @@ def parse_congruence(text: str) -> Congruence:
 
 # --- affine expressions in the family parameter -------------------------------
 
-class AffineInt(namedtuple("AffineInt", "coeff offset")):
-    """coeff * s + offset with rational (Fraction) coefficients that are
-    integral on every admissible parameter value."""
+class AffineInt(namedtuple("AffineInt", "num off den")):
+    """(num * s + off) / den, an image that is integral on every
+    admissible parameter value, stored as integers in lowest terms with
+    den >= 1, so that equal expressions are equal records.
+    ``coeff`` and ``offset`` read its two coefficients as exact
+    ``Fraction`` values."""
 
     __slots__ = ()
 
+    def __new__(cls, num: int, off: int, den: int = 1):
+        if den != 1:
+            if den == 0:
+                raise ValueError("zero denominator in an affine expression")
+            g = gcd(num, off, den) if den > 0 else -gcd(num, off, den)
+            num, off, den = num // g, off // g, den // g
+        return tuple.__new__(cls, (num, off, den))
+
+    @property
+    def coeff(self):
+        from fractions import Fraction  # imported only where rationals are read
+        return Fraction(self.num, self.den)
+
+    @property
+    def offset(self):
+        from fractions import Fraction
+        return Fraction(self.off, self.den)
+
     def eval(self, s: int) -> int:
-        coeff, offset = self
-        if coeff.denominator == 1 and offset.denominator == 1:
-            return coeff.numerator * s + offset.numerator
-        v = coeff * s + offset
-        if v.denominator != 1:
+        num, off, den = self
+        value, rest = divmod(num * s + off, den)
+        if rest:
             raise ValueError(f"{self} is not integral at s={s}")
-        return int(v)
+        return value
 
     def is_constant(self) -> bool:
-        return self.coeff == 0
+        return self.num == 0
 
     def __str__(self):
-        if self.coeff == 0:
-            return str(self.offset)
-        parts = []
-        if self.coeff == 1:
-            parts.append("s")
-        elif self.coeff.denominator == 1:
-            parts.append(f"{self.coeff}*s")
-        elif self.coeff.numerator == 1:
-            parts.append(f"s/{self.coeff.denominator}")
-        else:
-            parts.append(f"{self.coeff.numerator}*s/{self.coeff.denominator}")
-        if self.offset:
-            parts.append(f"+{self.offset}" if self.offset > 0 else str(self.offset))
-        return "".join(parts)
+        num, off, den = self
+        offset = _ratio(off, den)
+        if num == 0:
+            return offset
+        n, _, d = _ratio(num, den).partition("/")
+        term = ("s" if n == "1" else f"{n}*s") + (d and f"/{d}")
+        return term + ("+" + offset if off > 0 else offset if off else "")
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, written as str() writes the equal Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
+ZERO = AffineInt(0, 0)  # every image of the trivial family
 
 
 # one signed term: [sign] [num*] s [/den], or [sign] const
-_TERM_RE = re.compile(r"([+-]?)(?:(?:([0-9]+)\*)?s(?:/([0-9]+))?|([0-9]+))")
+@cache
+def _term_re():
+    return re.compile(r"([+-]?)(?:(?:([0-9]+)\*)?s(?:/([0-9]+))?|([0-9]+))")
 
 
 def parse_affine(text: str) -> AffineInt:
@@ -131,23 +157,22 @@ def parse_affine(text: str) -> AffineInt:
     src = text.replace(" ", "")
     if not src:
         raise ValueError("empty affine expression")
-    coeff = offset = 0  # plain integers until a term has a denominator
-    pos = 0
+    num, offset, den, pos = 0, 0, 1, 0  # the coefficient of s is num/den
     while pos < len(src):
-        m = _TERM_RE.match(src, pos)
+        m = _term_re().match(src, pos)
         if m is None or not (pos == 0 or m[1]):
             raise ValueError(f"cannot parse affine term {src[pos:]!r} in {text!r}")
-        sign, num, den, const = m.groups()
+        sign, n, d, const = m.groups()
         sign = -1 if sign == "-" else 1
         if const is not None:
             offset += sign * int(const)
         else:
-            num, den = int(num or 1), int(den or 1)
-            if den == 0:
+            n, d = int(n or 1), int(d or 1)
+            if d == 0:
                 raise ValueError(f"zero denominator in {text!r}")
-            coeff += sign * (Fraction(num, den) if den != 1 else num)
+            num, den = num * d + sign * n * den, den * d
         pos = m.end()
-    return AffineInt(Fraction(coeff), Fraction(offset))
+    return AffineInt(num, offset * den, den)
 
 
 # --- representation families ---------------------------------------------------
@@ -363,12 +388,11 @@ RESERVED_FAMILY_NAMES = frozenset(
 
 
 def trivial_family(domain: str, r: int, domain_rank: int) -> OrthRepFamily:
-    zero = AffineInt(Fraction(0), Fraction(0))
     return OrthRepFamily(
         name=TRIVIAL_FAMILY_NAME,
         domain=domain,
         target_r=r,
-        pi1_images=(zero,) * domain_rank,
+        pi1_images=(ZERO,) * domain_rank,
         labels=("trivial",),
         distinct_classes="the constant homomorphism",
         extends_to="(any)",

@@ -165,14 +165,14 @@ def _solve_parameter(sigma: AbHom, family: OrthRepFamily) -> Congruence | None:
                 return None
             continue
         expr = family.pi1_images[i]
-        step = expr.coeff * mu
-        if step.denominator != 1:
+        step, rest = divmod(expr.num * mu, expr.den)
+        if rest:
             raise ValueError(
                 f"family {family.name}: image {expr} is not integral on "
                 f"the parameter's admissible values"
             )
         v0 = expr.eval(rho)
-        if int(step) % 2 == 0:
+        if step % 2 == 0:
             if v0 % 2 != eps:
                 return None
         else:
@@ -192,35 +192,17 @@ def _test_family(
     if family.parameterized:
         solved = _solve_parameter(sigma, family)
         if solved is not None:
-            return (
-                [
-                    ClassRecord(
-                        family=family.name,
-                        constraint=solved,
-                        extends_to=family.extends_to,
-                    )
-                ],
-                None,
-            )
+            return [ClassRecord(family.name, None, solved, family.extends_to)], None
+        # no admissible value passes: one of them gives the witnesses
         s = family.param_constraint.sample(1)[0]
-        verdict = lifts(
-            LiftQuery(space_n, r, sigma, family.pi1_map(domain_pi1, r, s))
-        )
-        return [], _rejection(family, verdict)
-    phi = family.pi1_map(domain_pi1, r)
-    verdict = lifts(LiftQuery(space_n, r, sigma, phi))
-    if verdict.lifts:
-        return (
-            [
-                ClassRecord(
-                    family=family.name,
-                    label=label,
-                    extends_to=family.extends_to,
-                )
+        verdict = lifts(LiftQuery(space_n, r, sigma, family.pi1_map(domain_pi1, r, s)))
+    else:
+        verdict = lifts(LiftQuery(space_n, r, sigma, family.pi1_map(domain_pi1, r)))
+        if verdict.lifts:
+            return [
+                ClassRecord(family.name, label, None, family.extends_to)
                 for label in family.labels
-            ],
-            None,
-        )
+            ], None
     return [], _rejection(family, verdict)
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import re
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from spinr.abelian import AbElem, Subgroup
 from spinr.catalogfile import CatalogParseError
-from spinr.repcat import RuleTrace
+from spinr.repcat import AffineInt, RuleTrace
 from spinr.spaces import (
     InconsistentCatalogError,
     SpinTypeResult,
@@ -138,6 +139,48 @@ def enumerate_torsion_subgroup(s: Subgroup) -> set[tuple[int, ...]]:
                     seen.add(nxt.coords)
                     frontier.append(nxt)
     return seen
+
+
+# --- reference affine expressions ---------------------------------------------
+#
+# The Fraction arithmetic that ``spinr.repcat.AffineInt`` ran on before it
+# stored integers in lowest terms.
+
+class FractionAffine(NamedTuple):
+    """coeff * s + offset with rational coefficients."""
+
+    coeff: Fraction
+    offset: Fraction
+
+    def eval(self, s: int) -> int:
+        v = self.coeff * s + self.offset
+        if v.denominator != 1:
+            raise ValueError(f"{self} is not integral at s={s}")
+        return int(v)
+
+    def __str__(self):
+        if self.coeff == 0:
+            return str(self.offset)
+        parts = []
+        if self.coeff == 1:
+            parts.append("s")
+        elif self.coeff.denominator == 1:
+            parts.append(f"{self.coeff}*s")
+        elif self.coeff.numerator == 1:
+            parts.append(f"s/{self.coeff.denominator}")
+        else:
+            parts.append(f"{self.coeff.numerator}*s/{self.coeff.denominator}")
+        if self.offset:
+            parts.append(f"+{self.offset}" if self.offset > 0 else str(self.offset))
+        return "".join(parts)
+
+    def to_affine_int(self) -> AffineInt:
+        """The equal record, written over the product of the denominators."""
+        c, o = Fraction(self.coeff), Fraction(self.offset)
+        return AffineInt(
+            c.numerator * o.denominator, o.numerator * c.denominator,
+            c.denominator * o.denominator,
+        )
 
 
 # --- reference catalog parser ------------------------------------------------

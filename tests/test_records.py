@@ -45,7 +45,7 @@ def _sigma():
 
 def _family():
     return OrthRepFamily(
-        "f", "SO(3)", 3, (AffineInt(Fraction(1), Fraction(0)),), labels=("id",)
+        "f", "SO(3)", 3, (AffineInt(1, 0),), labels=("id",)
     )
 
 
@@ -69,7 +69,7 @@ RECORDS = [
     (CompactGroupRec, ("name", "pi1", "algebra", "connected", "provenance"),
      lambda: so_group(4)),
     (Congruence, ("modulus", "residue"), lambda: Congruence(4, 6)),
-    (AffineInt, ("coeff", "offset"), lambda: AffineInt(Fraction(1, 2), Fraction(3))),
+    (AffineInt, ("num", "off", "den"), lambda: AffineInt(1, 6, 2)),
     (OrthRepFamily,
      ("name", "domain", "target_r", "pi1_images", "labels", "param_constraint",
       "distinct_classes", "extends_to", "certificate"),
@@ -154,6 +154,7 @@ def test_repr_is_type_then_fields(record):
         (lambda: SimpleIdeal("so(3)", 3, 3), {"is_abelian": False}),
         (lambda: AlgebraProfile(0), {"ideals": ()}),
         (lambda: AlgebraProfile(2), {"ideals": ()}),
+        (lambda: AffineInt(1, 0), {"den": 1}),
         (lambda: ClassRecord("f"),
          {"label": None, "constraint": None, "extends_to": None}),
         (lambda: OrthRepFamily("f", "D", 2, (), param_constraint=Congruence(1, 0)),
@@ -179,8 +180,11 @@ def test_defaults(make, defaults):
         (lambda: str(RuleTrace(("a", "b"))), "a; b"),
         (lambda: str(RuleTrace(())), ""),
         (lambda: AlgebraProfile(1, (SimpleIdeal("so(3)", 3, 3),)).dim, 4),
-        (lambda: str(AffineInt(Fraction(3, 2), Fraction(-1))), "3*s/2-1"),
-        (lambda: AffineInt(Fraction(1, 2), Fraction(0)).eval(4), 2),
+        (lambda: str(AffineInt(3, -2, 2)), "3*s/2-1"),
+        (lambda: AffineInt(1, 0, 2).eval(4), 2),
+        (lambda: AffineInt(1, 6, 2).coeff, Fraction(1, 2)),
+        (lambda: AffineInt(1, 6, 2).offset, Fraction(3)),
+        (lambda: AffineInt(4, -6, -8), AffineInt(-2, 3, 4)),
     ],
 )
 def test_derived_values(value, expected):

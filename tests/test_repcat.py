@@ -3,9 +3,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import expand_centre_runs, scan_hom_rule_trace
+from oracles import FractionAffine, expand_centre_runs, scan_hom_rule_trace
 
 from spinr.catalog import loads
 from spinr.catalogfile import CatalogParseError
@@ -58,6 +58,10 @@ _ORDERS = st.sampled_from([0, 2, 3, 4])
 _RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
 
 
+def _affine(coeff, offset) -> AffineInt:
+    return FractionAffine(coeff, offset).to_affine_int()
+
+
 def _contradiction(fam, group):
     """The rule engine's objection to the family, checked after its maps,
     or None."""
@@ -100,7 +104,7 @@ def test_validate_against_agrees_with_a_window_of_admissible_values(
         "D", FgAbGroup(orders=orders), AlgebraProfile(1), True, "generated"
     )
     images = tuple(
-        data.draw(st.builds(AffineInt, _RATIONALS, _RATIONALS)) for _ in orders
+        data.draw(st.builds(_affine, _RATIONALS, _RATIONALS)) for _ in orders
     )
     fam = OrthRepFamily(
         "f", "D", r, images, param_constraint=Congruence(modulus, residue)
@@ -120,7 +124,7 @@ def test_validate_against_a_finite_family_agrees_with_its_map(orders, r, data):
         "D", FgAbGroup(orders=orders), AlgebraProfile(1), True, "generated"
     )
     images = tuple(
-        AffineInt(Fraction(0), data.draw(_RATIONALS)) for _ in orders
+        _affine(Fraction(0), data.draw(_RATIONALS)) for _ in orders
     )
     fam = OrthRepFamily("f", "D", r, images, labels=("a",))
     outcomes = []
@@ -160,7 +164,8 @@ def test_congruence_samples_are_admissible():
 )
 def test_parse_affine(text, coeff, offset):
     got = parse_affine(text)
-    assert got == AffineInt(Fraction(coeff), Fraction(offset))
+    assert (got.coeff, got.offset) == (Fraction(coeff), Fraction(offset))
+    assert got == _affine(Fraction(coeff), Fraction(offset))
 
 
 @pytest.mark.parametrize(
@@ -206,7 +211,9 @@ def test_parse_affine_sums_its_signed_terms(terms, lead):
             text, coeff = text + f"{sign}s/{d}", coeff + Fraction(k, d)
     if lead and text[0] == "+":
         text = text[1:]
-    assert parse_affine(text) == AffineInt(coeff, offset)
+    got = parse_affine(text)
+    assert (got.coeff, got.offset) == (coeff, offset)
+    assert got == _affine(coeff, offset)
 
 
 def test_affine_eval_requires_integrality():
@@ -220,6 +227,39 @@ def test_affine_render_round_trip():
     for text in ["s", "-s", "s/2", "2*s+1", "7", "3*s/2"]:
         expr = parse_affine(text)
         assert parse_affine(str(expr)) == expr
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+_NONZERO = st.integers(-6, 6).filter(bool)
+
+
+@settings(max_examples=500)
+@given(st.integers(-12, 12), st.integers(-12, 12), _NONZERO, _NONZERO,
+       st.integers(-8, 8))
+@example(1, 1, 1, 2, 0)  # AffineInt(2, 2, 2) is AffineInt(1, 1)
+def test_integer_affine_agrees_with_the_fraction_reference(num, off, den, k, s):
+    x = AffineInt(num, off, den)
+    ref = FractionAffine(Fraction(num, den), Fraction(off, den))
+    assert x.den >= 1
+    assert (x.coeff, x.offset) == ref
+    assert _outcome(x.eval, s) == _outcome(ref.eval, s)
+    assert str(x) == str(ref)
+    # the text parses back unless the offset is a fraction, which the
+    # grammar has no term for
+    parsed = _outcome(parse_affine, str(x))
+    assert parsed == x if ref.offset.denominator == 1 else parsed.startswith(
+        "ValueError: cannot parse affine term"
+    )
+    # the same value written at another scale is the same record
+    y = AffineInt(num * k, off * k, den * k)
+    assert y == x and hash(y) == hash(x) and tuple(y) == tuple(x)
+    assert ref.to_affine_int() == x
 
 
 # --- rule engine ----------------------------------------------------------------------

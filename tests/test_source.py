@@ -112,9 +112,7 @@ def test_int_is_called_only_by_the_strict_readers():
         ("cli.py", "_ascii_int"),
         ("liecat.py", "_so_index"),
         ("repcat.py", "parse_congruence"),
-        ("repcat.py", "AffineInt.eval"),
         ("repcat.py", "parse_affine"),
-        ("spaces.py", "_solve_parameter"),
     }
     found = {}
     for path in sorted(SRC.rglob("*.py")):
@@ -149,18 +147,31 @@ def test_importing_the_cli_leaves_out_dataclasses_and_json():
     # -S runs no site, so no .pth file has imported anything first, as in
     # a plain venv; there the CLI and the bundled build (spinr.bundled)
     # must not pull in importlib or importlib.resources (which brings
-    # pathlib, tempfile, shutil, ...), typing, dataclasses or json.
-    # fractions stays: perfbench/checks.py reads AffineInt's coefficients
-    # as rationals.
+    # pathlib, tempfile, shutil, ...), typing, dataclasses or json, and
+    # must compile none of the catalog file's patterns.  Answering, on
+    # parameterised families too, must not pull in fractions (nor the
+    # decimal and numbers it brings): AffineInt computes on integers.
     code = (
         "import sys\n"
         "import spinr.cli\n"
+        "from spinr import catalogfile, repcat\n"
         "spinr.cli.load_default()\n"
         "print('spinr.bundled' in sys.modules)\n"
         "print(sorted({'importlib', 'importlib.resources', 'typing', 'pathlib',\n"
         "              'dataclasses', 'json'} & set(sys.modules)))\n"
+        "print([f.cache_info().currsize for f in\n"
+        "       (catalogfile._line_re, repcat._cong_re, repcat._term_re)])\n"
+        "for argv in (['table1'], ['classify', 'S2:SO(3)', '--r', '2'],\n"
+        "             ['classify', 'S3:Sp(1)\u00b7U(1)', '--r', '2'],\n"
+        "             ['spin-type', 'S5:U(3)'],\n"
+        "             ['holonomy', 'U(2)', '--m', '4', '--r', '2']):\n"
+        "    spinr.cli.main(argv)\n"
+        "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
     )
-    assert _child(code, "-S") == ["True", "[]", ""]
+    out = _child(code, "-S")
+    assert out[:3] == ["True", "[]", "[0, 0, 0]"]
+    assert "| sp0u1-circle-powers | - | s ≡ 2 mod 4 |" in out  # the s/2 family
+    assert out[-2:] == ["[]", ""]
 
 
 def _child(code: str, *flags: str) -> list[str]:
