@@ -185,16 +185,27 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
             rec = build_space(entry, groups)
             _require_normal_name("space", rec.name, line, path)
             if rec.name in spaces:
-                raise CatalogParseError(f"duplicate space '{rec.name}'", line, path)
+                raise CatalogParseError(
+                    f"duplicate space '{rec.name}'", line, path
+                )
             spaces[rec.name] = rec
         elif key == "holonomy":
             rec = build_holonomy(entry, groups)
             pair = (rec.group, rec.m)
             if pair in holonomies:
-                raise CatalogParseError(f"duplicate holonomy record {pair}", line, path)
+                raise CatalogParseError(
+                    f"duplicate holonomy record {pair}", line, path
+                )
             holonomies[pair] = rec
 
-    return Catalog(version, groups, tuple(families), spaces, holonomies, path)
+    return Catalog(
+        version=version,
+        groups=groups,
+        families=tuple(families),
+        spaces=spaces,
+        holonomies=holonomies,
+        path=path,
+    )
 
 
 def _require_normal_name(kind: str, name: str, line: int, path: str):
@@ -204,7 +215,8 @@ def _require_normal_name(kind: str, name: str, line: int, path: str):
     if key != name:
         raise CatalogParseError(
             f"{kind} name {name!r} cannot be looked up: lookups read it as {key!r}",
-            line, path,
+            line,
+            path,
         )
 
 

@@ -135,25 +135,21 @@ class Block:
 # form, none does for a blank or comment-only line, and no match is a
 # malformed line.  A '#' outside double quotes starts a comment; a '"'
 # runs to the next one or, unterminated, to the end of the line.
-@cache
-def _line_re():
-    return re.compile(
-        r"""\s* (?:
-            (\})                                    # 1: '}' closes a block
-          | ([A-Za-z_][\w-]*) \s* (?:               # 2: a key, then
-                (\{)                                # 3: '{' opens a block
-              | : \s* (?:
-                    "([^"]*)"                       # 4: a string
-                  | (-?[0-9]+)                      # 5: an integer
-                  | ((?=[^\s\#]) [^"\#]* (?: "[^"]*" [^"\#]* )* (?: "[^"]* )?)
-                ))                                  # 6: any other value, and the
-                                                    #    spaces after it
-          |                                         # a blank line
-        ) \s* (?: \#.* | )""",
-        re.VERBOSE,
-    )
-
-
+_line_re = cache(lambda: re.compile(
+    r"""\s* (?:
+        (\})                                    # 1: '}' closes a block
+      | ([A-Za-z_][\w-]*) \s* (?:               # 2: a key, then
+            (\{)                                # 3: '{' opens a block
+          | : \s* (?:
+                "([^"]*)"                       # 4: a string
+              | (-?[0-9]+)                      # 5: an integer
+              | ((?=[^\s\#]) [^"\#]* (?: "[^"]*" [^"\#]* )* (?: "[^"]* )?)
+            ))                                  # 6: any other value, and the
+                                                #    spaces after it
+      |                                         # a blank line
+    ) \s* (?: \#.* | )""",
+    re.VERBOSE,
+))
 # every integer spinr reads (catalog values, --r and --m, the k of SO(k)):
 # an optional '-' and ASCII digits.  Python's int would also take '٣',
 # '0_3' and ' 3'.

@@ -66,10 +66,8 @@ class Congruence(namedtuple("Congruence", "modulus residue")):
 
 UNCONSTRAINED = Congruence(1, 0)
 
-
-@cache
-def _cong_re():
-    return re.compile(r"^s\s*(?:=|≡)\s*(-?[0-9]+)\s*mod\s*([0-9]+)$")
+# compiled on first use, like _term_re and catalogfile._line_re: only files need them
+_cong_re = cache(lambda: re.compile(r"^s\s*(?:=|≡)\s*(-?[0-9]+)\s*mod\s*([0-9]+)$"))
 
 
 def parse_congruence(text: str) -> Congruence:
@@ -90,65 +88,43 @@ def parse_congruence(text: str) -> Congruence:
 # --- affine expressions in the family parameter -------------------------------
 
 class AffineInt(namedtuple("AffineInt", "num off den")):
-    """(num * s + off) / den, an image that is integral on every
-    admissible parameter value, stored as integers in lowest terms with
-    den >= 1, so that equal expressions are equal records.
-    ``coeff`` and ``offset`` read its two coefficients as exact
-    ``Fraction`` values."""
+    """(num * s + off) / den, integral on admissible s; lowest terms, den >= 1.
+    ``coeff`` and ``offset`` read its coefficients as Fractions."""
 
     __slots__ = ()
+    coeff = property(lambda self: _fraction(self.num, self.den))
+    offset = property(lambda self: _fraction(self.off, self.den))
 
     def __new__(cls, num: int, off: int, den: int = 1):
-        if den != 1:
-            if den == 0:
-                raise ValueError("zero denominator in an affine expression")
-            g = gcd(num, off, den) if den > 0 else -gcd(num, off, den)
-            num, off, den = num // g, off // g, den // g
-        return tuple.__new__(cls, (num, off, den))
-
-    @property
-    def coeff(self):
-        from fractions import Fraction  # imported only where rationals are read
-        return Fraction(self.num, self.den)
-
-    @property
-    def offset(self):
-        from fractions import Fraction
-        return Fraction(self.off, self.den)
+        if den < 1:
+            raise ValueError(f"affine denominator {den} < 1")
+        g = gcd(num, off, den)
+        return tuple.__new__(cls, (num // g, off // g, den // g))
 
     def eval(self, s: int) -> int:
-        num, off, den = self
-        value, rest = divmod(num * s + off, den)
+        value, rest = divmod(self.num * s + self.off, self.den)
         if rest:
             raise ValueError(f"{self} is not integral at s={s}")
         return value
 
-    def is_constant(self) -> bool:
-        return self.num == 0
-
     def __str__(self):
         num, off, den = self
-        offset = _ratio(off, den)
+        g, h = gcd(num, den), gcd(off, den)
+        offset = str(off // h) if h == den else f"{off // h}/{den // h}"
         if num == 0:
             return offset
-        n, _, d = _ratio(num, den).partition("/")
-        term = ("s" if n == "1" else f"{n}*s") + (d and f"/{d}")
+        term = "s" if num == g else f"{num // g}*s"
+        term += "" if g == den else f"/{den // g}"
         return term + ("+" + offset if off > 0 else offset if off else "")
 
 
-def _ratio(n: int, d: int) -> str:
-    """n/d in lowest terms, written as str() writes the equal Fraction."""
-    g = gcd(n, d)
-    return str(n // g) if d == g else f"{n // g}/{d // g}"
+def _fraction(n: int, d: int):
+    from fractions import Fraction  # imported only where rationals are read
+    return Fraction(n, d)
 
 
-ZERO = AffineInt(0, 0)  # every image of the trivial family
-
-
-# one signed term: [sign] [num*] s [/den], or [sign] const
-@cache
-def _term_re():
-    return re.compile(r"([+-]?)(?:(?:([0-9]+)\*)?s(?:/([0-9]+))?|([0-9]+))")
+_term_re = cache(lambda: re.compile(  # a term: [sign] [num*] s [/den], or [sign] const
+    r"([+-]?)(?:(?:([0-9]+)\*)?s(?:/([0-9]+))?|([0-9]+))"))
 
 
 def parse_affine(text: str) -> AffineInt:
@@ -385,6 +361,7 @@ HOLONOMY_DIAGONAL_NAME = "diagonal(holonomy)"  # a holonomy's own twist, r = m
 RESERVED_FAMILY_NAMES = frozenset(
     {TRIVIAL_FAMILY_NAME, DIAGONAL_FAMILY_NAME, HOLONOMY_DIAGONAL_NAME}
 )
+ZERO = AffineInt(0, 0)  # every image of the trivial family
 
 
 def trivial_family(domain: str, r: int, domain_rank: int) -> OrthRepFamily:
@@ -439,7 +416,7 @@ def build_family(entry: tuple) -> OrthRepFamily:
     if fam.name in RESERVED_FAMILY_NAMES:
         raise CatalogParseError(f"family name '{fam.name}' is reserved", node.line)
     if fam.parameterized and fam.pi1_images and all(
-        e.is_constant() for e in fam.pi1_images
+        e.num == 0 for e in fam.pi1_images
     ):
         raise CatalogParseError(
             f"parameterised family {fam.name} with constant pi1 images",

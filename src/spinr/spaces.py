@@ -192,17 +192,35 @@ def _test_family(
     if family.parameterized:
         solved = _solve_parameter(sigma, family)
         if solved is not None:
-            return [ClassRecord(family.name, None, solved, family.extends_to)], None
-        # no admissible value passes: one of them gives the witnesses
+            return (
+                [
+                    ClassRecord(
+                        family=family.name,
+                        constraint=solved,
+                        extends_to=family.extends_to,
+                    )
+                ],
+                None,
+            )
         s = family.param_constraint.sample(1)[0]
-        verdict = lifts(LiftQuery(space_n, r, sigma, family.pi1_map(domain_pi1, r, s)))
-    else:
-        verdict = lifts(LiftQuery(space_n, r, sigma, family.pi1_map(domain_pi1, r)))
-        if verdict.lifts:
-            return [
-                ClassRecord(family.name, label, None, family.extends_to)
+        verdict = lifts(
+            LiftQuery(space_n, r, sigma, family.pi1_map(domain_pi1, r, s))
+        )
+        return [], _rejection(family, verdict)
+    phi = family.pi1_map(domain_pi1, r)
+    verdict = lifts(LiftQuery(space_n, r, sigma, phi))
+    if verdict.lifts:
+        return (
+            [
+                ClassRecord(
+                    family=family.name,
+                    label=label,
+                    extends_to=family.extends_to,
+                )
                 for label in family.labels
-            ], None
+            ],
+            None,
+        )
     return [], _rejection(family, verdict)
 
 

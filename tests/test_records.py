@@ -154,7 +154,6 @@ def test_repr_is_type_then_fields(record):
         (lambda: SimpleIdeal("so(3)", 3, 3), {"is_abelian": False}),
         (lambda: AlgebraProfile(0), {"ideals": ()}),
         (lambda: AlgebraProfile(2), {"ideals": ()}),
-        (lambda: AffineInt(1, 0), {"den": 1}),
         (lambda: ClassRecord("f"),
          {"label": None, "constraint": None, "extends_to": None}),
         (lambda: OrthRepFamily("f", "D", 2, (), param_constraint=Congruence(1, 0)),
@@ -162,6 +161,7 @@ def test_repr_is_type_then_fields(record):
           "certificate": "incomplete"}),
         (lambda: Classification("X", 1, (), 0, True, "c"), {"rejected": ()}),
         (lambda: loads(BASE), {"path": "<catalog>"}),
+        (lambda: AffineInt(1, 0), {"den": 1}),
     ],
 )
 def test_defaults(make, defaults):
@@ -184,7 +184,7 @@ def test_defaults(make, defaults):
         (lambda: AffineInt(1, 0, 2).eval(4), 2),
         (lambda: AffineInt(1, 6, 2).coeff, Fraction(1, 2)),
         (lambda: AffineInt(1, 6, 2).offset, Fraction(3)),
-        (lambda: AffineInt(4, -6, -8), AffineInt(-2, 3, 4)),
+        (lambda: tuple(AffineInt(4, -6, 8)), (2, -3, 4)),
     ],
 )
 def test_derived_values(value, expected):
@@ -234,6 +234,8 @@ _Z2_other = FgAbGroup(0, (2,), ("beta",))
          "a verdict lifts exactly when it has no witness failures"),
         (lambda: LiftVerdict(False, ()), ValueError,
          "a verdict lifts exactly when it has no witness failures"),
+        (lambda: AffineInt(1, 0, 0), ValueError, "affine denominator 0 < 1"),
+        (lambda: AffineInt(1, 0, -2), ValueError, "affine denominator -2 < 1"),
     ],
 )
 def test_construction_checks_keep_their_messages(build, error, message):
