@@ -90,13 +90,13 @@ class FgAbGroup:
         return self.labels == other.labels if labels else True
 
     def reduce(self, coords) -> tuple[int, ...]:
-        out = []
-        for d, c in zip(self.orders, coords, strict=True):
-            out.append(int(c) % d if d else int(c))
-        return tuple(out)
+        return tuple([int(c) % d if d else int(c)
+                      for d, c in zip(self.orders, coords, strict=True)])
 
     def elem(self, coords) -> AbElem:
-        return AbElem(self, self.reduce(coords))
+        # reduce has checked the length and reduced every coordinate, which
+        # is all that AbElem.__new__ would check again
+        return tuple.__new__(AbElem, (self, self.reduce(coords)))
 
     def zero(self) -> AbElem:
         return self.elem([0] * self.rank)
@@ -458,4 +458,6 @@ def mod2(g: FgAbGroup) -> AbHom:
         if i in positions:
             coords[positions[i]] = 1
         images.append(codomain.elem(coords))
-    return AbHom(g, codomain, tuple(images))
+    # each image is 0 or one Z2 generator, hit only from a generator of
+    # order 0 or of even order: well defined by construction
+    return tuple.__new__(AbHom, (g, codomain, tuple(images)))

@@ -279,6 +279,10 @@ def _ideal_rank(ideal: SimpleIdeal) -> int:
     return max(3, ideal.min_orth_rep_dim, r)
 
 
+# above this many simple ideals, hom_rule_trace summarises the 2^k sets
+TRACE_ALL_IDEAL_SETS_UP_TO = 12
+
+
 def hom_rule_trace(a: AlgebraProfile, r: int) -> RuleTrace:
     """The proof text behind :func:`no_nontrivial_hom`: every candidate
     kernel of a Lie algebra map a -> so(r) and why it dies.
@@ -299,12 +303,20 @@ def hom_rule_trace(a: AlgebraProfile, r: int) -> RuleTrace:
     centre dimension d, so the centre dimensions d >= 1 fall into at
     most two runs, those that fit and those that exceed; a run of
     several candidates is one line.
+
+    The sets of ideals number 2^k for k ideals.  Above
+    TRACE_ALL_IDEAL_SETS_UP_TO ideals the trace lists only the empty set
+    and each single ideal, then one line with the closure argument of
+    :func:`first_possible_rank` that covers the larger sets.
     """
     so_r_dim = r * (r - 1) // 2
     algebra = _describe_sum(a.ideals, a.center_rank)
     lines = [f"maps {algebra} -> so({r}) (dim {so_r_dim})"]
     ideals = list(a.ideals)
-    for mask in range(1 << len(ideals)):
+    k = len(ideals)
+    summary = k > TRACE_ALL_IDEAL_SETS_UP_TO
+    masks = (0, *(1 << i for i in range(k))) if summary else range(1 << k)
+    for mask in masks:
         kept = [ideals[i] for i in range(len(ideals)) if mask & (1 << i)]
         ideal_dim = sum(i.dim for i in kept)
         fit = so_r_dim - ideal_dim  # the largest centre dimension that fits
@@ -316,6 +328,12 @@ def hom_rule_trace(a: AlgebraProfile, r: int) -> RuleTrace:
         for lo, hi in runs:
             if lo <= hi:
                 lines.append(_quotient_outcome(kept, ideal_dim, lo, hi, r, so_r_dim))
+    if summary:
+        lines.append(
+            f"the other {(1 << k) - k - 1} sets of two or more ideals are not "
+            "listed: surviving quotients are closed under dropping a summand, "
+            "so one survives exactly when R^1 or a single ideal does"
+        )
     if no_nontrivial_hom(a, r):
         lines.append("every nonzero quotient is excluded: only the zero map exists")
     return RuleTrace(tuple(lines))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import spinr.abelian as abelian
 from spinr.abelian import (
+    AbElem,
     AbHom,
     DomainMismatchError,
     FgAbGroup,
@@ -152,6 +153,50 @@ def test_hom_from_coords_agrees_with_the_checked_construction(domain, codomain, 
     coords = _outcome(cyclic_images, domain, codomain, values)
     assert coords == (fast if fast.__class__ is tuple else
                       [img.coords for img in fast.images])
+
+
+_small_orders = st.lists(st.sampled_from((0, 2, 3, 4, 6)), max_size=4)
+
+
+@settings(max_examples=400)
+@given(orders=_small_orders, data=st.data())
+def test_unchecked_builders_agree_with_the_checked_constructors(orders, data):
+    # FgAbGroup.elem and mod2 build their records with tuple.__new__,
+    # skipping the checks that AbElem(...) and AbHom(...) make
+    g = FgAbGroup(orders=orders)
+    coords = data.draw(st.lists(st.integers(-50, 50), min_size=g.rank,
+                                max_size=g.rank))
+    x = g.elem(coords)
+    assert x == AbElem(g, g.reduce(coords))
+    assert type(x) is AbElem and x.group is g
+    assert all(0 <= c < d for c, d in zip(x.coords, orders) if d)
+    # mod2 against the same map built through AbHom: each generator of
+    # order 0 or of even order onto its own Z2 factor, the rest onto 0
+    kept = [i for i, d in enumerate(orders) if d % 2 == 0]
+    target = FgAbGroup(0, (2,) * len(kept), [f"{g.labels[i]}_mod2" for i in kept])
+    images = tuple(
+        AbElem(target, tuple(int(i == j) for j in kept)) for i in range(g.rank)
+    )
+    f = mod2(g)
+    assert f == AbHom(g, target, images)
+    assert f.domain is g and f.codomain.same_presentation(target, labels=True)
+    assert all(type(img) is AbElem and img.group is f.codomain for img in f.images)
+    # a wrong number of coordinates is refused by reduce's strict zip
+    wrong = data.draw(st.lists(st.integers(-50, 50), max_size=5).filter(
+        lambda c: len(c) != g.rank))
+    side = "shorter" if len(wrong) < g.rank else "longer"
+    message = rf"^zip\(\) argument 2 is {side} than argument 1$"
+    with pytest.raises(ValueError, match=message):
+        g.elem(wrong)
+
+
+def test_checked_constructors_refuse_what_the_builders_never_make():
+    with pytest.raises(ValueError, match="not reduced"):
+        AbElem(Z2, (3,))
+    with pytest.raises(ValueError, match="1 coordinates in a rank-2 group"):
+        AbElem(ZZ, (1,))
+    with pytest.raises(ValueError, match="generator a has order 2"):
+        AbHom(Z2, Z, (Z.elem([1]),))
 
 
 def test_compose_mod2_after_times3():

@@ -557,6 +557,38 @@ def test_thirty_ideal_blocks_load_and_get_a_spin_type(tmp_path):
     assert float(out[5]) < 1.0
 
 
+def test_thirty_ideal_blocks_classify_at_an_unlisted_rank(tmp_path):
+    # no family is listed at r = 4 >= r0 = 3, so classify certifies by the
+    # rule engine, whose trace lists 2^30 sets of ideals in full; above
+    # repcat.TRACE_ALL_IDEAL_SETS_UP_TO it lists only the single ones
+    path = tmp_path / "big.txt"
+    path.write_text(MANY_IDEALS, encoding="utf-8")
+    code = (
+        "import sys, time\n"
+        "import spinr.cli\n"
+        "from spinr.catalog import load\n"
+        "from spinr.spaces import classify\n"
+        "start = time.perf_counter()\n"
+        "cat = load(sys.argv[1])\n"
+        "c = classify(cat, cat.space('X5:Ambient'), 4)\n"
+        "print(c.complete, c.count, c.certificate.count('; '))\n"
+        "spinr.cli.main(['--catalog', sys.argv[1], 'classify', 'X5:Ambient',\n"
+        "                '--r', '4'])\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        capture_output=True, text=True, timeout=60, env=env, check=True,
+    ).stdout.splitlines()
+    # the header, 30 single ideals and the closure line: 32 lines
+    assert out[0] == "False 0 31"
+    assert "- complete: False" in out
+    closure = "the other 1073741793 sets of two or more ideals are not listed"
+    assert any(closure in line for line in out)
+    assert float(out[-1]) < 1.0
+
+
 # --- arbitrary edits of a valid catalog --------------------------------------------
 
 _VALUES = st.one_of(

@@ -13,6 +13,7 @@ from spinr.catalogfile import CatalogParseError
 from spinr.abelian import FgAbGroup
 from spinr.liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_group
 from spinr.repcat import (
+    TRACE_ALL_IDEAL_SETS_UP_TO,
     TRIVIAL_FAMILY_NAME,
     AffineInt,
     Congruence,
@@ -423,6 +424,61 @@ def test_rule_trace_bounded_in_centre_rank():
         "quotient R^d for 1 ≤ d ≤ 3 (dim 1 to 3) cannot be ruled out",
         "quotient R^d for 4 ≤ d ≤ 100000 (dim 4 to 100000) exceeds dim so(3)",
     )
+
+
+def _candidate_lines(algebra, r):
+    """A trace's candidate lines: neither the header nor the closing line."""
+    lines = hom_rule_trace(algebra, r).lines[1:]
+    return lines[:-1] if lines and lines[-1] == CLOSING_LINE else lines
+
+
+_MIXED_IDEALS = (
+    SimpleIdeal("so(3)", 3, 3),
+    SimpleIdeal("g2", 14, 7),
+    SimpleIdeal("su(3)", 8, 6),
+    SimpleIdeal("x", 16, 2),
+)
+
+
+@pytest.mark.parametrize("center_rank", [0, 1, 5])
+@pytest.mark.parametrize("k", [TRACE_ALL_IDEAL_SETS_UP_TO + 1, 30])
+def test_rule_trace_above_the_threshold_lists_single_ideals_and_the_closure(
+    k, center_rank
+):
+    # 2^k sets of ideals: above the threshold the trace is the empty set's
+    # lines, then each single ideal's lines as its own one-ideal trace
+    # writes them, then the closure line; the verdict is unchanged
+    ideals = (_MIXED_IDEALS * k)[:k]
+    algebra = AlgebraProfile(center_rank, ideals)
+    for r in range(1, 10):
+        centre = _candidate_lines(AlgebraProfile(center_rank), r)
+        singles = [
+            _candidate_lines(AlgebraProfile(center_rank, (i,)), r)[len(centre):]
+            for i in ideals
+        ]
+        closure = (
+            f"the other {2 ** k - k - 1} sets of two or more ideals are not listed: "
+            "surviving quotients are closed under dropping a summand, so one "
+            "survives exactly when R^1 or a single ideal does"
+        )
+        verdict = no_nontrivial_hom(algebra, r)
+        header = hom_rule_trace(algebra, r).lines[0]
+        assert hom_rule_trace(algebra, r).lines == (
+            header, *centre, *(line for s in singles for line in s), closure,
+            *([CLOSING_LINE] if verdict else []),
+        )
+        assert verdict == all(
+            "cannot be ruled out" not in line for s in (centre, *singles) for line in s
+        )
+
+
+def test_rule_trace_at_the_threshold_lists_every_set_of_ideals():
+    ideals = (_MIXED_IDEALS * 3)[:TRACE_ALL_IDEAL_SETS_UP_TO]
+    algebra = AlgebraProfile(1, ideals)
+    for r in (2, 3, 7):
+        trace = hom_rule_trace(algebra, r)
+        assert trace == scan_hom_rule_trace(algebra, r).trace
+        assert len(trace.lines) > 2 ** TRACE_ALL_IDEAL_SETS_UP_TO
 
 
 # --- enumeration -------------------------------------------------------------------------

@@ -129,6 +129,50 @@ def test_int_is_called_only_by_the_strict_readers():
     assert set(found) == allowed  # the list names only call sites that exist
 
 
+def test_abelian_records_skip_their_checks_only_at_the_listed_builders():
+    # tuple.__new__ (or a named tuple's _make) builds an AbElem or an AbHom
+    # without the reduction and well-definedness checks of its __new__; the
+    # builders below make their input reduced and well defined themselves,
+    # and tests/test_abelian.py holds each equal to the checked constructor
+    allowed = {
+        ("abelian.py", "AbElem.__new__"),
+        ("abelian.py", "AbHom.__new__"),
+        ("abelian.py", "AbHom.from_coords"),
+        ("abelian.py", "FgAbGroup.elem"),
+        ("abelian.py", "mod2"),
+    }
+    guarded = {"AbElem", "AbHom"}
+
+    def built(node, scope):
+        """The class that a call builds unchecked, or None."""
+        func = getattr(node, "func", None)
+        if not isinstance(node, ast.Call) or not isinstance(func, ast.Attribute):
+            return None
+        if func.attr == "_make" and isinstance(func.value, ast.Name):
+            return func.value.id
+        if not (
+            func.attr == "__new__"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "tuple"
+            and node.args
+            and isinstance(node.args[0], ast.Name)
+        ):
+            return None
+        name = node.args[0].id
+        # cls is the enclosing class, the first part of the scope
+        return scope.split(".")[0] if name == "cls" else name
+
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text("utf-8"))):
+            if built(node, scope) in guarded:
+                found.setdefault((path.name, scope), node.lineno)
+    stray = [f"{n}:{line} in {scope}" for (n, scope), line in found.items()
+             if (n, scope) not in allowed]
+    assert stray == []
+    assert set(found) == allowed  # the list names only call sites that exist
+
+
 def test_importing_the_cli_leaves_out_dataclasses_and_json():
     # json is imported where JSON is read or written, so the markdown
     # commands never load it; and every module the import adds is spinr's
