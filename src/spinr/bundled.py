@@ -4,10 +4,10 @@ The paper's worked example is every homogeneous realisation of the
 spheres.  Its groups come in series in k (SO(k), U(k), SU(k), Sp(k),
 Sp(k)·U(1) and Sp(k)·Sp(1)), plus three cited exceptional groups; this
 module builds their records, families, spheres and holonomy records with
-the constructors the loader uses, so no data file is parsed.  Every
-family passes ``OrthRepFamily.validate_against``, as in a loaded file.
-``tests/data/bundled_catalog.txt`` writes the same catalog in the file
-format, and a test holds the two equal record by record.
+the constructors the loader uses, so no data file is parsed.  Nothing
+here re-checks them at run time: the tests write these records in the
+file format and load them back, so every loader check, the rule-engine
+check of each family among them, runs on them in the test suite.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ _HALF_DIAG_CITE = (
 def build_catalog() -> Catalog:
     """The bundled catalog, named ``<bundled>`` in its messages."""
     groups = {g.name: g for g in _groups()}
-    families = _families()
-    for fam in families:
-        fam.validate_against(groups[fam.domain])
     spaces = {
         name: HomSpaceRec(
             name, G, H, n, so_pi1_map(groups[H].pi1, n, images), provenance
@@ -52,7 +49,7 @@ def build_catalog() -> Catalog:
         (g, m): HolonomyRec(g, m, so_pi1_map(groups[g].pi1, m, images), provenance)
         for g, m, images, provenance in _holonomies()
     }
-    return Catalog(1, groups, families, spaces, holonomies, "<bundled>")
+    return Catalog(1, groups, _families(), spaces, holonomies, "<bundled>")
 
 
 def _groups() -> list[CompactGroupRec]:

@@ -30,6 +30,7 @@ offending line.  Record builders read a block through :class:`Block`.
 from __future__ import annotations
 
 import re
+import sys
 from functools import cache
 
 
@@ -156,6 +157,20 @@ _line_re = cache(lambda: re.compile(
 INT_RE = re.compile(r"^-?[0-9]+$")
 
 
+def _int(text: str, line: int, path: str) -> int:
+    """int(text) of a text that INT_RE matched; one longer than Python's
+    int-string limit is refused at its line."""
+    try:
+        return int(text)
+    except ValueError:
+        raise CatalogParseError(
+            f"integer of {len(text.lstrip('-'))} digits is longer than the "
+            f"{sys.get_int_max_str_digits()} digits Python converts",
+            line,
+            path,
+        ) from None
+
+
 def _parse_scalar(text: str, line: int, path: str) -> Scalar:
     """Parse one stripped scalar."""
     if not text:
@@ -165,7 +180,7 @@ def _parse_scalar(text: str, line: int, path: str) -> Scalar:
             raise CatalogParseError(f"unterminated string {text!r}", line, path)
         return text[1:-1]
     if INT_RE.match(text):
-        return int(text)
+        return _int(text, line, path)
     if text == "true":
         return True
     if text == "false":
@@ -218,7 +233,7 @@ def parse(text: str, path: str = "<catalog>") -> list[tuple]:
         if string is not None:
             children.append((key, lineno, string, None))
         elif integer is not None:
-            children.append((key, lineno, int(integer), None))
+            children.append((key, lineno, _int(integer, lineno, path), None))
         elif other is not None:
             other = other.rstrip()
             value = parsed.get(other)

@@ -59,9 +59,12 @@ EXIT_CODES = {
 
 def _ascii_int(text: str) -> int:
     """An integer as the catalog reads one (INT_RE), not as int() does."""
-    if not INT_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    if INT_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # longer than Python's int-string limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _require_positive(option: str, value: int):

@@ -189,39 +189,19 @@ def _test_family(
     space_n: int, sigma: AbHom, family: OrthRepFamily, domain_pi1: FgAbGroup
 ) -> tuple[list[ClassRecord], RejectedFamily | None]:
     r = family.target_r
+    s = None
     if family.parameterized:
         solved = _solve_parameter(sigma, family)
         if solved is not None:
-            return (
-                [
-                    ClassRecord(
-                        family=family.name,
-                        constraint=solved,
-                        extends_to=family.extends_to,
-                    )
-                ],
-                None,
-            )
+            return [ClassRecord(family.name, constraint=solved,
+                                extends_to=family.extends_to)], None
+        # no admissible value passes, so any one of them gives the witnesses
         s = family.param_constraint.sample(1)[0]
-        verdict = lifts(
-            LiftQuery(space_n, r, sigma, family.pi1_map(domain_pi1, r, s))
-        )
+    verdict = lifts(LiftQuery(space_n, r, sigma, family.pi1_map(domain_pi1, r, s)))
+    if family.parameterized or not verdict.lifts:
         return [], _rejection(family, verdict)
-    phi = family.pi1_map(domain_pi1, r)
-    verdict = lifts(LiftQuery(space_n, r, sigma, phi))
-    if verdict.lifts:
-        return (
-            [
-                ClassRecord(
-                    family=family.name,
-                    label=label,
-                    extends_to=family.extends_to,
-                )
-                for label in family.labels
-            ],
-            None,
-        )
-    return [], _rejection(family, verdict)
+    return [ClassRecord(family.name, label, extends_to=family.extends_to)
+            for label in family.labels], None
 
 
 def _lift_families(

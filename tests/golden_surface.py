@@ -10,7 +10,8 @@ stdout, of its stderr and of its exit code:
   ``.`` of a middle-dot name;
 * ``spin-type`` on every bundled space: plain, JSON and ``--strict``;
 * unknown names, and every case of ``test_cli.FAILURE_MODES``, with its
-  malformed or special catalog written to a file.
+  malformed or special catalog written to a file under the case's fixed
+  name, which the manifest key holds.
 
 The library half hashes the ``repr`` of ``invariant_spin_type`` on every
 space, and of ``holonomy_lift`` on every holonomy record, of the
@@ -71,7 +72,7 @@ def cli_manifest() -> dict[str, list[str]]:
     """' '.join(args) -> sha256 of stdout, stderr and exit code."""
     from clirunner import run
     from spinr.catalog import load_default
-    from test_cli import FAILURE_MODES, MISSING
+    from test_cli import FAILURE_MODES, catalog_args
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -86,15 +87,8 @@ def cli_manifest() -> dict[str, list[str]]:
 
         for args in bundled_commands(load_default()):
             record(args)
-        for text, args, _ in FAILURE_MODES:
-            if text is not None:
-                # named by content, so a key stays put when cases move
-                name = "missing" if text is MISSING else _sha(text)[:12]
-                path = Path(tmp) / f"{name}.txt"
-                if text is not MISSING:
-                    path.write_text(text, encoding="utf-8")
-                args = ("--catalog", str(path), *args)
-            record(args)
+        for catalog, args, _ in FAILURE_MODES:
+            record(catalog_args(catalog, args, Path(tmp)))
     return out
 
 

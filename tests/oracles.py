@@ -2,10 +2,10 @@
 
 Everything here is deliberately naive: membership is decided by
 enumerating integer coefficient vectors over a box, with no shared code
-with the Smith-reduction path under test; the catalog text is parsed
-one character at a time; the rule engine's kernel scan visits every
-centre dimension; the spin-type scan runs the full classification at
-every rank.
+with the Smith-reduction path under test; a lift is decided by comparing
+two coordinate parities; the catalog text is parsed one character at a
+time; the rule engine's kernel scan visits every centre dimension; the
+spin-type scan runs the full classification at every rank.
 """
 
 from __future__ import annotations
@@ -139,6 +139,26 @@ def enumerate_torsion_subgroup(s: Subgroup) -> set[tuple[int, ...]]:
                     seen.add(nxt.coords)
                     frontier.append(nxt)
     return seen
+
+
+# --- the lift test by the paper's parity rule ----------------------------------
+
+def parity_lifts(q) -> tuple[bool, tuple[tuple[str, tuple[int, ...]], ...]]:
+    """The verdict and witnesses of ``lifting.lifts(q)`` by the rule itself.
+
+    Domain generator g fails exactly when sigma(g) and phi(g) differ in
+    parity; its witness is (label, sigma coords + phi coords).  Each
+    pi1(SO(k)) has at most one coordinate, an integer for k = 2 and a
+    class mod 2 for k >= 3, so a coordinate sum is the parity.  No
+    subgroup, no Smith form and no mod-2 map is built.
+    """
+    sigma, phi = q.sigma_pi1, q.phi_pi1
+    failures = tuple(
+        (label, s.coords + f.coords)
+        for label, s, f in zip(sigma.domain.labels, sigma.images, phi.images)
+        if sum(s.coords) % 2 != sum(f.coords) % 2
+    )
+    return not failures, failures
 
 
 # --- reference affine expressions ---------------------------------------------

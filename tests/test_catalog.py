@@ -1,6 +1,6 @@
 """The loader as a whole: where its errors point, what it does with
 arbitrary edits of a valid catalog, and the bundled catalog that the
-library builds against the same catalog in the file format."""
+library builds, written in the file format and loaded back."""
 
 import gc
 import hashlib
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 from clirunner import run
-from fixtures import BUNDLED_TEXT
+from fixtures import BUNDLED_TEXT, dumps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from spinr.catalog import (
     loads,
 )
 from spinr import bundled, liecat, repcat, spaces
+from spinr.abelian import FgAbGroup
 from spinr.catalogfile import CatalogParseError, SpinrError, parse
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -357,6 +358,28 @@ def _first_values() -> dict[tuple[str, str], tuple[int, object]]:
     return first
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("catalog_version: 1", "catalog_version: {}"), ("target_r: 3", "target_r: -{}"),
+     ("torsion: [2]", "torsion: [{}]")],
+    ids=["catalog_version", "key-value", "list-item"],
+)
+def test_an_integer_longer_than_pythons_limit_is_refused_at_its_line(
+    tmp_path, old, new
+):
+    # int() refused it with a ValueError, which escaped as a traceback
+    digits = sys.get_int_max_str_digits() + 1
+    path = tmp_path / "c.txt"
+    path.write_text(BUNDLED_TEXT.replace(old, new.format("1" * digits), 1), "utf-8")
+    res = run("--catalog", str(path), "table1")
+    assert (res.exit_code, res.stdout, res.exception) == (4, "", None)
+    line = BUNDLED_TEXT[: BUNDLED_TEXT.index(old)].count("\n") + 1
+    assert res.stderr == (
+        f"catalog error: {path}:{line}: integer of {digits} digits is longer than "
+        f"the {digits - 1} digits Python converts\n"
+    )
+
+
 @pytest.mark.parametrize("block, key", _TYPED_KEYS, ids=lambda v: v)
 def test_a_mistyped_value_is_reported_at_its_key_and_nowhere_else(
     tmp_path, block, key
@@ -638,16 +661,40 @@ def test_loads_returns_a_catalog_or_raises_catalog_parse_error(text):
 BUNDLED_DIGEST = "88fd289e291a435c71386c53ce8600c37155f1e7f94b088ee7002abf3c2e168b"
 
 
-def test_the_library_builds_the_records_the_fixture_loads_into():
-    # every record, field by field and in order, as the file built them;
-    # loads names its catalog "<catalog>", so rebuild under that path
-    b = bundled.build_catalog()
-    built = Catalog(b.version, b.groups, b.families, b.spaces, b.holonomies,
-                    "<catalog>")
-    assert hashlib.sha256(repr(built).encode()).hexdigest() == BUNDLED_DIGEST
-    assert repr(built) == repr(loads(BUNDLED_TEXT))
-    assert [len(built.groups), len(built.families), len(built.spaces),
-            len(built.holonomies)] == [40, 28, 27, 24]
+@pytest.mark.parametrize(
+    "make",
+    [bundled.build_catalog, lambda: loads(load_catalog(36, 1).text),
+     lambda: loads(scale_catalog(200, 1).text)],
+    ids=["bundled", "load-36", "scale-200"],
+)
+def test_the_writer_and_the_loader_round_trip_every_record(make):
+    # every record, field by field and in order; loads names its catalog
+    # "<catalog>", so compare under that path.  The loader's checks run on
+    # the written text: for the bundled catalog, which build_catalog does
+    # not check, this is where they run
+    c = make()
+    c = Catalog(c.version, c.groups, c.families, c.spaces, c.holonomies, "<catalog>")
+    assert repr(loads(dumps(c))) == repr(c)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("provenance", 'say "x"', """cannot hold the string 'say "x"'"""),
+        ("provenance", "one\ntwo", r"cannot hold the string 'one\ntwo'"),
+        ("provenance", "one\u2028two", r"cannot hold the string 'one\u2028two'"),
+        ("pi1", FgAbGroup(orders=(2, 0), labels=("t", "z")),
+         "group SO(4): free generators must be listed first"),
+    ],
+    ids=["quote", "newline", "line-separator", "free-after-torsion"],
+)
+def test_the_writer_refuses_what_the_format_cannot_hold(field, value, message):
+    c = bundled.build_catalog()
+    groups = {**c.groups, "SO(4)": c.groups["SO(4)"]._replace(**{field: value})}
+    c = Catalog(c.version, groups, c.families, c.spaces, c.holonomies)
+    with pytest.raises(ValueError) as err:
+        dumps(c)
+    assert str(err.value).endswith(message)
 
 
 def test_load_default_builds_the_bundled_catalog_once(monkeypatch):
@@ -655,6 +702,8 @@ def test_load_default_builds_the_bundled_catalog_once(monkeypatch):
     monkeypatch.setattr("spinr.catalog._default", None)
     first = load_default()
     assert (first.path, first.version) == ("<bundled>", 1)
+    assert [len(first.groups), len(first.families), len(first.spaces),
+            len(first.holonomies)] == [40, 28, 27, 24]
     assert repr(first) == repr(bundled.build_catalog())
     assert load_default() is first
 

@@ -14,7 +14,7 @@ from spinr.catalogfile import SpinrError
 from spinr.cli import EXIT_CLOSED_STDOUT, EXIT_CODES, main
 from spinr.spaces import HypothesisError, holonomy_lift
 from clirunner import run
-from fixtures import BUNDLED_PATH, BUNDLED_TEXT
+from fixtures import BUNDLED_TEXT
 from test_spaces import BOUNDED_CATALOG
 
 
@@ -343,11 +343,13 @@ def test_environment_beats_the_bundled_catalog(catalogs):
         ("holonomy", "Sp(3)·Sp(1)", "--m", "12", "--r", "3"),
     ],
 )
-def test_the_fixture_answers_as_the_bundled_catalog_does(args, fmt):
+def test_the_fixture_answers_as_the_bundled_catalog_does(tmp_path, args, fmt):
     # the bundled catalog is built in code; the fixture writes it in the
     # file format, and a --catalog run of it gives the same bytes
+    path = tmp_path / "bundled.txt"
+    path.write_text(BUNDLED_TEXT, encoding="utf-8")
     bundled = run(*args, "--format", fmt, env={"SPINR_CATALOG": None})
-    from_file = run("--catalog", str(BUNDLED_PATH), *args, "--format", fmt)
+    from_file = run("--catalog", str(path), *args, "--format", fmt)
     assert bundled.exit_code == 0
     assert from_file == bundled
 
@@ -375,6 +377,9 @@ def test_rank_and_dimension_below_one_exit_five(args, option, value):
     assert res.stderr == f"invalid argument: {option} must be >= 1, got {value}\n"
 
 
+LONG = "1" * (sys.get_int_max_str_digits() + 1)  # one digit more than int() reads
+
+
 @pytest.mark.parametrize(
     "args, option, value",
     [
@@ -385,11 +390,17 @@ def test_rank_and_dimension_below_one_exit_five(args, option, value):
         (("classify", "S4:SO(5)", "--r", "-"), "--r", "-"),
         (("holonomy", "Sp(3)·Sp(1)", "--m", "١٢", "--r", "2"), "--m", "١٢"),
         (("holonomy", "Sp(3)·Sp(1)", "--m", "12", "--r", "٣"), "--r", "٣"),
+        # int() refuses these with a ValueError, which argparse reported as
+        # an "invalid _ascii_int value"
+        pytest.param(("classify", "S4:SO(5)", "--r", LONG), "--r", LONG, id="long-r"),
+        pytest.param(("holonomy", "SO(5)", "--m", LONG, "--r", "2"), "--m", LONG,
+                     id="long-m"),
     ],
 )
 def test_rank_and_dimension_read_ascii_digits_only(args, option, value):
-    # Python's int reads every Unicode digit, '_' and surrounding spaces;
-    # the options read integers as the catalog does
+    # Python's int reads every Unicode digit, '_' and surrounding spaces,
+    # and refuses more digits than sys.get_int_max_str_digits(); the
+    # options read integers as the catalog does
     res = run(*args)
     assert (res.exit_code, res.stdout, res.exception) == (6, "", None)
     message = f"error: argument {option}: invalid int value: {value!r}\n"
@@ -401,7 +412,9 @@ def test_a_missing_package_data_file_exits_four_naming_it(tmp_path, monkeypatch)
     data.mkdir()
     monkeypatch.setattr(spinr.catalog, "DATA_DIR", str(data))
     monkeypatch.setattr(spinr.catalog, "_default", None)  # not the cached build
-    for args in [("table1",), ("--catalog", str(BUNDLED_PATH), "table1")]:
+    bundled = tmp_path / "bundled.txt"
+    bundled.write_text(BUNDLED_TEXT, encoding="utf-8")
+    for args in [("table1",), ("--catalog", str(bundled), "table1")]:
         res = run(*args, env={"SPINR_CATALOG": None})
         assert (res.exit_code, res.stdout, res.exception) == (4, "", None)
         path = os.path.join(str(data), "table1_expected.json")
@@ -528,15 +541,19 @@ def test_a_name_that_no_lookup_can_reach_exits_four_at_its_record(tmp_path):
         f"lookups read it as 'A·B'\n"
     )
 
-# (catalog text, or None for the bundled one, or MISSING; args; exit code)
+# (catalog file, args, exit code).  The catalog file is None for the
+# bundled catalog, else (name, text) with text MISSING for a path with no
+# file behind it; the name names the file, the case and its golden
+# manifest entry, so neither moves when a text changes.
 FAILURE_MODES = [
-    (BOUNDED_CATALOG, ("spin-type", "X3:Ambient", "--strict"), 1),
+    (("bounded", BOUNDED_CATALOG), ("spin-type", "X3:Ambient", "--strict"), 1),
     (None, ("classify", "S42:E8", "--r", "1"), 2),
     (None, ("holonomy", "SO(5)", "--m", "99", "--r", "2"), 2),
-    (DISCONNECTED_CATALOG, ("classify", "X3:Big", "--r", "1"), 3),
-    (DISCONNECTED_CATALOG, ("spin-type", "X3:Big"), 3),
-    (DISCONNECTED_CATALOG, ("holonomy", "Twisty", "--m", "3", "--r", "1"), 3),
-    ("catalog_version: 1\ngroup {\n  name oops\n}\n", ("table1",), 4),
+    (("disconnected", DISCONNECTED_CATALOG), ("classify", "X3:Big", "--r", "1"), 3),
+    (("disconnected", DISCONNECTED_CATALOG), ("spin-type", "X3:Big"), 3),
+    (("disconnected", DISCONNECTED_CATALOG),
+     ("holonomy", "Twisty", "--m", "3", "--r", "1"), 3),
+    (("no-colon", "catalog_version: 1\ngroup {\n  name oops\n}\n"), ("table1",), 4),
     (None, ("classify", "S4:SO(5)", "--r", "0"), 5),
     (None, ("holonomy", "SO(5)", "--m", "-1", "--r", "2"), 5),
     (None, ("classify", "S4:SO(5)"), 6),
@@ -547,34 +564,44 @@ FAILURE_MODES = [
     (None, ("--bogus", "table1"), 6),
     (None, ("no-such-command",), 6),
     (None, (), 6),
-    (_bundled_with_so4_disconnected(), ("table1",), 3),
-    (INCONSISTENT_CATALOG, ("spin-type", "X3:SO(12)"), 4),
-    (MISSING, ("table1",), 4),
+    (("so4-disconnected", _bundled_with_so4_disconnected()), ("table1",), 3),
+    (("inconsistent", INCONSISTENT_CATALOG), ("spin-type", "X3:SO(12)"), 4),
+    (("missing", MISSING), ("table1",), 4),
     # checked before the catalog loads
-    ("nonsense!\n", ("classify", "S4:SO(5)", "--r", "0"), 5),
+    (("nonsense", "nonsense!\n"), ("classify", "S4:SO(5)", "--r", "0"), 5),
     (None, ("table1", "--form", "json"), 6),  # no abbreviated options
     (None, ("classify", "S4:SO(5)", "--r=3"), 0),
     (None, ("--help",), 0),
     (None, ("classify", "--help"), 0),
     # a misspelt key is refused, not ignored: Twisty would load connected
-    (DISCONNECTED_CATALOG.replace("connected: false", "conected: false"),
+    (("misspelt-key", DISCONNECTED_CATALOG.replace("connected: false", "conected: false")),
      ("holonomy", "Twisty", "--m", "3", "--r", "1"), 4),
     (None, ("classify", "S4:SO(5)", "--r", "1", "--"), 0),
     # no lookup can reach a name that normalize_name changes
-    (DOTTED_NAME_CATALOG, ("classify", "S1:A.B", "--r", "1"), 4),
-    (DOTTED_NAME_CATALOG.replace('"A.B"', '" A"'), ("classify", "S1:A.B", "--r", "1"),
-     4),
+    (("dotted-name", DOTTED_NAME_CATALOG), ("classify", "S1:A.B", "--r", "1"), 4),
+    (("spaced-name", DOTTED_NAME_CATALOG.replace('"A.B"', '" A"')),
+     ("classify", "S1:A.B", "--r", "1"), 4),
 ]
 
 
-@pytest.mark.parametrize("catalog_text, args, code", FAILURE_MODES)
-def test_failure_modes_exit_with_their_documented_code(tmp_path, catalog_text, args, code):
-    if catalog_text is not None:
-        path = tmp_path / "cat.txt"
-        if catalog_text is not MISSING:
-            path.write_text(catalog_text, encoding="utf-8")
-        args = ("--catalog", str(path), *args)
-    res = run(*args)
+def catalog_args(catalog, args: tuple, directory: Path) -> tuple:
+    """args, after ``--catalog`` and the case's file written in directory."""
+    if catalog is None:
+        return args
+    name, text = catalog
+    path = directory / f"{name}.txt"
+    if text is not MISSING:
+        path.write_text(text, encoding="utf-8")
+    return ("--catalog", str(path), *args)
+
+
+@pytest.mark.parametrize(
+    "catalog, args, code",
+    FAILURE_MODES,
+    ids=[" ".join((c[0] if c else "bundled", *a)) for c, a, _ in FAILURE_MODES],
+)
+def test_failure_modes_exit_with_their_documented_code(tmp_path, catalog, args, code):
+    res = run(*catalog_args(catalog, args, tmp_path))
     assert res.exit_code == code
     assert res.exception is None  # no exception escaped
     assert "Traceback" not in res.stderr

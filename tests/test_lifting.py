@@ -2,8 +2,11 @@ import doctest
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinr.lifting as lifting
+import spinr.spaces as spaces
 from spinr.abelian import (
     AbHom,
     DomainMismatchError,
@@ -13,7 +16,7 @@ from spinr.abelian import (
     subgroup_eq,
     subgroup_index,
 )
-from spinr.liecat import so_pi1
+from spinr.liecat import so_pi1, so_pi1_map
 from spinr.lifting import (
     LiftQuery,
     LiftVerdict,
@@ -22,6 +25,7 @@ from spinr.lifting import (
     lift_subgroup,
     lifts,
 )
+from oracles import parity_lifts
 from test_abelian import zero_hom
 
 
@@ -161,6 +165,60 @@ def test_spin_criterion_iff_zero_isotropy_class():
     for image in (0, 1):
         sigma = hom_to_so(dom, 6, [image])
         assert lifts(spin_lift_query(sigma, 6)).lifts == (image == 0)
+
+
+# --- lifts against the parity rule ----------------------------------------------
+
+def _agrees_with_the_parity_rule(q: LiftQuery) -> bool:
+    verdict = lifts(q)
+    witnesses = tuple((label, w.coords) for label, w in verdict.witness_failures)
+    return (verdict.lifts, witnesses) == parity_lifts(q)
+
+
+def test_lifts_follows_the_parity_rule_on_every_bundled_query(catalog, monkeypatch):
+    # every query that classify and holonomy_lift put to lifts, at every
+    # rank from 1 to one past the dimension
+    queries = []
+
+    def recording(q):
+        queries.append(q)
+        return lifts(q)
+
+    monkeypatch.setattr(spaces, "lifts", recording)
+    for space in catalog.spaces.values():
+        for r in range(1, space.n + 2):
+            spaces.classify(catalog, space, r)
+    for group, m in catalog.holonomies:
+        for r in range(1, m + 2):
+            spaces.holonomy_lift(catalog, group, m, r)
+    assert {lifts(q).lifts for q in queries} == {True, False}
+    assert {(q.n == 2, q.r == 2) for q in queries} == {
+        (False, False), (False, True), (True, False), (True, True)}
+    assert [q for q in queries if not _agrees_with_the_parity_rule(q)] == []
+
+
+@st.composite
+def _pi1_maps(draw, domain, k):
+    """A well-defined map from domain to pi1(SO(k)), drawn image by image."""
+    values = [
+        0 if k == 1 or (d and (k == 2 or d % 2)) else draw(st.integers(-5, 5))
+        for d in domain.orders
+    ]
+    return so_pi1_map(domain, k, values)
+
+
+@st.composite
+def _lift_queries(draw):
+    orders = draw(st.lists(st.sampled_from([0, 2, 3, 4, 6]), max_size=3))
+    domain = FgAbGroup(orders=orders)
+    n, r = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return LiftQuery(n, r, draw(_pi1_maps(domain, n)), draw(_pi1_maps(domain, r)))
+
+
+@settings(max_examples=400)
+@given(_lift_queries())
+def test_lifts_follows_the_parity_rule_on_drawn_queries(q):
+    assert _agrees_with_the_parity_rule(q)
 
 
 # --- induce --------------------------------------------------------------------
