@@ -7,7 +7,6 @@ from .abelian import (
     AbHom,
     FgAbGroup,
     Subgroup,
-    compose,
     contains,
     direct_product,
     image_subgroup,
@@ -16,7 +15,7 @@ from .abelian import (
 from .catalog import Catalog, load, load_default, loads
 from .catalogfile import SpinrError
 from .liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_group, so_pi1
-from .lifting import LiftQuery, LiftVerdict, induce, lift_subgroup, lifts
+from .lifting import LiftQuery, LiftVerdict, lift_subgroup, lifts
 from .repcat import (
     EnumResult,
     OrthRepFamily,
@@ -55,14 +54,12 @@ __all__ = [
     "Subgroup",
     "canonical_structure",
     "classify",
-    "compose",
     "contains",
     "direct_product",
     "enumerate_homs",
     "first_possible_rank",
     "holonomy_lift",
     "image_subgroup",
-    "induce",
     "invariant_spin_type",
     "lift_subgroup",
     "lifts",

@@ -17,12 +17,11 @@ floating point.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 
 
 class DomainMismatchError(ValueError):
-    """Composition or comparison of homomorphisms over different groups."""
+    """Elements or homomorphisms combined or compared over different groups."""
 
 
 class FgAbGroup:
@@ -108,13 +107,6 @@ class FgAbGroup:
 
     def generators(self) -> list[AbElem]:
         return [self.generator(i) for i in range(self.rank)]
-
-    def elements(self):
-        """Iterate all elements; only allowed for finite groups."""
-        if self.free_rank:
-            raise ValueError("cannot enumerate an infinite group")
-        for coords in itertools.product(*(range(d) for d in self.orders)):
-            yield self.elem(coords)
 
     def describe(self) -> str:
         parts = ["Z" if d == 0 else f"Z{d}" for d in self.orders]
@@ -233,19 +225,6 @@ def cyclic_images(domain: FgAbGroup, codomain: FgAbGroup, values) -> list[tuple]
         if d and (d * c % n if n else c):
             _check_well_defined(domain, codomain, coords)  # raises its message
     return coords
-
-
-def compose(f: AbHom, g: AbHom) -> AbHom:
-    """f after g.  Requires codomain(g) = domain(f) coordinatewise.
-
-    >>> Z = cyclic(0)
-    >>> times2 = AbHom(Z, Z, (Z.elem([2]),))
-    >>> compose(times2, times2).images[0].coords
-    (4,)
-    """
-    if not g.codomain.same_presentation(f.domain):
-        raise DomainMismatchError("codomain of inner map is not domain of outer map")
-    return AbHom(g.domain, f.codomain, tuple(f.apply(img) for img in g.images))
 
 
 def direct_product(
@@ -402,41 +381,6 @@ def contains(s: Subgroup, x: AbElem) -> bool:
     columns = [list(g.coords) for g in s.generators]
     columns += _relation_columns(s.ambient)
     return _solve_diophantine(columns, list(x.coords))
-
-
-def subgroup_leq(a: Subgroup, b: Subgroup) -> bool:
-    """a <= b as subgroups of a common ambient group."""
-    return all(contains(b, g) for g in a.generators)
-
-
-def subgroup_eq(a: Subgroup, b: Subgroup) -> bool:
-    return subgroup_leq(a, b) and subgroup_leq(b, a)
-
-
-def subgroup_index(s: Subgroup) -> int | None:
-    """Index of s in its ambient group; None when infinite.
-
-    The quotient is presented by the ambient generators subject to the
-    subgroup generators and the ambient torsion relations; its order is
-    the product of the nonzero diagonal entries of the Smith form when
-    the rank is full, and infinite otherwise.
-    """
-    g = s.ambient
-    columns = [list(x.coords) for x in s.generators] + _relation_columns(g)
-    m = g.rank
-    if m == 0:
-        return 1
-    if not columns:
-        return None
-    rows = [[col[i] for col in columns] for i in range(m)]
-    _, D = smith_diagonalize(rows)
-    order = 1
-    for i in range(m):
-        d = D[i][i] if i < len(columns) else 0
-        if d == 0:
-            return None
-        order *= abs(d)
-    return order
 
 
 def mod2(g: FgAbGroup) -> AbHom:

@@ -157,18 +157,24 @@ _line_re = cache(lambda: re.compile(
 INT_RE = re.compile(r"^-?[0-9]+$")
 
 
-def _int(text: str, line: int, path: str) -> int:
+def parse_int(text: str) -> int:
     """int(text) of a text that INT_RE matched; one longer than Python's
-    int-string limit is refused at its line."""
+    int-string limit raises a ValueError that says so."""
     try:
         return int(text)
     except ValueError:
-        raise CatalogParseError(
+        raise ValueError(
             f"integer of {len(text.lstrip('-'))} digits is longer than the "
-            f"{sys.get_int_max_str_digits()} digits Python converts",
-            line,
-            path,
+            f"{sys.get_int_max_str_digits()} digits Python converts"
         ) from None
+
+
+def _int(text: str, line: int, path: str) -> int:
+    """parse_int(text), its error reported at its line."""
+    try:
+        return parse_int(text)
+    except ValueError as err:
+        raise CatalogParseError(str(err), line, path) from None
 
 
 def _parse_scalar(text: str, line: int, path: str) -> Scalar:

@@ -191,8 +191,11 @@ def _build_pi1(entry: tuple) -> FgAbGroup:
             raise CatalogParseError(
                 f"torsion entries must be >= 2, got {d}", node.child("torsion")[1]
             )
-    generators = tuple(node.list_of("generators", str))
-    return node.build(FgAbGroup, free_rank, tuple(torsion), generators)
+    labels = tuple(node.list_of("generators", str))
+    n = free_rank + len(torsion)  # checked before FgAbGroup sizes anything by free_rank
+    if len(labels) != n:
+        raise CatalogParseError(f"{len(labels)} labels for {n} generators", node.line)
+    return node.build(FgAbGroup, free_rank, tuple(torsion), labels)
 
 
 def _build_ideal(entry: tuple) -> SimpleIdeal:

@@ -24,14 +24,13 @@ from .abelian import (
     DomainMismatchError,
     FgAbGroup,
     Subgroup,
-    compose,
     contains,
     direct_product,
     image_subgroup,
     mod2,
     product_hom,
 )
-from .liecat import so_pi1, so_pi1_map
+from .liecat import so_pi1
 
 
 def parity(x: AbElem) -> int:
@@ -122,27 +121,3 @@ def lifts(q: LiftQuery) -> LiftVerdict:
             failures.append((label, img))
     return LiftVerdict(lifts=not failures, witness_failures=tuple(failures))
 
-
-def inclusion_pi1(r: int, s: int) -> AbHom:
-    """Map induced on pi1 by the top-left block inclusion SO(r) -> SO(s).
-
-    The rotation loop goes to the rotation loop: the identity Z2 -> Z2
-    for r >= 3, the winding number reduced mod 2 for r = 2, and the zero
-    map out of the trivial pi1(SO(1)).
-    """
-    if s <= r:
-        raise ValueError(f"inclusion needs s > r, got r={r}, s={s}")
-    dom = so_pi1(r)
-    return so_pi1_map(dom, s, (1,) * dom.rank)
-
-
-def induce(phi_pi1: AbHom, r: int, s: int) -> AbHom:
-    """Push a twist map forward along SO(r) -> SO(s), s > r.
-
-    A structure twisted by rank r induces one twisted by any larger
-    rank; at the fundamental-group level this is composition with the
-    block-inclusion map.
-    """
-    if not phi_pi1.codomain.same_presentation(so_pi1(r)):
-        raise DomainMismatchError(f"twist map must land in pi1(SO({r}))")
-    return compose(inclusion_pi1(r, s), phi_pi1)

@@ -27,7 +27,7 @@ from functools import cache
 from math import gcd, isqrt
 
 from .abelian import AbHom, FgAbGroup, cyclic_images
-from .catalogfile import Block, CatalogParseError
+from .catalogfile import Block, CatalogParseError, parse_int
 from .liecat import (
     AlgebraProfile, CompactGroupRec, SimpleIdeal, so_pi1_map, so_pi1_target,
 )
@@ -81,7 +81,7 @@ def parse_congruence(text: str) -> Congruence:
         return Congruence(2, 1)
     m = _cong_re().match(t)
     if m:
-        return Congruence(int(m.group(2)), int(m.group(1)))
+        return Congruence(parse_int(m.group(2)), parse_int(m.group(1)))
     raise ValueError(f"cannot parse congruence constraint {text!r}")
 
 
@@ -141,9 +141,9 @@ def parse_affine(text: str) -> AffineInt:
         sign, n, d, const = m.groups()
         sign = -1 if sign == "-" else 1
         if const is not None:
-            offset += sign * int(const)
+            offset += sign * parse_int(const)
         else:
-            n, d = int(n or 1), int(d or 1)
+            n, d = parse_int(n or "1"), parse_int(d or "1")
             if d == 0:
                 raise ValueError(f"zero denominator in {text!r}")
             num, den = num * d + sign * n * den, den * d

@@ -87,9 +87,6 @@ class Classification(
 
     __slots__ = ()
 
-    def is_empty(self) -> bool:
-        return not self.classes
-
 
 class SpinTypeResult(namedtuple("SpinTypeResult", "space status lo hi witnesses")):
     """Least twist rank admitting an invariant structure.

@@ -5,7 +5,9 @@ enumerating integer coefficient vectors over a box, with no shared code
 with the Smith-reduction path under test; a lift is decided by comparing
 two coordinate parities; the catalog text is parsed one character at a
 time; the rule engine's kernel scan visits every centre dimension; the
-spin-type scan runs the full classification at every rank.
+spin-type scan runs the full classification at every rank.  The subgroup
+relations and the index run the library's Smith reduction: they check the
+published covering images and their index, which no answer computes.
 """
 
 from __future__ import annotations
@@ -17,8 +19,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from spinr.abelian import AbElem, Subgroup
+from spinr.abelian import (
+    AbElem,
+    AbHom,
+    FgAbGroup,
+    Subgroup,
+    _relation_columns,
+    contains,
+    smith_diagonalize,
+)
 from spinr.catalogfile import CatalogParseError
+from spinr.liecat import so_pi1_map
 from spinr.repcat import AffineInt, RuleTrace
 from spinr.spaces import (
     InconsistentCatalogError,
@@ -141,6 +152,51 @@ def enumerate_torsion_subgroup(s: Subgroup) -> set[tuple[int, ...]]:
     return seen
 
 
+def elements(g: FgAbGroup):
+    """Iterate all elements; only allowed for finite groups."""
+    if g.free_rank:
+        raise ValueError("cannot enumerate an infinite group")
+    for coords in itertools.product(*(range(d) for d in g.orders)):
+        yield g.elem(coords)
+
+
+# --- subgroup relations by Smith reduction -------------------------------------
+
+def subgroup_leq(a: Subgroup, b: Subgroup) -> bool:
+    """a <= b as subgroups of a common ambient group."""
+    return all(contains(b, g) for g in a.generators)
+
+
+def subgroup_eq(a: Subgroup, b: Subgroup) -> bool:
+    return subgroup_leq(a, b) and subgroup_leq(b, a)
+
+
+def subgroup_index(s: Subgroup) -> int | None:
+    """Index of s in its ambient group; None when infinite.
+
+    The quotient is presented by the ambient generators subject to the
+    subgroup generators and the ambient torsion relations; its order is
+    the product of the nonzero diagonal entries of the Smith form when
+    the rank is full, and infinite otherwise.
+    """
+    g = s.ambient
+    columns = [list(x.coords) for x in s.generators] + _relation_columns(g)
+    m = g.rank
+    if m == 0:
+        return 1
+    if not columns:
+        return None
+    rows = [[col[i] for col in columns] for i in range(m)]
+    _, D = smith_diagonalize(rows)
+    order = 1
+    for i in range(m):
+        d = D[i][i] if i < len(columns) else 0
+        if d == 0:
+            return None
+        order *= abs(d)
+    return order
+
+
 # --- the lift test by the paper's parity rule ----------------------------------
 
 def parity_lifts(q) -> tuple[bool, tuple[tuple[str, tuple[int, ...]], ...]]:
@@ -160,6 +216,14 @@ def parity_lifts(q) -> tuple[bool, tuple[tuple[str, tuple[int, ...]], ...]]:
     )
     return not failures, failures
 
+
+
+def pushed_twist(phi: AbHom, s: int) -> AbHom:
+    """The twist phi: pi1(H) -> pi1(SO(r)) pushed forward along the block
+    inclusion SO(r) -> SO(s), s > r.  The rotation loop goes to the rotation
+    loop, so each generator keeps its integer, which ``so_pi1_map`` reduces
+    into pi1(SO(s)): mod 2 for s >= 3, and nothing out of pi1(SO(1))."""
+    return so_pi1_map(phi.domain, s, [sum(img.coords) for img in phi.images])
 
 # --- reference affine expressions ---------------------------------------------
 #
@@ -397,7 +461,7 @@ def scan_invariant_spin_type(catalog, space) -> SpinTypeResult:
     first_uncertain = None
     for r in range(1, space.n + 1):
         c = classify(catalog, space, r)
-        if not c.is_empty():
+        if c.classes:
             status = "exact" if first_uncertain is None else "bounded"
             lo = r if first_uncertain is None else first_uncertain
             return SpinTypeResult(space.name, status, lo, r, c.classes)

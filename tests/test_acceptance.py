@@ -9,8 +9,8 @@ import random
 import time
 
 import spinr.catalog
-from spinr.abelian import Subgroup, contains, subgroup_eq, subgroup_index
-from spinr.lifting import LiftQuery, frame_product_pi1, induce, lift_subgroup, lifts
+from spinr.abelian import Subgroup, contains
+from spinr.lifting import LiftQuery, frame_product_pi1, lift_subgroup, lifts
 from spinr.repcat import enumerate_homs
 from spinr.spaces import (
     canonical_structure,
@@ -20,7 +20,13 @@ from spinr.spaces import (
 )
 
 from clirunner import run
-from oracles import agreement_instances, brute_force_contains
+from oracles import (
+    agreement_instances,
+    brute_force_contains,
+    pushed_twist,
+    subgroup_eq,
+    subgroup_index,
+)
 
 
 def report(criterion: str, detail: str):
@@ -122,7 +128,7 @@ def test_criterion_4_negative_verdicts(catalog):
             cases.append((f"S{n}:SO({n + 1})", r))
     for name, r in cases:
         c = classify(catalog, catalog.space(name), r)
-        assert c.is_empty(), (name, r)
+        assert not c.classes, (name, r)
         assert c.complete, (name, r)
         has_parity_witness = any(rej.witnesses for rej in c.rejected)
         has_trace = "rule engine" in c.certificate
@@ -175,7 +181,7 @@ def test_criterion_6a_monotonicity(catalog):
                             space.n,
                             bigger,
                             space.sigma_pi1,
-                            induce(phi, r, bigger),
+                            pushed_twist(phi, bigger),
                         )
                         assert lifts(q).lifts, (space.name, r, bigger)
                         checked += 1
@@ -220,11 +226,8 @@ def test_criterion_6d_spin_criterion(catalog):
     for space in catalog.spaces.values():
         c = classify(catalog, space, 1)
         expected = not parity_nonzero(space.sigma_pi1)
-        assert (not c.is_empty()) == expected, space.name
-        if space.name in type1:
-            assert not c.is_empty(), space.name
-        else:
-            assert c.is_empty(), space.name
+        assert bool(c.classes) == expected, space.name
+        assert bool(c.classes) == (space.name in type1), space.name
     report("6d spin criterion", "r=1 lift iff vanishing isotropy class; table types agree")
 
 

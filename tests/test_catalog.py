@@ -211,6 +211,11 @@ def _line_of(snippet: str, after: str = "") -> int:
         # the family check against its domain group
         ('pi1_images: ["1"]', 'pi1_images: ["1", "1"]', "so2-circle-powers",
          "repfamily {", "2 images for 1"),
+        # one label per generator, checked before free_rank sizes anything
+        ('generators: ["alpha"]', "generators: []", "", "pi1 {",
+         "0 labels for 1 generators"),
+        ('generators: ["a", "b"]', 'generators: ["a"]', 'name: "T"', "pi1 {",
+         "1 labels for 2 generators"),
         # a torsion entry of the wrong type: at the key, as for one below 2
         ("torsion: [2]", "torsion: [2, true]", "", "torsion: [2]",
          "torsion entries must be integers: True"),
@@ -359,21 +364,29 @@ def _first_values() -> dict[tuple[str, str], tuple[int, object]]:
 
 
 @pytest.mark.parametrize(
-    "old, new",
-    [("catalog_version: 1", "catalog_version: {}"), ("target_r: 3", "target_r: -{}"),
-     ("torsion: [2]", "torsion: [{}]")],
-    ids=["catalog_version", "key-value", "list-item"],
+    "old, new, reported_at",
+    [("catalog_version: 1", "catalog_version: {}", "catalog_version: 1"),
+     ("target_r: 3", "target_r: -{}", "target_r: 3"),
+     ("torsion: [2]", "torsion: [{}]", "torsion: [2]"),
+     # digits inside a quoted value: at the block, as every error of the value
+     ('constraint: "s ∈ Z"', 'constraint: "s = 0 mod {}"', "param {"),
+     ('pi1_images: ["s"]', 'pi1_images: ["{}*s"]', "repfamily {")],
+    ids=["catalog_version", "key-value", "list-item", "quoted-constraint",
+         "quoted-pi1_images"],
 )
 def test_an_integer_longer_than_pythons_limit_is_refused_at_its_line(
-    tmp_path, old, new
+    tmp_path, old, new, reported_at
 ):
-    # int() refused it with a ValueError, which escaped as a traceback
+    # int() refused it with a ValueError, which escaped as a traceback, or
+    # inside quotes reached the user with Python's advice to raise the limit
     digits = sys.get_int_max_str_digits() + 1
     path = tmp_path / "c.txt"
     path.write_text(BUNDLED_TEXT.replace(old, new.format("1" * digits), 1), "utf-8")
     res = run("--catalog", str(path), "table1")
     assert (res.exit_code, res.stdout, res.exception) == (4, "", None)
-    line = BUNDLED_TEXT[: BUNDLED_TEXT.index(old)].count("\n") + 1
+    at = BUNDLED_TEXT.index(old)
+    at = BUNDLED_TEXT.rindex(reported_at, 0, at + len(old))
+    line = BUNDLED_TEXT[:at].count("\n") + 1
     assert res.stderr == (
         f"catalog error: {path}:{line}: integer of {digits} digits is longer than "
         f"the {digits - 1} digits Python converts\n"

@@ -13,19 +13,22 @@ from spinr.abelian import (
     FgAbGroup,
     Subgroup,
     contains,
-    subgroup_eq,
-    subgroup_index,
 )
 from spinr.liecat import so_pi1, so_pi1_map
 from spinr.lifting import (
     LiftQuery,
     LiftVerdict,
     frame_product_pi1,
-    induce,
     lift_subgroup,
     lifts,
 )
-from oracles import parity_lifts
+from oracles import (
+    elements,
+    parity_lifts,
+    pushed_twist,
+    subgroup_eq,
+    subgroup_index,
+)
 from test_abelian import zero_hom
 
 
@@ -66,7 +69,7 @@ def test_grid_image_is_parity_kernel():
         s = lift_subgroup(n, r)
         amb = s.ambient
         if amb.free_rank == 0:
-            for x in amb.elements():
+            for x in elements(amb):
                 balanced = _split_parities(x, n) == 0
                 assert contains(s, x) == balanced, (n, r, x)
 
@@ -221,36 +224,7 @@ def test_lifts_follows_the_parity_rule_on_drawn_queries(q):
     assert _agrees_with_the_parity_rule(q)
 
 
-# --- induce --------------------------------------------------------------------
-
-def test_induce_reduces_winding_mod_two():
-    dom = FgAbGroup(1, (), ("c",))
-    phi = hom_to_so(dom, 2, [5])
-    pushed = induce(phi, 2, 3)
-    assert pushed.codomain.same_presentation(so_pi1(3))
-    assert pushed.images[0].coords == (1,)
-
-
-def test_induce_is_identity_between_large_ranks():
-    dom = FgAbGroup(0, (2,), ("d",))
-    phi = hom_to_so(dom, 3, [1])
-    pushed = induce(phi, 3, 7)
-    assert pushed.images[0].coords == (1,)
-
-
-def test_induce_from_rank_one_is_zero():
-    dom = FgAbGroup(0, (2,), ("d",))
-    phi = zero_hom(dom, so_pi1(1))
-    for s in (2, 3, 8):
-        assert induce(phi, 1, s).is_zero()
-
-
-def test_induce_rejects_non_increasing_rank():
-    dom = FgAbGroup(1, (), ("c",))
-    phi = hom_to_so(dom, 2, [1])
-    with pytest.raises(ValueError):
-        induce(phi, 2, 2)
-
+# --- pushing a twist into a larger rank -------------------------------------
 
 def test_monotonicity_of_passing_queries():
     dom = FgAbGroup(1, (), ("c",))
@@ -262,5 +236,5 @@ def test_monotonicity_of_passing_queries():
     for q in base_queries:
         assert lifts(q).lifts
         for s in range(q.r + 1, 10):
-            pushed = LiftQuery(q.n, s, q.sigma_pi1, induce(q.phi_pi1, q.r, s))
+            pushed = LiftQuery(q.n, s, q.sigma_pi1, pushed_twist(q.phi_pi1, s))
             assert lifts(pushed).lifts, (q.n, q.r, s)

@@ -174,8 +174,9 @@ def test_defaults(make, defaults):
     [
         (lambda: SpinTypeResult("X", "exact", 3, 3, ()).value, 3),
         (lambda: SpinTypeResult("X", "bounded", 2, 3, (_class(),)).value, None),
-        (lambda: Classification("X", 1, (), 0, True, "c").is_empty(), True),
-        (lambda: Classification("X", 2, (_class(),), None, True, "c").is_empty(),
+        (lambda: OrthRepFamily("f", "D", 2, (), ("a",), certificate=" Incomplete")
+         .incomplete, True),
+        (lambda: OrthRepFamily("f", "D", 2, (), ("a",), certificate="[1]").incomplete,
          False),
         (lambda: str(RuleTrace(("a", "b"))), "a; b"),
         (lambda: str(RuleTrace(())), ""),

@@ -55,11 +55,13 @@ def test_value_errors_are_caught_only_at_the_named_boundaries():
     # again at the block's line, naming two locations.  Block.build is the
     # one boundary for constructors; _assemble locates a family's check
     # against its domain, and _validate_group words its own messages.
-    # catalogfile._int and cli._ascii_int catch int() refusing a text
-    # longer than Python's int-string limit.
+    # catalogfile.parse_int and cli._ascii_int catch int() refusing a text
+    # longer than Python's int-string limit, and catalogfile._int locates
+    # parse_int's error.
     allowed = {
         ("catalogfile.py", "Block.build"),
         ("catalogfile.py", "_int"),
+        ("catalogfile.py", "parse_int"),
         ("catalog.py", "_assemble"),
         ("cli.py", "_ascii_int"),
         ("liecat.py", "_validate_group"),
@@ -111,11 +113,9 @@ def test_int_is_called_only_by_the_strict_readers():
         ("abelian.py", "FgAbGroup.__init__"),
         ("abelian.py", "FgAbGroup.reduce"),
         ("abelian.py", "smith_diagonalize"),
-        ("catalogfile.py", "_int"),
+        ("catalogfile.py", "parse_int"),
         ("cli.py", "_ascii_int"),
         ("liecat.py", "_so_index"),
-        ("repcat.py", "parse_congruence"),
-        ("repcat.py", "parse_affine"),
     }
     found = {}
     for path in sorted(SRC.rglob("*.py")):
@@ -175,6 +175,70 @@ def test_abelian_records_skip_their_checks_only_at_the_listed_builders():
     assert stray == []
     assert set(found) == allowed  # the list names only call sites that exist
 
+
+# Definitions that nothing in the package calls, each with the reason it stays.
+ENTRY_POINTS = {
+    "cyclic": "public constructor of Z and Z/n; the abelian doctests use it",
+    "main": "the spinr console script (pyproject.toml) calls cli.main",
+    "error": "_Parser.error overrides the argparse method that argparse calls",
+}
+
+
+def _references(nodes) -> set[str]:
+    """Every name and attribute that the code of nodes reads; a docstring is
+    a string constant, so a name it mentions is not read."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def _definitions():
+    """(name -> where and what its code reads for every top-level function,
+    class and non-dunder method; what module-level code reads).  A class's
+    own code is its bases, decorators, class body and dunder methods."""
+    defs, module_level = {}, set()
+
+    def define(name, where, nodes):
+        defs.setdefault(name, []).append((where, _references(nodes)))
+
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text("utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                define(node.name, path.name, [node])
+            elif isinstance(node, ast.ClassDef):
+                own = [*node.bases, *node.keywords, *node.decorator_list]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name[:2] != "__":
+                        define(item.name, f"{path.name} {node.name}", [item])
+                    else:
+                        own.append(item)
+                define(node.name, path.name, own)
+            else:
+                module_level |= _references([node])
+    return defs, module_level
+
+
+def test_every_library_function_has_a_caller():
+    # a definition is live when module-level code, an entry point or a live
+    # definition reads its name; a helper called only by another dead one
+    # is dead too.  Names are matched without their module or class, so a
+    # method counts as live when any attribute of its name is read.
+    defs, module_level = _definitions()
+    live, todo = set(), [n for n in module_level | set(ENTRY_POINTS) if n in defs]
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo += [n for _, reads in defs[name] for n in reads if n in defs]
+    dead = [f"{where} {name}" for name in sorted(defs.keys() - live)
+            for where, _ in defs[name]]
+    assert dead == []
+    assert set(ENTRY_POINTS) <= set(defs)  # the list names only definitions
 
 def test_importing_the_cli_leaves_out_dataclasses_and_json():
     # json is imported where JSON is read or written, so the markdown

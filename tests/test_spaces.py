@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 import spinr.repcat as repcat
 import spinr.spaces as spaces
-from oracles import scan_hom_rule_trace, scan_invariant_spin_type
+from oracles import pushed_twist, scan_hom_rule_trace, scan_invariant_spin_type
 from spinr.abelian import AbHom, FgAbGroup
 from spinr.catalog import Catalog, loads
 from spinr.catalogfile import SpinrError, parse
 from spinr.liecat import AlgebraProfile, SimpleIdeal, so_pi1
-from spinr.lifting import LiftQuery, induce, lifts
+from spinr.lifting import LiftQuery, lifts
 from spinr.repcat import (
     Congruence,
     OrthRepFamily,
@@ -73,7 +73,7 @@ def test_classify_su_sphere_unique_untwisted(catalog):
 
 def test_classify_u_sphere_spin_obstruction(catalog):
     c = classify(catalog, catalog.space("S11:U(6)"), 1)
-    assert c.is_empty() and c.complete
+    assert not c.classes and c.complete
     (rej,) = c.rejected
     assert rej.family == "trivial"
     ((gen, image),) = rej.witnesses
@@ -89,12 +89,12 @@ def test_classify_sp_u1_congruence(catalog):
 
 def test_classify_negative_verdicts_with_proofs(catalog):
     c = classify(catalog, catalog.space("S4:SO(5)"), 2)
-    assert c.is_empty() and c.complete
+    assert not c.classes and c.complete
     assert "so(3) + so(3)" in c.certificate
     for n in (5, 6, 7):
         for r in range(2, n):
             c = classify(catalog, catalog.space(f"S{n}:SO({n + 1})"), r)
-            assert c.is_empty() and c.complete, (n, r)
+            assert not c.classes and c.complete, (n, r)
             assert c.rejected, (n, r)
 
 
@@ -644,7 +644,7 @@ def test_holonomy_lift_implies_sphere_classes(catalog):
             v = holonomy_lift(catalog, f"SO({n + 1})", n + 1, r)
             if v.verdict == "yes":
                 c = classify(catalog, catalog.space(f"S{n}:SO({n + 1})"), r)
-                assert not c.is_empty(), (n, r)
+                assert c.classes, (n, r)
 
 
 def test_monotone_in_rank_via_induced_twists(catalog):
@@ -660,7 +660,7 @@ def test_monotone_in_rank_via_induced_twists(catalog):
                     phi = fam.pi1_map(h.pi1, r, s_val)
                     for bigger in range(r + 1, 10):
                         q = LiftQuery(
-                            space.n, bigger, space.sigma_pi1, induce(phi, r, bigger)
+                            space.n, bigger, space.sigma_pi1, pushed_twist(phi, bigger)
                         )
                         assert lifts(q).lifts, (name, r, bigger)
 
