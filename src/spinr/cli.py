@@ -22,7 +22,6 @@ keyed by the ``SpinrError`` subclass a command raised.
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import os
 import sys
@@ -57,14 +56,15 @@ EXIT_CODES = {
 }
 
 
-def _ascii_int(text: str) -> int:
-    """An integer as the catalog reads one (INT_RE), not as int() does."""
+def _ascii_int(text: str):
+    """An integer as the catalog reads one (INT_RE), not as int() does;
+    None for any other text."""
     if INT_RE.fullmatch(text):
         try:
             return int(text)
         except ValueError:  # longer than Python's int-string limit
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return None
 
 
 def _require_positive(option: str, value: int):
@@ -335,68 +335,216 @@ def holonomy(catalog_path, group, m, r, fmt):
     _emit(record, fmt, _md_holonomy)
 
 
-# --- argument parsing ------------------------------------------------------------
+# --- reading the command line --------------------------------------------------
+#
+# The reader keeps every rule of the argparse parser it replaced, which
+# tests/oracles.argparse_cli still builds to check it against: no option
+# is abbreviated, "--opt=value" gives a value, the last of a repeated
+# option wins, -h or --help prints help where it is read, --catalog comes
+# before the command, every token after "--" is an argument, and a usage
+# error prints argparse's usage and error lines.  Help is argparse's
+# rendering at 80 columns, whatever the terminal.
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit with EXIT_USAGE instead of argparse's 2, which
-    this CLI uses for an unknown name."""
+# An option: (flag, keyword, metavar, read, default, help).  A flag with
+# no metavar takes no value and stores True; read is None for any text,
+# int for an integer read by _ascii_int, or the tuple of allowed values;
+# a default of ... makes the option required.
+_FORMAT = ("--format", "fmt", "{md,json}", ("md", "json"), "md", "Output format.")
+_R = ("--r", "r", "R", int, ..., "Twist rank r >= 1.")
+_HELP = ("-h", None, None, None, None, "show this help message and exit")
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+# the program, and each command: (function, positional, options).  A
+# command's help is its function's docstring; its positional is read
+# into the keyword of its lower-cased name
+_PROGRAM = (None, "COMMAND", (
+    ("--catalog", "catalog_path", "PATH", None, None,
+     "Path to a catalog file (default: bundled; also $SPINR_CATALOG)."),
+))
+_COMMANDS = {
+    "table1": (table1, None, (_FORMAT,)),
+    "classify": (classify, "SPACE", (_R, _FORMAT)),
+    "spin-type": (spin_type, "SPACE", (
+        ("--strict", "strict", None, None, False,
+         "Treat a bounded (non-exact) result as failure (exit 1)."),
+        _FORMAT,
+    )),
+    "holonomy": (holonomy, "GROUP", (
+        ("--m", "m", "M", int, ..., "Manifold dimension m >= 1."), _R, _FORMAT,
+    )),
+}
+_DESCRIPTION = (
+    "Exact decisions about invariant spin^r structures on homogeneous spaces."
+)
 
 
-def _parser(prog: str) -> _Parser:
-    # allow_abbrev=False everywhere: `--form json` is a usage error, not
-    # `--format json`
-    parser = _Parser(
-        prog=prog,
-        allow_abbrev=False,
-        description="Exact decisions about invariant spin^r structures on "
-        "homogeneous spaces.",
-    )
-    parser.add_argument(
-        "--catalog",
-        dest="catalog_path",
-        metavar="PATH",
-        help="Path to a catalog file (default: bundled; also $SPINR_CATALOG).",
-    )
-    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+def _doc(fn) -> str:
+    return " ".join(fn.__doc__.split())
 
-    def command(fn):
-        """A subcommand running fn, named after it, with its docstring
-        as help."""
-        doc = " ".join(fn.__doc__.split())
-        sub = commands.add_parser(
-            fn.__name__.replace("_", "-"), help=doc, description=doc, allow_abbrev=False
-        )
-        sub.set_defaults(run=fn)
-        return sub
 
-    r_help = "Twist rank r >= 1."
-    command(table1)
-    sub = command(classify)
-    sub.add_argument("space", metavar="SPACE")
-    sub.add_argument("--r", type=_ascii_int, required=True, help=r_help)
-    sub = command(spin_type)
-    sub.add_argument("space", metavar="SPACE")
-    sub.add_argument(
-        "--strict",
-        action="store_true",
-        help="Treat a bounded (non-exact) result as failure (exit 1).",
-    )
-    sub = command(holonomy)
-    sub.add_argument("group", metavar="GROUP")
-    sub.add_argument(
-        "--m", type=_ascii_int, required=True, help="Manifold dimension m >= 1."
-    )
-    sub.add_argument("--r", type=_ascii_int, required=True, help=r_help)
-    for sub in commands.choices.values():
-        sub.add_argument(
-            "--format", dest="fmt", choices=["md", "json"], default="md",
-            help="Output format.",
-        )
-    return parser
+def _usage(prog, run, positional, options) -> str:
+    parts = [f"usage: {prog} [-h]"]
+    for flag, _, metavar, _, default, _ in options:
+        part = f"{flag} {metavar}" if metavar else flag
+        parts.append(part if default is ... else f"[{part}]")
+    if positional:
+        parts.append(positional if run else "COMMAND ...")
+    return " ".join(parts)
+
+
+def _help(prog, run, positional, options) -> str:
+    """The help screen of the program (run None) or of one command."""
+    import textwrap  # only help pays for it
+
+    rows = [(2, "-h, --help", _HELP[-1])]
+    rows += [(2, f"{flag} {metavar}" if metavar else flag, text)
+             for flag, _, metavar, _, _, text in options]
+    sections = [("options", rows)]
+    if run is None:
+        commands = [(4, name, _doc(fn)) for name, (fn, *_) in _COMMANDS.items()]
+        sections.append(("commands", [(2, positional, None), *commands]))
+    elif positional:
+        sections.insert(0, ("positional arguments", [(2, positional, None)]))
+    column = min(max(i + len(name) for _, rs in sections for i, name, _ in rs) + 2, 24)
+    blocks = [_usage(prog, run, positional, options),
+              textwrap.fill(_doc(run) if run else _DESCRIPTION, 78)]
+    for title, rs in sections:
+        lines = [f"{title}:"]
+        for indent, name, text in rs:
+            head = " " * indent + name
+            if text is None:
+                lines.append(head)
+                continue
+            first, *more = textwrap.wrap(text, 78 - column)
+            lines.append(head.ljust(column) + first)
+            lines += [" " * column + line for line in more]
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _negative_number(token: str) -> bool:
+    # argparse's ^-\d+$|^-\d*\.\d+$, whose $ also matches before a final
+    # newline; a token that looks like one is an argument
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    if dot:
+        return (not whole or whole.isdecimal()) and fraction.isdecimal()
+    return whole.isdecimal()
+
+
+def _flags(options) -> dict:
+    return {"-h": _HELP, "--help": _HELP, **{o[0]: o for o in options}}
+
+
+def _kind(token: str, flags: dict):
+    """How a parser with these flags reads a token before any "--": None
+    for an argument, else (option, or None for a flag the parser does not
+    know; the value given with "=" or glued to -h, or None)."""
+    if token in flags:
+        return flags[token], None
+    if len(token) < 2 or token[0] != "-":
+        return None
+    flag, eq, value = token.partition("=")
+    if not (eq and flag in flags):
+        if token[1] != "h":
+            return None if _negative_number(token) or " " in token else (None, None)
+        flag, value = "-h", token[2:]
+    if flag == "-h" and value:  # argparse reads -hh as -h -h
+        value = value.lstrip("h") or None
+    return flags[flag], value
+
+
+def _read_argv(argv: list, prog: str):
+    """(command function, keyword arguments) read from argv.  Help prints
+    and exits 0; a usage error prints the usage line and exits
+    EXIT_USAGE."""
+    if argv[-1:] == ["--"]:
+        argv = argv[:-1]  # ends the options and adds nothing
+    top = parser = (prog, *_PROGRAM)
+    _, run, pending, options = parser  # pending: the positional not yet read
+    flags = _flags(options)
+    kwargs, extras = {"catalog_path": None}, []
+
+    def fail(message, at=None):
+        at = at or parser
+        sys.stderr.write(f"{_usage(*at)}\n{at[0]}: error: {message}\n")
+        sys.exit(EXIT_USAGE)
+
+    def enter(name):
+        """Read the rest of argv with the parser of command name."""
+        nonlocal parser, run, pending, options, flags
+        if name not in _COMMANDS:
+            choices = ", ".join(map(repr, _COMMANDS))
+            fail(f"argument COMMAND: invalid choice: {name!r} (choose from {choices})")
+        parser = (f"{prog} {name}", *_COMMANDS[name])
+        _, run, pending, options = parser
+        flags = _flags(options)
+        kwargs.update((o[1], o[4]) for o in options if o[4] is not ...)
+
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--":  # every later token is an argument
+            rest = argv[i:]
+            if run is None and rest:
+                enter(token)  # argparse takes the "--" itself for the command
+            if pending and rest:
+                kwargs[pending.lower()] = rest.pop(0)
+                pending = None
+            else:
+                extras.append(token)
+            extras += rest
+            break
+        kind = _kind(token, flags)
+        if kind is None:  # an argument
+            if run is None:
+                enter(token)
+            elif not pending:
+                extras.append(token)
+            else:
+                kwargs[pending.lower()] = token
+                pending = None
+                if argv[i:i + 1] == ["--"]:
+                    extras += argv[i + 1:]  # argparse's positional takes the "--" too
+                    break
+            continue
+        option, value = kind
+        if option is None:
+            extras.append(token)
+            continue
+        flag, key, metavar, read, _, _ = option
+        if metavar is None:
+            if value is not None:
+                name = "-h/--help" if option is _HELP else flag
+                fail(f"argument {name}: ignored explicit argument {value!r}")
+            if option is _HELP:
+                try:
+                    sys.stdout.write(_help(*parser))
+                except OSError:  # help into a closed pipe exits 0, as argparse's did
+                    pass
+                sys.exit(0)
+            kwargs[key] = True
+            continue
+        if value is None:
+            if i == len(argv) or argv[i] == "--" or _kind(argv[i], flags):
+                fail(f"argument {flag}: expected one argument")
+            value = argv[i]
+            i += 1
+        if read is int:
+            number = _ascii_int(value)
+            if number is None:
+                fail(f"argument {flag}: invalid int value: {value!r}")
+            value = number
+        elif read and value not in read:
+            choices = ", ".join(map(repr, read))
+            fail(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+        kwargs[key] = value
+    missing = [pending] if pending else []
+    missing += [o[0] for o in options if o[4] is ... and o[1] not in kwargs]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        fail(f"unrecognized arguments: {' '.join(extras)}", top)
+    return run, kwargs
 
 
 def _utf8_if_ascii(stream):
@@ -414,11 +562,9 @@ def main(args=None, prog_name="spinr"):
     _utf8_if_ascii(sys.stdout)
     _utf8_if_ascii(sys.stderr)
     argv = sys.argv[1:] if args is None else list(args)
-    if argv[-1:] == ["--"]:
-        del argv[-1]  # ends the options and adds nothing; argparse would refuse it
     try:
-        kwargs = vars(_parser(prog_name).parse_args(argv))
-        kwargs.pop("run")(**kwargs)
+        run, kwargs = _read_argv(argv, prog_name)
+        run(**kwargs)
     except SpinrError as err:
         code, prefix = EXIT_CODES[type(err)]
         print(f"{prefix}{err}", file=sys.stderr)

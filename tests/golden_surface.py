@@ -36,9 +36,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "golden" / "manifest.json"
 FORMATS = ("md", "json")
-# a fixed width, so that argparse wraps help and usage text the same in
-# every terminal; and no $SPINR_CATALOG, so the bundled catalog answers
-ENV = {"COLUMNS": "80", "SPINR_CATALOG": None}
+# no $SPINR_CATALOG, so the bundled catalog answers; help is laid out at
+# 80 columns whatever $COLUMNS says
+ENV = {"SPINR_CATALOG": None}
 
 
 def _sha(text: str) -> str:

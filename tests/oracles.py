@@ -8,12 +8,16 @@ time; the rule engine's kernel scan visits every centre dimension; the
 spin-type scan runs the full classification at every rank.  The subgroup
 relations and the index run the library's Smith reduction: they check the
 published covering images and their index, which no answer computes.
+The command line is read by the argparse parser that ``spinr.cli`` used
+before it had its own reader.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -28,7 +32,8 @@ from spinr.abelian import (
     contains,
     smith_diagonalize,
 )
-from spinr.catalogfile import CatalogParseError
+from spinr import cli
+from spinr.catalogfile import INT_RE, CatalogParseError
 from spinr.liecat import so_pi1_map
 from spinr.repcat import AffineInt, RuleTrace
 from spinr.spaces import (
@@ -475,3 +480,82 @@ def scan_invariant_spin_type(catalog, space) -> SpinTypeResult:
         )
     witnesses = canonical_structure(catalog, space).classes if space.n >= 3 else ()
     return SpinTypeResult(space.name, "bounded", first_uncertain, space.n, witnesses)
+
+
+# --- the argparse command line -------------------------------------------------
+#
+# The parser that spinr.cli built before it read its command line itself,
+# kept as the reference the reader is checked against.
+
+def _ascii_int(text: str) -> int:
+    """An integer as the catalog reads one (INT_RE), not as int() does."""
+    if INT_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # longer than Python's int-string limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_USAGE instead of argparse's 2, which
+    this CLI uses for an unknown name."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(cli.EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def argparse_cli(prog: str) -> _Parser:
+    """The parser; ``vars(parse_args(argv))`` holds the command function
+    under ``run`` and its keyword arguments."""
+    # allow_abbrev=False everywhere: `--form json` is a usage error, not
+    # `--format json`
+    parser = _Parser(
+        prog=prog,
+        allow_abbrev=False,
+        description="Exact decisions about invariant spin^r structures on "
+        "homogeneous spaces.",
+    )
+    parser.add_argument(
+        "--catalog",
+        dest="catalog_path",
+        metavar="PATH",
+        help="Path to a catalog file (default: bundled; also $SPINR_CATALOG).",
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(fn):
+        """A subcommand running fn, named after it, with its docstring
+        as help."""
+        doc = " ".join(fn.__doc__.split())
+        sub = commands.add_parser(
+            fn.__name__.replace("_", "-"), help=doc, description=doc, allow_abbrev=False
+        )
+        sub.set_defaults(run=fn)
+        return sub
+
+    r_help = "Twist rank r >= 1."
+    command(cli.table1)
+    sub = command(cli.classify)
+    sub.add_argument("space", metavar="SPACE")
+    sub.add_argument("--r", type=_ascii_int, required=True, help=r_help)
+    sub = command(cli.spin_type)
+    sub.add_argument("space", metavar="SPACE")
+    sub.add_argument(
+        "--strict",
+        action="store_true",
+        help="Treat a bounded (non-exact) result as failure (exit 1).",
+    )
+    sub = command(cli.holonomy)
+    sub.add_argument("group", metavar="GROUP")
+    sub.add_argument(
+        "--m", type=_ascii_int, required=True, help="Manifold dimension m >= 1."
+    )
+    sub.add_argument("--r", type=_ascii_int, required=True, help=r_help)
+    for sub in commands.choices.values():
+        sub.add_argument(
+            "--format", dest="fmt", choices=["md", "json"], default="md",
+            help="Output format.",
+        )
+    return parser

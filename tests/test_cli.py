@@ -1,20 +1,26 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spinr.catalog
 from spinr.catalog import loads
 from spinr.catalogfile import SpinrError
-from spinr.cli import EXIT_CLOSED_STDOUT, EXIT_CODES, main
+from spinr.cli import EXIT_CLOSED_STDOUT, EXIT_CODES, _read_argv, main
 from spinr.spaces import HypothesisError, holonomy_lift
 from clirunner import run
 from fixtures import BUNDLED_TEXT
+from oracles import argparse_cli
 from test_spaces import BOUNDED_CATALOG
 
 
@@ -390,8 +396,8 @@ LONG = "1" * (sys.get_int_max_str_digits() + 1)  # one digit more than int() rea
         (("classify", "S4:SO(5)", "--r", "-"), "--r", "-"),
         (("holonomy", "Sp(3)·Sp(1)", "--m", "١٢", "--r", "2"), "--m", "١٢"),
         (("holonomy", "Sp(3)·Sp(1)", "--m", "12", "--r", "٣"), "--r", "٣"),
-        # int() refuses these with a ValueError, which argparse reported as
-        # an "invalid _ascii_int value"
+        # int() refuses these with a ValueError, which argparse once
+        # reported as an "invalid _ascii_int value"
         pytest.param(("classify", "S4:SO(5)", "--r", LONG), "--r", LONG, id="long-r"),
         pytest.param(("holonomy", "SO(5)", "--m", LONG, "--r", "2"), "--m", LONG,
                      id="long-m"),
@@ -671,6 +677,17 @@ def test_a_closed_stdout_exits_141_without_a_traceback(args):
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("args", [("--help",), ("classify", "-h")])
+def test_help_into_a_closed_stdout_exits_0_without_a_traceback(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _spinr_process(*args, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_an_ascii_locale_still_gets_utf8_output():
     args = ("holonomy", "Sp(3)·Sp(1)", "--m", "12", "--r", "2")
     proc = _spinr_process(*args, env={"PYTHONIOENCODING": "ascii"}, capture_output=True)
@@ -682,3 +699,71 @@ def test_the_main_main_spelling_still_runs_a_command(capsys):
     # perfbench/cli_child.py runs its traced commands this way
     main.main(args=["holonomy", "G2", "--m", "7", "--r", "1"], prog_name="spinr")
     assert "lifts at twist rank 1: yes" in capsys.readouterr().out
+
+
+# --- the reader against the argparse parser it replaced ---------------------------
+
+TOKENS = [
+    "table1", "classify", "spin-type", "holonomy", "no-such",  # commands
+    "S4:SO(5)", "U(2)",  # positionals
+    "--r", "--m", "--r=3", "--format", "--form", "--strict", "--catalog", "--bogus",
+    "-x", "-h", "--help", "--",  # options
+    "md", "json", "xml", "PATH", "3", "0", "-1", "٣", "0_3", LONG,  # values
+]
+# spellings that argparse reads in its own way: -h with a value glued on
+# or given with "=" (-hh is -h -h), a flag given a value, and what its
+# negative-number and space rules make an argument
+ODD_TOKENS = [
+    "-hh", "-hx", "-h=", "-h=h", "-h=hx", "-hh=x", "-h x", "--help=", "--help=x",
+    "--strict=1", "--format=json", "--format=", "--catalog=P", "--catalog=", "--m=4",
+    "--r=-1", "-1.5", "-.5", "-1.", "-٣", "-1\n", "- x", "", "-", "-=x", "---",
+]
+
+
+def _reading(read, argv: list) -> tuple:
+    """(exit code, what was read or None, stdout, stderr) of one reading."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed, code = read(argv), 0
+        except SystemExit as exit_:
+            parsed, code = None, exit_.code or 0
+    return code, parsed, out.getvalue(), err.getvalue()
+
+
+def _read(argv: list) -> dict:
+    fn, kwargs = _read_argv(argv, "spinr")
+    return {"run": fn, **kwargs}
+
+
+def _argparse_read(argv: list) -> dict:
+    if argv[-1:] == ["--"]:
+        argv = argv[:-1]  # as main dropped it before argparse read the rest
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # help at 80 columns
+        return vars(argparse_cli("spinr").parse_args(argv))
+
+
+@settings(max_examples=1500)
+@given(st.lists(st.sampled_from(TOKENS), max_size=7))
+@example(["--help"])
+@example(["table1", "-h"])
+@example(["classify", "--help"])
+@example(["spin-type", "-h"])
+@example(["holonomy", "--help"])
+@example(["--catalog", "PATH", "holonomy", "U(2)", "--m=4", "--r", "3", "--format", "json"])
+@example(["spin-type", "--strict", "U(2)", "--strict", "--"])
+@example(["spin-type", "U(2)", "--", "-h"])  # the positional takes the "--" too
+@example(["classify", "--", "--r", "3"])
+@example(["--", "table1"])
+def test_the_reader_reads_every_argv_as_argparse_did(argv):
+    # the same exit code, the same command and values when accepted, and
+    # the same help and usage-error bytes; no wording is excepted
+    assert _reading(_read, argv) == _reading(_argparse_read, argv)
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS)
+@pytest.mark.parametrize("at", [0, 1, 2, 3])
+def test_the_reader_reads_odd_spellings_as_argparse_did(token, at):
+    argv = ["spin-type", "S4:SO(5)", "--format", "md"]
+    argv.insert(at, token)
+    assert _reading(_read, argv) == _reading(_argparse_read, argv)

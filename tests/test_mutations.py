@@ -14,6 +14,7 @@ from datetime import timedelta
 from pathlib import Path
 
 from fixtures import BUNDLED_TEXT
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -97,14 +98,12 @@ def test_a_mutant_catalog_answers_or_raises_a_spinr_error(mutation):
     _decide(catalog)
 
 
-def test_a_huge_free_rank_without_labels_exits_four_under_a_memory_limit(tmp_path):
-    # FgAbGroup sized a tuple and a default label list by free_rank, so
-    # this one line asked for gigabytes before any check refused it; the
-    # limit holds in the child only
-    old = 'name: "SO(1)"\n  pi1 {\n    free_rank: 0'
-    at = BUNDLED_TEXT.index(old) + len(old) - 1
-    path = tmp_path / "c.txt"
-    path.write_text(BUNDLED_TEXT[:at] + "1000000000" + BUNDLED_TEXT[at + 1:], "utf-8")
+def _limited_run(text: str, directory: Path, *args: str):
+    """spinr --catalog <text written to a file> args..., in a child process
+    whose address space is limited to 512 MB; the limit holds in the child
+    only."""
+    path = directory / "c.txt"
+    path.write_text(text, "utf-8")
     code = (
         "import resource, sys\n"
         "limit = 512 * 2**20\n"
@@ -114,10 +113,59 @@ def test_a_huge_free_rank_without_labels_exits_four_under_a_memory_limit(tmp_pat
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     res = subprocess.run(
-        [sys.executable, "-c", code, "--catalog", str(path), "table1"],
-        capture_output=True, text=True, timeout=60, env=env,
+        [sys.executable, "-c", code, "--catalog", str(path), *args],
+        capture_output=True, text=True, timeout=15, env=env,
     )
+    return path, res
+
+
+def test_a_huge_free_rank_without_labels_exits_four_under_a_memory_limit(tmp_path):
+    # FgAbGroup sized a tuple and a default label list by free_rank, so
+    # this one line asked for gigabytes before any check refused it
+    old = 'name: "SO(1)"\n  pi1 {\n    free_rank: 0'
+    at = BUNDLED_TEXT.index(old) + len(old) - 1
+    text = BUNDLED_TEXT[:at] + "1000000000" + BUNDLED_TEXT[at + 1:]
+    path, res = _limited_run(text, tmp_path, "table1")
     line = BUNDLED_TEXT[: BUNDLED_TEXT.index(old)].count("\n") + 2  # the pi1 block
     assert (res.returncode, res.stdout) == (4, "")
     message = "0 labels for 1000000000 generators"
     assert res.stderr == f"catalog error: {path}:{line}: {message}\n"
+
+
+HUGE = "1000000000"
+SPIN_TYPE = ("spin-type", "S5:U(3)")  # its stabiliser is U(2)
+# (record, key, value, args, exit code)
+SIZE_FIELDS = [
+    # an SO(k) record meets the SO(k) formulas, so the load refuses it
+    *[('name: "SO(5)"', key, value, SPIN_TYPE, 4) for key, value in [
+        ("torsion", f"[{HUGE}]"), ("center_rank", HUGE), ("dim", HUGE),
+        ("min_orth_rep", HUGE)]],
+    # a torsion entry needs a generator label; the rest only bound the rule
+    # engine or name a rank, and the answer comes at once
+    ('name: "U(2)"', "torsion", f"[{HUGE}]", SPIN_TYPE, 4),
+    ('name: "U(2)"', "center_rank", HUGE, SPIN_TYPE, 0),
+    ('name: "U(2)"', "dim", HUGE, SPIN_TYPE, 0),
+    ('name: "U(2)"', "min_orth_rep", HUGE, SPIN_TYPE, 0),
+    ('name: "u2-det-powers"', "target_r", HUGE, SPIN_TYPE, 0),
+    ('name: "S5:U(3)"', "n", HUGE, SPIN_TYPE, 0),
+    ('group: "U(2)"', "m", HUGE, ("holonomy", "U(2)", "--m", HUGE, "--r", "3"), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "record, key, value, args, code",
+    SIZE_FIELDS,
+    ids=[f"{record.split(chr(34))[1]} {key}" for record, key, *_ in SIZE_FIELDS],
+)
+def test_a_size_field_at_a_billion_answers_or_exits_four(tmp_path, record, key,
+                                                          value, args, code):
+    # no catalog number may size an allocation or a loop without bound
+    # (README "Catalog file format"); this one runs within 512 MB and 15 s
+    start = BUNDLED_TEXT.index(record)
+    at = BUNDLED_TEXT.index(f" {key}: ", start) + len(key) + 3
+    end = BUNDLED_TEXT.index("\n", at)
+    text = BUNDLED_TEXT[:at] + value + BUNDLED_TEXT[end:]
+    _, res = _limited_run(text, tmp_path, *args)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    assert bool(res.stdout) == (code == 0)
