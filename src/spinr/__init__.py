@@ -9,7 +9,6 @@ from .abelian import (
     Subgroup,
     contains,
     direct_product,
-    image_subgroup,
     mod2,
 )
 from .catalog import Catalog, load, load_default, loads
@@ -59,7 +58,6 @@ __all__ = [
     "enumerate_homs",
     "first_possible_rank",
     "holonomy_lift",
-    "image_subgroup",
     "invariant_spin_type",
     "lift_subgroup",
     "lifts",

@@ -191,9 +191,6 @@ class AbHom(namedtuple("AbHom", "domain codomain images")):
             out = out + img.scale(c)
         return out
 
-    def is_zero(self) -> bool:
-        return all(img.is_zero() for img in self.images)
-
 
 def _check_image_count(domain: FgAbGroup, n: int):
     if n != domain.rank:
@@ -238,17 +235,6 @@ def direct_product(
     return FgAbGroup(orders=a.orders + b.orders, labels=labels)
 
 
-def product_hom(f: AbHom, g: AbHom, prefixes: tuple[str, str] = ("1", "2")) -> AbHom:
-    """(f x g) on a shared domain: x -> (f(x), g(x))."""
-    if not f.domain.same_presentation(g.domain):
-        raise DomainMismatchError("factors must share a domain")
-    target = direct_product(f.codomain, g.codomain, prefixes)
-    images = tuple(
-        target.elem(fi.coords + gi.coords) for fi, gi in zip(f.images, g.images)
-    )
-    return AbHom(f.domain, target, images)
-
-
 class Subgroup(namedtuple("Subgroup", "ambient generators")):
     """Subgroup of an ambient group given by a finite generating list."""
 
@@ -263,10 +249,6 @@ class Subgroup(namedtuple("Subgroup", "ambient generators")):
     def describe(self) -> str:
         gens = ", ".join(g.describe() for g in self.generators)
         return f"<{gens}> in {self.ambient.describe()}"
-
-
-def image_subgroup(f: AbHom) -> Subgroup:
-    return Subgroup(f.codomain, f.images)
 
 
 # --- integer linear algebra -------------------------------------------------

@@ -115,10 +115,8 @@ def _classification_dict(c: Classification) -> dict:
     }
 
 
-def _citations(catalog: Catalog, space=None, families=()) -> list[str]:
-    cites = []
-    if space is not None:
-        cites.append(f"{space.name}: {space.provenance}")
+def _citations(catalog: Catalog, space, families) -> list[str]:
+    cites = [f"{space.name}: {space.provenance}"]
     seen = set()
     for fam_name in families:
         for fam in catalog.families:
@@ -241,7 +239,7 @@ def table1(catalog_path, fmt):
         }
         for name, expected in row["instances"]:
             res = invariant_spin_type(catalog, catalog.space(name))
-            computed = res.lo if res.status == "exact" else None
+            computed = res.value
             out_row["instances"].append(
                 {
                     "space": name,

@@ -28,23 +28,19 @@ class NotInCatalogError(SpinrError, KeyError):
         return self.args[0]
 
 
-class SimpleIdeal(
-    namedtuple("SimpleIdeal", "kind dim min_orth_rep_dim is_abelian")
-):
+class SimpleIdeal(namedtuple("SimpleIdeal", "kind dim min_orth_rep_dim")):
     """A simple ideal of a compact Lie algebra."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, kind: str, dim: int, min_orth_rep_dim: int, is_abelian: bool = False
-    ):
+    def __new__(cls, kind: str, dim: int, min_orth_rep_dim: int):
         if dim < 3:
             raise ValueError(f"simple ideal {kind} with dim {dim} < 3")
         if min_orth_rep_dim < 2:
             raise ValueError(
                 f"simple ideal {kind}: min_orth_rep_dim {min_orth_rep_dim} < 2"
             )
-        return tuple.__new__(cls, (kind, dim, min_orth_rep_dim, is_abelian))
+        return tuple.__new__(cls, (kind, dim, min_orth_rep_dim))
 
 
 class AlgebraProfile(

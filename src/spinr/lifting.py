@@ -26,9 +26,7 @@ from .abelian import (
     Subgroup,
     contains,
     direct_product,
-    image_subgroup,
     mod2,
-    product_hom,
 )
 from .liecat import so_pi1
 
@@ -107,17 +105,17 @@ class LiftVerdict(namedtuple("LiftVerdict", "lifts witness_failures")):
 def lifts(q: LiftQuery) -> LiftVerdict:
     """Does the product homomorphism lift through the covering?
 
-    True exactly when the image subgroup of the product map is
-    contained in :func:`lift_subgroup`; failures are reported per
-    domain generator so that a verdict can be read off generator by
-    generator.
+    True exactly when each domain generator's pair (sigma(g), phi(g)),
+    an element of :func:`frame_product_pi1`, lies in
+    :func:`lift_subgroup`; failures are reported per domain generator so
+    that a verdict can be read off generator by generator.
     """
     target = lift_subgroup(q.n, q.r)
-    combined = product_hom(q.sigma_pi1, q.phi_pi1, ("so_n", "so_r"))
-    image = image_subgroup(combined)
     failures = []
-    for label, img in zip(q.sigma_pi1.domain.labels, image.generators):
-        if not contains(target, img):
-            failures.append((label, img))
+    for label, s, p in zip(q.sigma_pi1.domain.labels, q.sigma_pi1.images,
+                           q.phi_pi1.images, strict=True):
+        pair = target.ambient.elem(s.coords + p.coords)
+        if not contains(target, pair):
+            failures.append((label, pair))
     return LiftVerdict(lifts=not failures, witness_failures=tuple(failures))
 

@@ -16,7 +16,6 @@ from spinr.abelian import (
     cyclic,
     cyclic_images,
     direct_product,
-    image_subgroup,
     mod2,
     smith_diagonalize,
 )
@@ -186,23 +185,24 @@ def test_unchecked_builders_agree_with_the_checked_constructors(orders, data):
         g.elem(wrong)
 
 
-# --- image_subgroup ----------------------------------------------------------
+# --- the image subgroup of a map --------------------------------------------
 
 def test_image_single_generator():
     f = AbHom(Z, ZZ, (ZZ.elem([1, 1]),))
-    s = image_subgroup(f)
+    s = Subgroup(f.codomain, f.images)
     assert s.generators == (ZZ.elem([1, 1]),)
 
 
 def test_image_of_zero_map_is_trivial():
-    s = image_subgroup(zero_hom(Z, ZZ))
+    f = zero_hom(Z, ZZ)
+    s = Subgroup(f.codomain, f.images)
     assert all(g.is_zero() for g in s.generators)
     assert not contains(s, ZZ.elem([0, 1]))
 
 
 def test_image_diagonal_of_order_two():
     f = AbHom(Z2, Z2Z2, (Z2Z2.elem([1, 1]),))
-    s = image_subgroup(f)
+    s = Subgroup(f.codomain, f.images)
     assert contains(s, Z2Z2.elem([1, 1]))
     assert not contains(s, Z2Z2.elem([1, 0]))
     assert subgroup_index(s) == 2
@@ -354,8 +354,8 @@ def test_image_of_composition_inside_image(data):
         ),
     )
     composite = AbHom(g, target, tuple(outer.apply(img) for img in inner.images))
-    inside = image_subgroup(composite)
-    outside = image_subgroup(outer)
+    inside = Subgroup(composite.codomain, composite.images)
+    outside = Subgroup(outer.codomain, outer.images)
     assert subgroup_leq(inside, outside)
 
 

@@ -173,9 +173,15 @@ def test_spin_criterion_iff_zero_isotropy_class():
 # --- lifts against the parity rule ----------------------------------------------
 
 def _agrees_with_the_parity_rule(q: LiftQuery) -> bool:
+    # each witness is an element of pi1(SO(n)) x pi1(SO(r)) with its
+    # factor-prefixed labels, not only the right coordinates
     verdict = lifts(q)
     witnesses = tuple((label, w.coords) for label, w in verdict.witness_failures)
-    return (verdict.lifts, witnesses) == parity_lifts(q)
+    ambient = frame_product_pi1(q.n, q.r)
+    return (verdict.lifts, witnesses) == parity_lifts(q) and all(
+        w.group.same_presentation(ambient, labels=True)
+        for _, w in verdict.witness_failures
+    )
 
 
 def test_lifts_follows_the_parity_rule_on_every_bundled_query(catalog, monkeypatch):

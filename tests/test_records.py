@@ -62,7 +62,7 @@ RECORDS = [
     (AbElem, ("group", "coords"), lambda: Z2.elem([1])),
     (AbHom, ("domain", "codomain", "images"), _sigma),
     (Subgroup, ("ambient", "generators"), lambda: Subgroup(Z2, (Z2.elem([1]),))),
-    (SimpleIdeal, ("kind", "dim", "min_orth_rep_dim", "is_abelian"),
+    (SimpleIdeal, ("kind", "dim", "min_orth_rep_dim"),
      lambda: SimpleIdeal("so(3)", 3, 3)),
     (AlgebraProfile, ("center_rank", "ideals"),
      lambda: AlgebraProfile(1, (SimpleIdeal("so(3)", 3, 3),))),
@@ -151,7 +151,6 @@ def test_repr_is_type_then_fields(record):
 @pytest.mark.parametrize(
     "make, defaults",
     [
-        (lambda: SimpleIdeal("so(3)", 3, 3), {"is_abelian": False}),
         (lambda: AlgebraProfile(0), {"ideals": ()}),
         (lambda: AlgebraProfile(2), {"ideals": ()}),
         (lambda: ClassRecord("f"),

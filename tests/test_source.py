@@ -239,6 +239,51 @@ def test_every_library_function_has_a_caller():
     assert dead == []
     assert set(ENTRY_POINTS) <= set(defs)  # the list names only definitions
 
+
+# Fields and properties that no package code reads, each with the reason
+# it stays.
+UNREAD_FIELDS = {
+    "distinct_classes": "the catalog file format requires it; no answer prints it",
+    "coeff": "perfbench/checks.affine_table reads it",
+    "offset": "perfbench/checks.affine_table reads it",
+}
+
+
+def _is_call(node, name) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name)
+
+
+def _record_fields():
+    """name -> where, for every named-tuple field and every class attribute
+    set to property(...) in the package."""
+    fields = {}
+    for n, node in _nodes():
+        if _is_call(node, "namedtuple"):
+            for name in node.args[1].value.replace(",", " ").split():
+                fields.setdefault(name, f"{n}:{node.lineno} {node.args[0].value}")
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.Assign) and _is_call(item.value, "property"):
+                    for target in item.targets:
+                        fields.setdefault(target.id, f"{n}:{item.lineno} {node.name}")
+    return fields
+
+
+def test_every_record_field_is_read():
+    # a field is live when package code reads an attribute of its name.
+    # Names are matched without their class, so this cannot see a member
+    # whose name another class also reads: AbHom.is_zero went unread for
+    # as long as AbElem.is_zero was read
+    fields = _record_fields()
+    reads = {node.attr for _, node in _nodes()
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{where}.{name}" for name, where in fields.items()
+                    if name not in reads and name not in UNREAD_FIELDS)
+    assert unread == []
+    assert set(UNREAD_FIELDS) <= fields.keys() - reads  # the list names only unread ones
+
+
 def test_importing_the_cli_leaves_out_dataclasses_and_json():
     # json is imported where JSON is read or written, so the markdown
     # commands never load it; and every module the import adds is spinr's
