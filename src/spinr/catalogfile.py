@@ -29,7 +29,6 @@ offending line.  Record builders read a block through :class:`Block`.
 
 from __future__ import annotations
 
-import re
 import sys
 from functools import cache
 
@@ -135,9 +134,13 @@ class Block:
 # One match decides every line: the one group that matched names its
 # form, none does for a blank or comment-only line, and no match is a
 # malformed line.  A '#' outside double quotes starts a comment; a '"'
-# runs to the next one or, unterminated, to the end of the line.
-_line_re = cache(lambda: re.compile(
-    r"""\s* (?:
+# runs to the next one or, unterminated, to the end of the line.  It is
+# compiled, and re imported, on first use: the bundled catalog reads no text.
+@cache
+def _line_re():
+    import re
+
+    return re.compile(r"""\s* (?:
         (\})                                    # 1: '}' closes a block
       | ([A-Za-z_][\w-]*) \s* (?:               # 2: a key, then
             (\{)                                # 3: '{' opens a block
@@ -148,17 +151,19 @@ _line_re = cache(lambda: re.compile(
             ))                                  # 6: any other value, and the
                                                 #    spaces after it
       |                                         # a blank line
-    ) \s* (?: \#.* | )""",
-    re.VERBOSE,
-))
-# every integer spinr reads (catalog values, --r and --m, the k of SO(k)):
-# an optional '-' and ASCII digits.  Python's int would also take '٣',
-# '0_3' and ' 3'.
-INT_RE = re.compile(r"^-?[0-9]+$")
+    ) \s* (?: \#.* | )""", re.VERBOSE)
+
+
+def is_int(text: str) -> bool:
+    """Whether text is an integer as spinr reads one (catalog values, --r
+    and --m, the k of SO(k)): an optional '-' and ASCII digits.  Python's
+    int would also take '٣', '0_3' and ' 3'."""
+    digits = text.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
 
 
 def parse_int(text: str) -> int:
-    """int(text) of a text that INT_RE matched; one longer than Python's
+    """int(text) of a text that is_int accepts; one longer than Python's
     int-string limit raises a ValueError that says so."""
     try:
         return int(text)
@@ -185,7 +190,7 @@ def _parse_scalar(text: str, line: int, path: str) -> Scalar:
         if text[-1] != '"' or len(text) < 2:
             raise CatalogParseError(f"unterminated string {text!r}", line, path)
         return text[1:-1]
-    if INT_RE.match(text):
+    if is_int(text):
         return _int(text, line, path)
     if text == "true":
         return True

@@ -23,11 +23,12 @@ keyed by the ``SpinrError`` subclass a command raised.
 from __future__ import annotations
 
 import codecs
+import gc
 import os
 import sys
 
 from .catalog import Catalog, CatalogReadError, load_default, read_data
-from .catalogfile import INT_RE, CatalogParseError, SpinrError
+from .catalogfile import CatalogParseError, SpinrError, is_int
 from .liecat import NotInCatalogError
 from .spaces import (
     Classification,
@@ -57,9 +58,9 @@ EXIT_CODES = {
 
 
 def _ascii_int(text: str):
-    """An integer as the catalog reads one (INT_RE), not as int() does;
+    """An integer as the catalog reads one (is_int), not as int() does;
     None for any other text."""
-    if INT_RE.fullmatch(text):
+    if is_int(text):
         try:
             return int(text)
         except ValueError:  # longer than Python's int-string limit
@@ -579,5 +580,17 @@ def main(args=None, prog_name="spinr"):
 main.main = main
 
 
+def entry():
+    """The process entry (``python -m spinr.cli`` and the spinr script):
+    main, then gc.freeze(), so that the interpreter's shutdown collections
+    skip every object the process made.  The normal exit still flushes
+    the streams, runs atexit and exits with main's code.  Callers in
+    process run main, which leaves the collector as it found it."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    entry()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .abelian import AbHom, FgAbGroup
-from .catalogfile import INT_RE, Block, CatalogParseError, SpinrError
+from .catalogfile import Block, CatalogParseError, SpinrError, is_int
 
 
 class NotInCatalogError(SpinrError, KeyError):
@@ -282,6 +282,6 @@ def _validate_group(rec: CompactGroupRec, line: int):
 def _so_index(name: str) -> int:
     """The k of 'SO(k)' or 'so(k)', written as str(k) writes it."""
     text = name[3:-1]
-    if not INT_RE.fullmatch(text) or text != str(int(text)):
+    if not is_int(text) or text != str(int(text)):
         raise ValueError(f"{name}: k is not in canonical ASCII decimal")
     return int(text)

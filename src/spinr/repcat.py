@@ -21,7 +21,6 @@ writes the proof text behind it.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from functools import cache
 from math import gcd, isqrt
@@ -66,8 +65,13 @@ class Congruence(namedtuple("Congruence", "modulus residue")):
 
 UNCONSTRAINED = Congruence(1, 0)
 
-# compiled on first use, like _term_re and catalogfile._line_re: only files need them
-_cong_re = cache(lambda: re.compile(r"^s\s*(?:=|≡)\s*(-?[0-9]+)\s*mod\s*([0-9]+)$"))
+# compiled, and re imported, on first use, like _term_re and
+# catalogfile._line_re: only files need them
+@cache
+def _cong_re():
+    import re
+
+    return re.compile(r"^s\s*(?:=|≡)\s*(-?[0-9]+)\s*mod\s*([0-9]+)$")
 
 
 def parse_congruence(text: str) -> Congruence:
@@ -123,8 +127,11 @@ def _fraction(n: int, d: int):
     return Fraction(n, d)
 
 
-_term_re = cache(lambda: re.compile(  # a term: [sign] [num*] s [/den], or [sign] const
-    r"([+-]?)(?:(?:([0-9]+)\*)?s(?:/([0-9]+))?|([0-9]+))"))
+@cache
+def _term_re():  # a term: [sign] [num*] s [/den], or [sign] const
+    import re
+
+    return re.compile(r"([+-]?)(?:(?:([0-9]+)\*)?s(?:/([0-9]+))?|([0-9]+))")
 
 
 def parse_affine(text: str) -> AffineInt:

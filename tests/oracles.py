@@ -33,7 +33,7 @@ from spinr.abelian import (
     smith_diagonalize,
 )
 from spinr import cli
-from spinr.catalogfile import INT_RE, CatalogParseError
+from spinr.catalogfile import CatalogParseError
 from spinr.liecat import so_pi1_map
 from spinr.repcat import AffineInt, RuleTrace
 from spinr.spaces import (
@@ -487,9 +487,13 @@ def scan_invariant_spin_type(catalog, space) -> SpinTypeResult:
 # The parser that spinr.cli built before it read its command line itself,
 # kept as the reference the reader is checked against.
 
+# the reference for catalogfile.is_int: an optional '-' and ASCII digits
+ASCII_INT_RE = re.compile(r"^-?[0-9]+$")
+
+
 def _ascii_int(text: str) -> int:
-    """An integer as the catalog reads one (INT_RE), not as int() does."""
-    if INT_RE.fullmatch(text):
+    """An integer as the catalog reads one (ASCII_INT_RE), not as int() does."""
+    if ASCII_INT_RE.fullmatch(text):
         try:
             return int(text)
         except ValueError:  # longer than Python's int-string limit

@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from fixtures import BUNDLED_TEXT
-from oracles import reference_parse
+from oracles import ASCII_INT_RE, reference_parse
 
-from spinr.catalogfile import Block, CatalogParseError, entry_value, parse
+from spinr.catalogfile import Block, CatalogParseError, entry_value, is_int, parse
 
 SAMPLE = """
 # a comment
@@ -265,3 +265,16 @@ def test_unicode_whitespace_parses_as_the_reference_does(line, ws):
 def test_unicode_line_breaks_parse_as_the_reference_does(text, brk):
     text = text.format(brk=brk)
     assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(st.text(), st.text("-+0123456789٣¹𝟘_ \n")))
+@example("")
+@example("-")
+@example("--1")
+@example("-0")
+@example("007")
+@example("3\n")
+@example("¹")  # str.isdigit takes it; int() does not
+def test_is_int_accepts_what_the_ascii_integer_pattern_matches(text):
+    assert is_int(text) == bool(ASCII_INT_RE.fullmatch(text))

@@ -1,4 +1,6 @@
 import contextlib
+import gc
+import importlib
 import io
 import json
 import os
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import spinr.catalog
 from spinr.catalog import loads
 from spinr.catalogfile import SpinrError
-from spinr.cli import EXIT_CLOSED_STDOUT, EXIT_CODES, _read_argv, main
+from spinr.cli import EXIT_CLOSED_STDOUT, EXIT_CODES, _read_argv, entry, main
 from spinr.spaces import HypothesisError, holonomy_lift
 from clirunner import run
 from fixtures import BUNDLED_TEXT
@@ -655,10 +657,17 @@ def test_help_names_every_subcommand_and_option(args, names):
         assert name in res.stdout
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def _spinr_process(*args, env=(), **kwargs):
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    return _python("-m", "spinr.cli", *args, env=env, **kwargs)
+
+
+def _python(*args, env=(), **kwargs):
+    src = str(ROOT / "src")
     return subprocess.run(
-        [sys.executable, "-m", "spinr.cli", *args],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": src, **dict(env)},
         timeout=60,
         **kwargs,
@@ -699,6 +708,60 @@ def test_the_main_main_spelling_still_runs_a_command(capsys):
     # perfbench/cli_child.py runs its traced commands this way
     main.main(args=["holonomy", "G2", "--m", "7", "--r", "1"], prog_name="spinr")
     assert "lifts at twist rank 1: yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        pytest.param(("holonomy", "Sp(3)·Sp(1)", "--m", "12", "--r", "2"), 0, id="answer"),
+        pytest.param(("classify", "S4:SO(6)", "--r", "3"), 2, id="unknown-name"),
+        pytest.param(("--catalog", "{tmp}/missing.txt", "table1"), 4, id="missing-catalog"),
+        pytest.param(("classify", "S4:SO(5)", "--r", "0"), 5, id="rank-zero"),
+        pytest.param(("spin-type", "S8:SO(9)", "--r", "3"), 6, id="unknown-option"),
+        pytest.param(("--help",), 0, id="help"),
+    ],
+)
+def test_a_process_answers_as_main_does_in_process(tmp_path, args, code):
+    # python -m spinr.cli runs cli.entry, which freezes the heap after
+    # main; the bytes and the exit code are main's, and main run in
+    # process freezes nothing
+    args = [a.format(tmp=tmp_path) for a in args]
+    proc = _spinr_process(*args, capture_output=True)
+    res = run(*args)
+    assert res.exception is None
+    out, err = proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+    assert (proc.returncode, out, err) == (res.exit_code, res.stdout, res.stderr)
+    assert res.exit_code == code
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(["spin-type", "S8:SO(9)"], id="answer"),
+     pytest.param(["classify", "S4:SO(5)", "--r", "0"], id="rank-zero")],
+)
+def test_the_module_run_as_a_program_freezes_the_heap_before_shutdown(argv):
+    # runpy runs the __main__ block as python -m does; atexit runs after it
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        f"sys.argv = ['spinr', *{argv!r}]\n"
+        "runpy.run_module('spinr.cli', run_name='__main__')\n"
+    )
+    proc = _python("-c", code, capture_output=True, text=True)
+    res = run(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        res.exit_code, res.stdout, res.stderr + "True\n")
+
+
+def test_the_spinr_script_is_the_process_entry():
+    lines = (ROOT / "pyproject.toml").read_text("utf-8").splitlines()
+    start = lines.index("[project.scripts]") + 1
+    end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
+    scripts = [line for line in lines[start:end] if line.strip()]
+    assert scripts == ['spinr = "spinr.cli:entry"']
+    module, _, name = json.loads(scripts[0].partition(" = ")[2]).partition(":")
+    assert getattr(importlib.import_module(module), name) is entry
 
 
 # --- the reader against the argparse parser it replaced ---------------------------

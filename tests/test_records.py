@@ -148,19 +148,27 @@ def test_repr_is_type_then_fields(record):
     assert repr(obj) == f"{cls.__name__}({body})"
 
 
+# The cases of the three tables below carry explicit ids, so that deleting
+# one renames no other; each keeps the id it was first collected under.
 @pytest.mark.parametrize(
     "make, defaults",
     [
-        (lambda: AlgebraProfile(0), {"ideals": ()}),
-        (lambda: AlgebraProfile(2), {"ideals": ()}),
-        (lambda: ClassRecord("f"),
-         {"label": None, "constraint": None, "extends_to": None}),
-        (lambda: OrthRepFamily("f", "D", 2, (), param_constraint=Congruence(1, 0)),
-         {"labels": None, "distinct_classes": "", "extends_to": None,
-          "certificate": "incomplete"}),
-        (lambda: Classification("X", 1, (), 0, True, "c"), {"rejected": ()}),
-        (lambda: loads(BASE), {"path": "<catalog>"}),
-        (lambda: AffineInt(1, 0), {"den": 1}),
+        pytest.param(lambda: AlgebraProfile(0), {"ideals": ()},
+                     id="<lambda>-defaults0"),
+        pytest.param(lambda: AlgebraProfile(2), {"ideals": ()},
+                     id="<lambda>-defaults1"),
+        pytest.param(lambda: ClassRecord("f"),
+                     {"label": None, "constraint": None, "extends_to": None},
+                     id="<lambda>-defaults2"),
+        pytest.param(lambda: OrthRepFamily("f", "D", 2, (),
+                                           param_constraint=Congruence(1, 0)),
+                     {"labels": None, "distinct_classes": "", "extends_to": None,
+                      "certificate": "incomplete"},
+                     id="<lambda>-defaults3"),
+        pytest.param(lambda: Classification("X", 1, (), 0, True, "c"), {"rejected": ()},
+                     id="<lambda>-defaults4"),
+        pytest.param(lambda: loads(BASE), {"path": "<catalog>"}, id="<lambda>-defaults5"),
+        pytest.param(lambda: AffineInt(1, 0), {"den": 1}, id="<lambda>-defaults6"),
     ],
 )
 def test_defaults(make, defaults):
@@ -171,20 +179,28 @@ def test_defaults(make, defaults):
 @pytest.mark.parametrize(
     "value, expected",
     [
-        (lambda: SpinTypeResult("X", "exact", 3, 3, ()).value, 3),
-        (lambda: SpinTypeResult("X", "bounded", 2, 3, (_class(),)).value, None),
-        (lambda: OrthRepFamily("f", "D", 2, (), ("a",), certificate=" Incomplete")
-         .incomplete, True),
-        (lambda: OrthRepFamily("f", "D", 2, (), ("a",), certificate="[1]").incomplete,
-         False),
-        (lambda: str(RuleTrace(("a", "b"))), "a; b"),
-        (lambda: str(RuleTrace(())), ""),
-        (lambda: AlgebraProfile(1, (SimpleIdeal("so(3)", 3, 3),)).dim, 4),
-        (lambda: str(AffineInt(3, -2, 2)), "3*s/2-1"),
-        (lambda: AffineInt(1, 0, 2).eval(4), 2),
-        (lambda: AffineInt(1, 6, 2).coeff, Fraction(1, 2)),
-        (lambda: AffineInt(1, 6, 2).offset, Fraction(3)),
-        (lambda: tuple(AffineInt(4, -6, 8)), (2, -3, 4)),
+        pytest.param(lambda: SpinTypeResult("X", "exact", 3, 3, ()).value, 3,
+                     id="<lambda>-3"),
+        pytest.param(lambda: SpinTypeResult("X", "bounded", 2, 3, (_class(),)).value,
+                     None, id="<lambda>-None"),
+        pytest.param(lambda: OrthRepFamily("f", "D", 2, (), ("a",),
+                                           certificate=" Incomplete").incomplete,
+                     True, id="<lambda>-True"),
+        pytest.param(lambda: OrthRepFamily("f", "D", 2, (), ("a",),
+                                           certificate="[1]").incomplete,
+                     False, id="<lambda>-False"),
+        pytest.param(lambda: str(RuleTrace(("a", "b"))), "a; b", id="<lambda>-a; b"),
+        pytest.param(lambda: str(RuleTrace(())), "", id="<lambda>-"),
+        pytest.param(lambda: AlgebraProfile(1, (SimpleIdeal("so(3)", 3, 3),)).dim, 4,
+                     id="<lambda>-4"),
+        pytest.param(lambda: str(AffineInt(3, -2, 2)), "3*s/2-1", id="<lambda>-3*s/2-1"),
+        pytest.param(lambda: AffineInt(1, 0, 2).eval(4), 2, id="<lambda>-2"),
+        pytest.param(lambda: AffineInt(1, 6, 2).coeff, Fraction(1, 2),
+                     id="<lambda>-expected9"),
+        pytest.param(lambda: AffineInt(1, 6, 2).offset, Fraction(3),
+                     id="<lambda>-expected10"),
+        pytest.param(lambda: tuple(AffineInt(4, -6, 8)), (2, -3, 4),
+                     id="<lambda>-expected11"),
     ],
 )
 def test_derived_values(value, expected):
@@ -202,40 +218,45 @@ _Z2xZ2 = FgAbGroup(0, (2, 2), ("a", "b"))
 _Z2_other = FgAbGroup(0, (2,), ("beta",))
 
 
+def _check(build, error, message, suffix=""):
+    return pytest.param(build, error, message,
+                        id=f"<lambda>-{error.__name__}-{message}{suffix}")
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: AbElem(Z2, (0, 1)), ValueError, "2 coordinates in a rank-1 group"),
-        (lambda: AbElem(Z2, (3,)), ValueError, "coordinates (3,) not reduced"),
-        (lambda: AbElem(Z2, [1]), ValueError, "coordinates [1] not reduced"),
-        (lambda: AbHom(Z2, Z, ()), ValueError, "0 images for 1 generators"),
-        (lambda: AbHom(Z2, Z, (Z2.elem([1]),)), DomainMismatchError,
-         "image outside the codomain"),
-        (lambda: AbHom(Z2, Z, (Z.elem([1]),)), ValueError,
-         "generator g has order 2 but 2 * (1,) != 0 in the codomain"),
-        (lambda: Subgroup(Z, (Z2.elem([1]),)), ValueError,
-         "subgroup generator outside the ambient group"),
-        (lambda: SimpleIdeal("x", 2, 3), ValueError, "simple ideal x with dim 2 < 3"),
-        (lambda: SimpleIdeal("x", 3, 1), ValueError,
-         "simple ideal x: min_orth_rep_dim 1 < 2"),
-        (lambda: Congruence(0, 1), ValueError, "modulus must be >= 1"),
-        (lambda: OrthRepFamily("f", "D", 2, ()), ValueError,
-         "family f: exactly one of labels/param required"),
-        (lambda: OrthRepFamily("f", "D", 2, (), ("a",), Congruence(2, 0)),
-         ValueError, "family f: exactly one of labels/param required"),
-        (lambda: LiftQuery(3, 3, _sigma(), AbHom(_Z2_other, Z2, (Z2.elem([1]),))),
-         DomainMismatchError,
-         "isotropy and twist maps must share their domain generators"),
-        (lambda: LiftQuery(2, 3, _sigma(), _sigma()), DomainMismatchError,
-         "isotropy map must land in pi1(SO(2))"),
-        (lambda: LiftQuery(3, 1, _sigma(), _sigma()), DomainMismatchError,
-         "twist map must land in pi1(SO(1))"),
-        (lambda: LiftVerdict(True, (("a", _Z2xZ2.elem([1, 0])),)), ValueError,
-         "a verdict lifts exactly when it has no witness failures"),
-        (lambda: LiftVerdict(False, ()), ValueError,
-         "a verdict lifts exactly when it has no witness failures"),
-        (lambda: AffineInt(1, 0, 0), ValueError, "affine denominator 0 < 1"),
-        (lambda: AffineInt(1, 0, -2), ValueError, "affine denominator -2 < 1"),
+        _check(lambda: AbElem(Z2, (0, 1)), ValueError, "2 coordinates in a rank-1 group"),
+        _check(lambda: AbElem(Z2, (3,)), ValueError, "coordinates (3,) not reduced"),
+        _check(lambda: AbElem(Z2, [1]), ValueError, "coordinates [1] not reduced"),
+        _check(lambda: AbHom(Z2, Z, ()), ValueError, "0 images for 1 generators"),
+        _check(lambda: AbHom(Z2, Z, (Z2.elem([1]),)), DomainMismatchError,
+               "image outside the codomain"),
+        _check(lambda: AbHom(Z2, Z, (Z.elem([1]),)), ValueError,
+               "generator g has order 2 but 2 * (1,) != 0 in the codomain"),
+        _check(lambda: Subgroup(Z, (Z2.elem([1]),)), ValueError,
+               "subgroup generator outside the ambient group"),
+        _check(lambda: SimpleIdeal("x", 2, 3), ValueError, "simple ideal x with dim 2 < 3"),
+        _check(lambda: SimpleIdeal("x", 3, 1), ValueError,
+               "simple ideal x: min_orth_rep_dim 1 < 2"),
+        _check(lambda: Congruence(0, 1), ValueError, "modulus must be >= 1"),
+        _check(lambda: OrthRepFamily("f", "D", 2, ()), ValueError,
+               "family f: exactly one of labels/param required", "0"),
+        _check(lambda: OrthRepFamily("f", "D", 2, (), ("a",), Congruence(2, 0)),
+               ValueError, "family f: exactly one of labels/param required", "1"),
+        _check(lambda: LiftQuery(3, 3, _sigma(), AbHom(_Z2_other, Z2, (Z2.elem([1]),))),
+               DomainMismatchError,
+               "isotropy and twist maps must share their domain generators"),
+        _check(lambda: LiftQuery(2, 3, _sigma(), _sigma()), DomainMismatchError,
+               "isotropy map must land in pi1(SO(2))"),
+        _check(lambda: LiftQuery(3, 1, _sigma(), _sigma()), DomainMismatchError,
+               "twist map must land in pi1(SO(1))"),
+        _check(lambda: LiftVerdict(True, (("a", _Z2xZ2.elem([1, 0])),)), ValueError,
+               "a verdict lifts exactly when it has no witness failures", "0"),
+        _check(lambda: LiftVerdict(False, ()), ValueError,
+               "a verdict lifts exactly when it has no witness failures", "1"),
+        _check(lambda: AffineInt(1, 0, 0), ValueError, "affine denominator 0 < 1"),
+        _check(lambda: AffineInt(1, 0, -2), ValueError, "affine denominator -2 < 1"),
     ],
 )
 def test_construction_checks_keep_their_messages(build, error, message):

@@ -107,7 +107,7 @@ def _scoped(tree, scope=()):
 
 def test_int_is_called_only_by_the_strict_readers():
     # int() reads every Unicode digit, '_' and surrounding spaces, so text
-    # reaches it only through a reader that has matched catalogfile.INT_RE
+    # reaches it only through a reader that catalogfile.is_int has accepted
     # (or an equally strict pattern); the other calls take integers
     allowed = {
         ("abelian.py", "FgAbGroup.__init__"),
@@ -176,10 +176,12 @@ def test_abelian_records_skip_their_checks_only_at_the_listed_builders():
     assert set(found) == allowed  # the list names only call sites that exist
 
 
-# Definitions that nothing in the package calls, each with the reason it stays.
+# Definitions that stay even if nothing in the package calls them, each
+# with the reason.
 ENTRY_POINTS = {
     "cyclic": "public constructor of Z and Z/n; the abelian doctests use it",
-    "main": "the spinr console script (pyproject.toml) calls cli.main",
+    "main": "the in-process entry: tests/clirunner.py and perfbench/cli_child.py "
+            "call cli.main, which cli.entry runs for a process",
 }
 
 
@@ -330,6 +332,22 @@ def test_importing_the_cli_leaves_out_dataclasses_and_json():
     # the command line is read without argparse, which imported gettext,
     # locale and shutil for its help formatter and messages
     assert out[-3:] == ["[]", "[]", ""]
+
+
+def test_a_markdown_answer_loads_neither_re_nor_enum():
+    # under -S, re and the enum it imports were about a third of importing
+    # the CLI; catalogfile.is_int reads --r and --m, and only the patterns
+    # of catalog files import re, on first use
+    code = (
+        "import sys\n"
+        "import spinr.cli\n"
+        "spinr.cli.main(['classify', 'S4:SO(5)', '--r', '3'])\n"
+        "spinr.cli.main(['holonomy', 'U(2)', '--m', '4', '--r', '2'])\n"
+        "print(sorted({'re', 'enum'} & set(sys.modules)))\n"
+    )
+    out = _child(code, "-S")
+    assert out[0] == "# Invariant structures on S4:SO(5) at twist rank 3"
+    assert out[-2:] == ["[]", ""]
 
 
 def _child(code: str, *flags: str) -> list[str]:
