@@ -31,9 +31,10 @@ class FgAbGroup:
     infinite-order (free) generator; the usual constructor lists the
     free generators first, but products keep factor order, so free and
     torsion generators may interleave.  Two groups compare equal when
-    they are abstractly isomorphic as presented, i.e. same free rank
-    and same multiset of torsion orders; use :meth:`same_presentation`
-    when coordinates must line up.
+    they have the same presentation: the same orders and the same
+    labels, in order.  That is not isomorphism: Z6 and Z2 x Z3 compare
+    unequal.  Element arithmetic needs only :meth:`same_presentation`,
+    which compares the orders.
     """
 
     __slots__ = ("orders", "labels")
@@ -74,19 +75,14 @@ class FgAbGroup:
     def __eq__(self, other):
         if not isinstance(other, FgAbGroup):
             return NotImplemented
-        return (
-            self.free_rank == other.free_rank
-            and sorted(self.torsion_orders) == sorted(other.torsion_orders)
-        )
+        return self.orders == other.orders and self.labels == other.labels
 
     def __hash__(self):
-        return hash((self.free_rank, tuple(sorted(self.torsion_orders))))
+        return hash((self.orders, self.labels))
 
-    def same_presentation(self, other: FgAbGroup, labels: bool = False) -> bool:
+    def same_presentation(self, other: FgAbGroup) -> bool:
         """Coordinate-compatible equality: the ordered order-lists match."""
-        if self.orders != other.orders:
-            return False
-        return self.labels == other.labels if labels else True
+        return self.orders == other.orders
 
     def reduce(self, coords) -> tuple[int, ...]:
         return tuple([int(c) % d if d else int(c)
@@ -138,9 +134,6 @@ class AbElem(namedtuple("AbElem", "group coords")):
 
     def __neg__(self) -> AbElem:
         return self.group.elem([-c for c in self.coords])
-
-    def __sub__(self, other: AbElem) -> AbElem:
-        return self + (-other)
 
     def scale(self, k: int) -> AbElem:
         return self.group.elem([k * c for c in self.coords])

@@ -135,8 +135,12 @@ def loads(text: str, path: str = "<catalog>") -> Catalog:
 
 
 def _assemble(entries: list[tuple], path: str) -> Catalog:
+    # The builders make every check that a record and the groups it names
+    # allow; here are the rules that span records.  Each builder is read as
+    # a module global at its call, so that perfbench/tracer.py can wrap it.
     version = None
-    groups: dict[str, CompactGroupRec] = {}
+    records = {key: {} for key in _KNOWN_RECORDS}
+    groups = records["group"]
     deferred = []
     for entry in entries:
         key, line, _, children = entry
@@ -150,74 +154,51 @@ def _assemble(entries: list[tuple], path: str) -> Catalog:
         if children is None:
             raise CatalogParseError(f"record '{key}' must be a block", line, path)
         if key == "group":
-            rec = build_group(entry)
-            _require_normal_name("group", rec.name, line, path)
-            if rec.name in groups:
-                raise CatalogParseError(f"duplicate group '{rec.name}'", line, path)
-            groups[rec.name] = rec
+            _add(records, key, build_group(entry), line, path)
         else:
             deferred.append(entry)
     if version is None:
         raise CatalogParseError("missing or non-integer catalog_version", 1, path)
 
-    families: list[OrthRepFamily] = []
-    family_names: set[str] = set()
-    spaces: dict[str, HomSpaceRec] = {}
-    holonomies: dict[tuple[str, int], HolonomyRec] = {}
     for entry in deferred:
         key, line, _, _ = entry
         if key == "repfamily":
-            fam = build_family(entry)
-            if fam.name in family_names:
-                raise CatalogParseError(f"duplicate family '{fam.name}'", line, path)
-            family_names.add(fam.name)
-            domain = groups.get(fam.domain)
-            if domain is None:
-                raise CatalogParseError(
-                    f"family {fam.name}: unknown domain {fam.domain}", line, path
-                )
-            try:
-                fam.validate_against(domain)
-            except ValueError as err:
-                raise CatalogParseError(str(err), line, path) from err
-            families.append(fam)
+            rec = build_family(entry, groups)
         elif key == "space":
             rec = build_space(entry, groups)
-            _require_normal_name("space", rec.name, line, path)
-            if rec.name in spaces:
-                raise CatalogParseError(
-                    f"duplicate space '{rec.name}'", line, path
-                )
-            spaces[rec.name] = rec
-        elif key == "holonomy":
+        else:
             rec = build_holonomy(entry, groups)
-            pair = (rec.group, rec.m)
-            if pair in holonomies:
-                raise CatalogParseError(
-                    f"duplicate holonomy record {pair}", line, path
-                )
-            holonomies[pair] = rec
+        _add(records, key, rec, line, path)
 
     return Catalog(
         version=version,
         groups=groups,
-        families=tuple(families),
-        spaces=spaces,
-        holonomies=holonomies,
+        families=tuple(records["repfamily"].values()),
+        spaces=records["space"],
+        holonomies=records["holonomy"],
         path=path,
     )
 
 
-def _require_normal_name(kind: str, name: str, line: int, path: str):
-    """Refuse a name that no lookup can reach: every lookup reads its
-    argument through normalize_name, so the stored name must be normal."""
-    key = normalize_name(name)
-    if key != name:
+def _add(records: dict, kind: str, rec, line: int, path: str):
+    """File rec under its key, refusing a duplicate key, and a group or
+    space name that no lookup can reach: every lookup reads its argument
+    through normalize_name, so the stored name must be normal."""
+    key = (rec.group, rec.m) if kind == "holonomy" else rec.name
+    if kind in ("group", "space") and normalize_name(key) != key:
         raise CatalogParseError(
-            f"{kind} name {name!r} cannot be looked up: lookups read it as {key!r}",
+            f"{kind} name {key!r} cannot be looked up: lookups read it as "
+            f"{normalize_name(key)!r}",
             line,
             path,
         )
+    if key in records[kind]:
+        if kind == "holonomy":
+            what = f"holonomy record {key}"
+        else:
+            what = f"{'family' if kind == 'repfamily' else kind} '{key}'"
+        raise CatalogParseError(f"duplicate {what}", line, path)
+    records[kind][key] = rec
 
 
 def _read(path: str) -> bytes:

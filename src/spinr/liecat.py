@@ -250,7 +250,7 @@ def _validate_group(rec: CompactGroupRec, line: int):
                 f"ASCII decimal",
                 line,
             ) from err
-        if rec.pi1 != pi1 or rec.pi1.labels != pi1.labels:
+        if rec.pi1 != pi1:
             raise CatalogParseError(
                 f"pi1 of {name} must match the standard value "
                 f"{pi1.describe()} with generator labels {pi1.labels}",

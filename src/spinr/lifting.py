@@ -82,7 +82,7 @@ class LiftQuery(namedtuple("LiftQuery", "n r sigma_pi1 phi_pi1")):
     __slots__ = ()
 
     def __new__(cls, n: int, r: int, sigma_pi1: AbHom, phi_pi1: AbHom):
-        if not sigma_pi1.domain.same_presentation(phi_pi1.domain, labels=True):
+        if sigma_pi1.domain != phi_pi1.domain:
             raise DomainMismatchError(
                 "isotropy and twist maps must share their domain generators"
             )

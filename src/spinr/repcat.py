@@ -206,7 +206,7 @@ class OrthRepFamily(
     def incomplete(self) -> bool:
         return self.certificate.strip().lower() == "incomplete"
 
-    def pi1_map(self, domain_pi1: FgAbGroup, r: int, s: int | None = None) -> AbHom:
+    def pi1_map(self, domain_pi1: FgAbGroup, s: int | None = None) -> AbHom:
         """Concrete induced map for one parameter value (or none)."""
         if self.parameterized:
             if s is None:
@@ -218,31 +218,8 @@ class OrthRepFamily(
                 )
         else:
             s = 0
-        return so_pi1_map(domain_pi1, r, [e.eval(s) for e in self.pi1_images])
-
-    def validate_against(self, group: CompactGroupRec):
-        """Well-definedness of the induced map over the whole family, and
-        agreement with the rule engine: a family cannot sit at a rank
-        where only the zero map exists."""
-        if group.name != self.domain:
-            raise ValueError(f"family {self.name} validated against wrong group")
-        if len(self.pi1_images) != group.pi1.rank:
-            raise ValueError(
-                f"family {self.name}: {len(self.pi1_images)} images for "
-                f"{group.pi1.rank} generators of {self.domain}"
-            )
-        # an affine image that is integral and well defined at two
-        # consecutive admissible values is so at every admissible value;
-        # the check is pi1_map's, made without building the map
-        samples = self.param_constraint.sample(2) if self.parameterized else [0]
-        for s in samples:
-            values = [e.eval(s) for e in self.pi1_images]
-            cyclic_images(group.pi1, so_pi1_target(self.target_r, values), values)
-        if no_nontrivial_hom(group.algebra, self.target_r):
-            raise ValueError(
-                f"family {self.name} at ({self.domain}, {self.target_r}) "
-                f"contradicts the rule engine's non-existence proof"
-            )
+        values = [e.eval(s) for e in self.pi1_images]
+        return so_pi1_map(domain_pi1, self.target_r, values)
 
 
 # --- the non-existence rule engine ---------------------------------------------
@@ -415,7 +392,7 @@ _FAMILY_KEYS = frozenset({
 _PARAM_KEYS = frozenset({"name", "constraint"})
 
 
-def build_family(entry: tuple) -> OrthRepFamily:
+def build_family(entry: tuple, groups) -> OrthRepFamily:
     node = Block(entry, _FAMILY_KEYS)
     labels = tuple(node.list_of("labels", str)) if node.items("labels") else None
     constraint = None
@@ -447,7 +424,36 @@ def build_family(entry: tuple) -> OrthRepFamily:
             f"parameterised family {fam.name} with constant pi1 images",
             node.line,
         )
+    group = groups.get(fam.domain)
+    if group is None:
+        raise CatalogParseError(
+            f"family {fam.name}: unknown domain {fam.domain}", node.line
+        )
+    node.build(_check_family, fam, group)
     return fam
+
+
+def _check_family(fam: OrthRepFamily, group: CompactGroupRec):
+    """Refuse a family whose induced map is ill defined on the domain
+    group's pi1 at some admissible parameter value, or which sits at a
+    rank where the rule engine proves only the zero map exists."""
+    if len(fam.pi1_images) != group.pi1.rank:
+        raise ValueError(
+            f"family {fam.name}: {len(fam.pi1_images)} images for "
+            f"{group.pi1.rank} generators of {fam.domain}"
+        )
+    # an affine image that is integral and well defined at two
+    # consecutive admissible values is so at every admissible value;
+    # the check is pi1_map's, made without building the map
+    samples = fam.param_constraint.sample(2) if fam.parameterized else [0]
+    for s in samples:
+        values = [e.eval(s) for e in fam.pi1_images]
+        cyclic_images(group.pi1, so_pi1_target(fam.target_r, values), values)
+    if no_nontrivial_hom(group.algebra, fam.target_r):
+        raise ValueError(
+            f"family {fam.name} at ({fam.domain}, {fam.target_r}) "
+            f"contradicts the rule engine's non-existence proof"
+        )
 
 
 def enumerate_homs(catalog, H: str, r: int) -> EnumResult:

@@ -194,7 +194,7 @@ def _test_family(
                                 extends_to=family.extends_to)], None
         # no admissible value passes, so any one of them gives the witnesses
         s = family.param_constraint.sample(1)[0]
-    verdict = lifts(LiftQuery(space_n, r, sigma, family.pi1_map(domain_pi1, r, s)))
+    verdict = lifts(LiftQuery(space_n, r, sigma, family.pi1_map(domain_pi1, s)))
     if family.parameterized or not verdict.lifts:
         return [], _rejection(family, verdict)
     return [ClassRecord(family.name, label, extends_to=family.extends_to)

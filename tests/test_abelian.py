@@ -66,10 +66,24 @@ def test_trivial_group():
     assert t.zero().coords == ()
 
 
-def test_group_equality_by_rank_and_sorted_torsion():
-    assert FgAbGroup(1, (2, 4)) == FgAbGroup(1, (4, 2))
-    assert FgAbGroup(1, (2, 4)) != FgAbGroup(1, (8,))
-    assert not FgAbGroup(1, (2, 4)).same_presentation(FgAbGroup(1, (4, 2)))
+def test_group_equality_by_orders_and_labels_in_order():
+    # equal presentations, not isomorphism
+    a = FgAbGroup(1, (2, 4))
+    assert a == FgAbGroup(orders=(0, 2, 4), labels=("g0", "g1", "g2"))
+    assert a != FgAbGroup(1, (4, 2))  # isomorphic, torsion reordered
+    assert a != FgAbGroup(1, (8,))
+    assert cyclic(6) != FgAbGroup(0, (2, 3))  # isomorphic, two generators
+    assert cyclic(2, "alpha") != cyclic(2)  # the same orders, another label
+    assert a != a.orders and a != "Z x Z2 x Z4"
+    # element arithmetic needs only the orders, in order
+    assert cyclic(2, "alpha").same_presentation(cyclic(2))
+    assert not a.same_presentation(FgAbGroup(1, (4, 2)))
+    groups = [a, FgAbGroup(1, (4, 2)), cyclic(2), cyclic(2, "alpha"), cyclic(0),
+              FgAbGroup(), FgAbGroup(orders=(2, 0)), FgAbGroup(orders=(0, 2))]
+    twins = [FgAbGroup(orders=g.orders, labels=g.labels) for g in groups]
+    for g, twin in zip(groups, twins):
+        assert g == twin and hash(g) == hash(twin) and g is not twin
+    assert len(set(groups + twins)) == len(groups)
 
 
 def test_element_reduction():
@@ -174,7 +188,7 @@ def test_unchecked_builders_agree_with_the_checked_constructors(orders, data):
     )
     f = mod2(g)
     assert f == AbHom(g, target, images)
-    assert f.domain is g and f.codomain.same_presentation(target, labels=True)
+    assert f.domain is g and f.codomain == target
     assert all(type(img) is AbElem and img.group is f.codomain for img in f.images)
     # a wrong number of coordinates is refused by reduce's strict zip
     wrong = data.draw(st.lists(st.integers(-50, 50), max_size=5).filter(

@@ -174,7 +174,7 @@ def test_criterion_6a_monotonicity(catalog):
                 fam = by_name[cl.family]
                 samples = [None] if not fam.parameterized else cl.constraint.sample(3)
                 for s_val in samples:
-                    phi = fam.pi1_map(h.pi1, r, s_val)
+                    phi = fam.pi1_map(h.pi1, s_val)
                     assert lifts(LiftQuery(space.n, r, space.sigma_pi1, phi)).lifts
                     for bigger in range(r + 1, 10):
                         q = LiftQuery(

@@ -24,6 +24,7 @@ from spinr.catalog import (
     loads,
 )
 from spinr import bundled, liecat, repcat, spaces
+from spinr import catalog as catalog_module
 from spinr.abelian import FgAbGroup
 from spinr.catalogfile import CatalogParseError, SpinrError, parse
 
@@ -243,6 +244,15 @@ def _line_of(snippet: str, after: str = "") -> int:
          "'labels' must carry a value"),
         ("sigma_pi1_images: [1]", "sigma_pi1_images {\n  }", "",
          "sigma_pi1_images: [1]", "'sigma_pi1_images' must carry a value"),
+        # a group that no group record names: at the record that names it
+        ('domain: "SO(3)"', 'domain: "SO(9)"', "so2-circle-powers", "repfamily {",
+         "family so3-identity: unknown domain SO(9)"),
+        ('H: "SO(2)"', 'H: "SO(9)"', "space {", "space {",
+         "space S2:SO(3): unknown stabiliser SO(9)"),
+        ('G: "SO(3)"', 'G: "SO(9)"', "space {", "space {",
+         "space S2:SO(3): unknown group SO(9)"),
+        ('group: "SO(2)"', 'group: "SO(9)"', "holonomy {", "holonomy {",
+         "holonomy record: unknown group SO(9)"),
     ],
 )
 def test_loader_errors_name_the_file_and_line(
@@ -480,6 +490,28 @@ def test_a_name_that_no_lookup_can_reach_is_refused_at_its_record(
     assert (err.value.path, err.value.line, err.value.message) == (
         str(path), line, message
     )
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('domain: "SO(3)"', 'domain: "SO(9)"',
+         "family so3-identity: unknown domain SO(9)"),
+        ('pi1_images: ["1"]', 'pi1_images: ["1", "1"]',
+         "family so3-identity: 2 images for 1 generators of SO(3)"),
+    ],
+)
+def test_a_second_family_under_a_used_name_is_refused_by_its_own_check_first(
+    old, new, message
+):
+    # build_family checks a family against its domain before the loader
+    # looks for a duplicate name, so that family's own error wins
+    family = BASE[BASE.index('repfamily {\n  name: "so3-identity"') : BASE.index("space {")]
+    with pytest.raises(CatalogParseError) as err:
+        loads(BASE + family.replace(old, new))
+    assert (err.value.line, err.value.message) == (BASE.count("\n") + 1, message)
+    with pytest.raises(CatalogParseError, match="duplicate family 'so3-identity'"):
+        loads(BASE + family)
 
 
 def test_cross_validation_error_names_the_file(tmp_path):
@@ -722,6 +754,27 @@ def test_load_default_builds_the_bundled_catalog_once(monkeypatch):
             len(first.holonomies)] == [40, 28, 27, 24]
     assert repr(first) == repr(bundled.build_catalog())
     assert load_default() is first
+
+
+def test_the_loader_reads_each_builder_off_its_module_at_every_call(monkeypatch):
+    # perfbench/tracer.py times the record builders by replacing these
+    # attributes of spinr.catalog; a builder bound anywhere else, such as
+    # a dispatch table built at import, would read 0 in its metrics
+    calls = {}
+
+    def counting(name, builder):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return builder(*args)
+        return wrapper
+
+    for name in ("build_group", "build_family", "build_space", "build_holonomy"):
+        builder = getattr(catalog_module, name)
+        monkeypatch.setattr(catalog_module, name, counting(name, builder))
+    loads(BUNDLED_TEXT)
+    assert calls == {
+        "build_group": 40, "build_family": 28, "build_space": 27, "build_holonomy": 24
+    }
 
 
 # the same text must still build the same records, field by field

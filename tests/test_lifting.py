@@ -179,8 +179,7 @@ def _agrees_with_the_parity_rule(q: LiftQuery) -> bool:
     witnesses = tuple((label, w.coords) for label, w in verdict.witness_failures)
     ambient = frame_product_pi1(q.n, q.r)
     return (verdict.lifts, witnesses) == parity_lifts(q) and all(
-        w.group.same_presentation(ambient, labels=True)
-        for _, w in verdict.witness_failures
+        w.group == ambient for _, w in verdict.witness_failures
     )
 
 

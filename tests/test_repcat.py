@@ -24,6 +24,7 @@ from spinr.repcat import (
     no_nontrivial_hom,
     parse_affine,
     parse_congruence,
+    _check_family,
 )
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -83,7 +84,7 @@ def _first_error_on_window(fam, group, width=8):
     ks = [-1, 0] + [k for j in range(1, width) for k in (j, -1 - j)]
     for k in ks:
         try:
-            fam.pi1_map(group.pi1, fam.target_r, c.residue + k * c.modulus)
+            fam.pi1_map(group.pi1, c.residue + k * c.modulus)
         except ValueError as err:
             return str(err)
     return _contradiction(fam, group)
@@ -97,7 +98,7 @@ def _first_error_on_window(fam, group, width=8):
     st.integers(0, 3),
     st.data(),
 )
-def test_validate_against_agrees_with_a_window_of_admissible_values(
+def test_the_family_check_agrees_with_a_window_of_admissible_values(
     orders, r, modulus, residue, data
 ):
     # an affine image integral and well defined at two consecutive
@@ -112,7 +113,7 @@ def test_validate_against_agrees_with_a_window_of_admissible_values(
         "f", "D", r, images, param_constraint=Congruence(modulus, residue)
     )
     try:
-        fam.validate_against(group)
+        _check_family(fam, group)
         outcome = None
     except ValueError as err:
         outcome = str(err)
@@ -121,7 +122,7 @@ def test_validate_against_agrees_with_a_window_of_admissible_values(
 
 @settings(max_examples=200)
 @given(st.lists(_ORDERS, max_size=3), st.integers(1, 4), st.data())
-def test_validate_against_a_finite_family_agrees_with_its_map(orders, r, data):
+def test_the_family_check_of_a_finite_family_agrees_with_its_map(orders, r, data):
     group = CompactGroupRec(
         "D", FgAbGroup(orders=orders), AlgebraProfile(1), True, "generated"
     )
@@ -130,9 +131,10 @@ def test_validate_against_a_finite_family_agrees_with_its_map(orders, r, data):
     )
     fam = OrthRepFamily("f", "D", r, images, labels=("a",))
     outcomes = []
-    for check in (fam.validate_against, lambda g: fam.pi1_map(g.pi1, r)):
+    checks = (lambda: _check_family(fam, group), lambda: fam.pi1_map(group.pi1))
+    for check in checks:
         try:
-            check(group)
+            check()
             outcomes.append(None)
         except ValueError as err:
             outcomes.append(str(err))
@@ -542,7 +544,7 @@ def test_det_power_pi1_values(catalog):
     u2 = catalog.lookup("U(2)").pi1
     # winding of det^s on the center loop is s
     for s in (-3, 0, 5):
-        assert fam.pi1_map(u2, 2, s).images[0].coords == (s,)
+        assert fam.pi1_map(u2, s).images[0].coords == (s,)
 
 
 def test_circle_power_pi1_values_on_quotient(catalog):
@@ -550,15 +552,15 @@ def test_circle_power_pi1_values_on_quotient(catalog):
     dom = catalog.lookup("Sp(1)·U(1)").pi1
     # the half-diagonal generator maps to winding s/2, s even
     for s, expect in ((-2, -1), (0, 0), (6, 3)):
-        assert fam.pi1_map(dom, 2, s).images[0].coords == (expect,)
+        assert fam.pi1_map(dom, s).images[0].coords == (expect,)
     with pytest.raises(ValueError):
-        fam.pi1_map(dom, 2, 3)
+        fam.pi1_map(dom, 3)
 
 
 def test_adjoint_twist_pi1_value(catalog):
     (fam,) = nontrivial(enumerate_homs(catalog, "Sp(2)·Sp(1)", 3))
     dom = catalog.lookup("Sp(2)·Sp(1)").pi1
-    assert fam.pi1_map(dom, 3).images[0].coords == (1,)
+    assert fam.pi1_map(dom).images[0].coords == (1,)
 
 
 # --- soundness cross-check ----------------------------------------------------------------

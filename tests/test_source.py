@@ -53,8 +53,8 @@ def test_value_errors_are_caught_only_at_the_named_boundaries():
     # a CatalogParseError is a ValueError, so a builder that catches
     # ValueError around its own typed reads reports their located error
     # again at the block's line, naming two locations.  Block.build is the
-    # one boundary for constructors; _assemble locates a family's check
-    # against its domain, and _validate_group words its own messages.
+    # one boundary for constructors and for a family's check against its
+    # domain; _validate_group words its own messages.
     # catalogfile.parse_int and cli._ascii_int catch int() refusing a text
     # longer than Python's int-string limit, and catalogfile._int locates
     # parse_int's error.
@@ -62,7 +62,6 @@ def test_value_errors_are_caught_only_at_the_named_boundaries():
         ("catalogfile.py", "Block.build"),
         ("catalogfile.py", "_int"),
         ("catalogfile.py", "parse_int"),
-        ("catalog.py", "_assemble"),
         ("cli.py", "_ascii_int"),
         ("liecat.py", "_validate_group"),
     }
