@@ -25,6 +25,12 @@ blocks).
 value, children)``: ``children`` lists a block's entries, or is None for
 a ``key: value`` line, and the line lets validation errors point at the
 offending line.  Record builders read a block through :class:`Block`.
+
+Most lines of a catalog repeat an earlier line verbatim (``}``, ``key {``,
+``torsion: []``), so :func:`parse` matches each distinct line once per
+call and reads its later appearances from that match.  A key repeated n
+times in one block, or a list item of n adjacent quoted strings, costs
+time linear in n.
 """
 
 from __future__ import annotations
@@ -86,7 +92,11 @@ class Block:
             k = child[0]
             if k not in known:
                 raise CatalogParseError(f"unknown key '{k}' in '{key}' block", child[1])
-            table[k] = table.get(k, ()) + (child,)
+            found = table.get(k)
+            if found is None:
+                table[k] = [child]
+            else:
+                found.append(child)
 
     def build(self, make, *args):
         """``make(*args)``, with any ValueError it raises reported at this
@@ -98,7 +108,7 @@ class Block:
             raise CatalogParseError(str(err), self.line) from err
 
     def items(self, key: str) -> tuple[tuple, ...]:
-        return self._table.get(key, ())
+        return tuple(self._table.get(key, ()))
 
     def child(self, key: str) -> tuple:
         found = self._table.get(key)
@@ -206,12 +216,18 @@ def _split_list_items(body: str, line: int, path: str) -> list[str]:
     chunks = body.split('"')  # odd-numbered chunks are quoted
     if len(chunks) % 2 == 0:
         raise CatalogParseError("unterminated string in list", line, path)
-    items = chunks[0].split(",")
-    for i in range(1, len(chunks), 2):
-        after = chunks[i + 1].split(",")
-        items[-1] += f'"{chunks[i]}"{after[0]}'
-        items += after[1:]
-    items = [s.strip() for s in items]
+    items = []
+    pieces = []  # the pieces of the item being read, joined once at its end
+    for i, chunk in enumerate(chunks):
+        if i % 2:
+            pieces.append(f'"{chunk}"')
+            continue
+        first, *rest = chunk.split(",")
+        pieces.append(first)
+        for piece in rest:
+            items.append("".join(pieces).strip())
+            pieces = [piece]
+    items.append("".join(pieces).strip())
     if items == [""]:
         return []
     return items
@@ -233,13 +249,17 @@ def parse(text: str, path: str = "<catalog>") -> list[tuple]:
     """Parse catalog text into its top-level entries."""
     top = children = []
     stack = []  # the entry lists of the enclosing blocks, innermost last
+    matched = {}  # line text -> its match's groups: most lines repeat, such as "}"
     parsed = {}  # value text -> its value: most repeat, such as "[]" or "true"
-    lines = text.splitlines()
-    for lineno, m in enumerate(map(_line_re().fullmatch, lines), start=1):
-        if m is None:
-            raw = lines[lineno - 1]
-            raise CatalogParseError(f"cannot parse line {raw.strip()!r}", lineno, path)
-        close, key, opens, string, integer, other = m.groups()
+    fullmatch = _line_re().fullmatch
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        groups = matched.get(raw)
+        if groups is None:
+            m = fullmatch(raw)
+            if m is None:
+                raise CatalogParseError(f"cannot parse line {raw.strip()!r}", lineno, path)
+            groups = matched[raw] = m.groups()
+        close, key, opens, string, integer, other = groups
         # the value forms first: they are most of the lines
         if string is not None:
             children.append((key, lineno, string, None))

@@ -21,7 +21,7 @@ from .catalogfile import Block, CatalogParseError, SpinrError, is_int
 class NotInCatalogError(SpinrError, KeyError):
     def __init__(self, kind: str, name: str, available):
         self.name = name
-        names = ", ".join(sorted(available))
+        names = ", ".join(sorted(available)) or "(none)"
         super().__init__(f"{kind} '{name}' not in catalog; available: {names}")
 
     def __str__(self):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,6 +10,10 @@ from fixtures import BUNDLED_TEXT
 from oracles import ASCII_INT_RE, reference_parse
 
 from spinr.catalogfile import Block, CatalogParseError, entry_value, is_int, parse
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "perfbench"))
+from gencat import load_catalog, scale_catalog  # noqa: E402  (the benchmark's generators)
 
 SAMPLE = """
 # a comment
@@ -211,8 +220,79 @@ def test_parse_matches_reference_parser(text):
     assert _outcome(parse, text) == _outcome(reference_parse, text)
 
 
-def test_bundled_catalog_parses_as_the_reference_does():
-    assert repr(parse(BUNDLED_TEXT)) == repr(reference_parse(BUNDLED_TEXT))
+# A pool of a few lines, picked again and again: most lines of a real
+# catalog repeat an earlier one, and parse matches each distinct line once.
+repeating_text = st.lists(_LINE, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=30)
+).map("\n".join)
+
+
+@settings(max_examples=200)
+@given(repeating_text)
+@example("k: 1\n}\nk: 1\n}")  # a repeated bad line is reported where it first appears
+@example("b {\n  k: [1]\n}\nb {\n  k: [1]\n}")
+def test_repeated_lines_parse_as_the_reference_does(text):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [BUNDLED_TEXT, load_catalog(36, 1).text, scale_catalog(200, 1).text],
+    ids=["bundled", "load", "scale"],
+)
+def test_catalog_text_parses_as_the_reference_does(text):
+    assert repr(parse(text)) == repr(reference_parse(text))
+
+
+def test_each_appearance_of_a_list_line_gets_its_own_list():
+    first, block, last = parse("x: [1, 2]\nb {\n  x: [1, 2]\n}\nx: [1, 2]\n")
+    lists = [first[2], block[3][0][2], last[2]]
+    first[2].append(3)
+    assert lists == [[1, 2, 3], [1, 2], [1, 2]]
+    last[2].clear()
+    assert lists == [[1, 2, 3], [1, 2], []]
+
+
+# --- texts that a quadratic reader takes far longer than a linear one --------------
+
+def _run_within(code: str, seconds: float = 10) -> str:
+    """The standard output of code run in a child process that must finish
+    within the given seconds, so that a regression fails instead of
+    hanging the suite."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    try:
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=seconds, env=env, check=True,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"took more than {seconds} s")
+    return out.stdout
+
+
+def test_a_key_repeated_in_one_block_costs_linear_time():
+    # 120,000 names (1.4 MB); filing each repeat by copying the ones
+    # before it took 3.2 s for 40,000 and grows with the square
+    code = (
+        "from spinr.catalog import loads\n"
+        "text = 'catalog_version: 1\\ngroup {\\n' + '  name: \"x\"\\n' * 120_000 + '}\\n'\n"
+        "try:\n"
+        "    loads(text)\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    assert _run_within(code) == "<catalog>:4: duplicate key 'name'\n"
+
+
+def test_a_list_of_adjacent_strings_costs_linear_time():
+    # one item of 640,000 adjacent quoted chunks (1.9 MB); growing the item
+    # by one chunk at a time took 5.5 s for 320,000 and grows with the square
+    code = (
+        "from spinr.catalogfile import parse\n"
+        "((key, line, value, _),) = parse('x: [' + '\"a\"' * 640_000 + ']')\n"
+        "print(key, line, len(value), len(value[0]), value[0][:5])\n"
+    )
+    assert _run_within(code) == 'x 1 1 1919998 a""a"\n'
 
 
 # --- whitespace and line breaks beyond ASCII -------------------------------------

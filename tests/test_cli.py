@@ -549,6 +549,22 @@ def test_a_name_that_no_lookup_can_reach_exits_four_at_its_record(tmp_path):
         f"lookups read it as 'A·B'\n"
     )
 
+@pytest.mark.parametrize(
+    "args, missing",
+    [
+        (("classify", "x", "--r", "1"), "space 'x'"),
+        (("spin-type", "x"), "space 'x'"),
+        (("holonomy", "SO(3)", "--m", "3", "--r", "1"), "holonomy record 'SO(3) (m=3)'"),
+    ],
+)
+def test_a_lookup_in_an_empty_catalog_says_that_nothing_is_available(tmp_path, args, missing):
+    path = tmp_path / "empty.txt"
+    path.write_text("catalog_version: 1\n", encoding="utf-8")
+    res = run("--catalog", str(path), *args)
+    assert (res.exit_code, res.stdout, res.exception) == (2, "", None)
+    assert res.stderr.endswith(f"{missing} not in catalog; available: (none)\n")
+
+
 # (catalog file, args, exit code).  The catalog file is None for the
 # bundled catalog, else (name, text) with text MISSING for a path with no
 # file behind it; the name names the file, the case and its golden

@@ -125,6 +125,9 @@ def test_lookup_unknown_group_lists_available():
     with pytest.raises(NotInCatalogError) as err:
         cat.lookup("E8")
     assert "SO(4)" in str(err.value)
+    with pytest.raises(NotInCatalogError) as err:
+        loads("catalog_version: 1\n").lookup("E8")
+    assert str(err.value) == "group 'E8' not in catalog; available: (none)"
 
 
 def test_loader_rejects_wrong_so_pi1():
