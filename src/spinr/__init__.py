@@ -18,6 +18,7 @@ from .lifting import LiftQuery, LiftVerdict, lift_subgroup, lifts
 from .repcat import (
     EnumResult,
     OrthRepFamily,
+    RuleProof,
     enumerate_homs,
     first_possible_rank,
     no_nontrivial_hom,
@@ -47,6 +48,7 @@ __all__ = [
     "LiftQuery",
     "LiftVerdict",
     "OrthRepFamily",
+    "RuleProof",
     "SimpleIdeal",
     "SpinTypeResult",
     "SpinrError",

@@ -111,7 +111,7 @@ def _classification_dict(c: Classification) -> dict:
         "classes": [_class_dict(x) for x in c.classes],
         "count": "infinite" if c.count is None else c.count,
         "complete": c.complete,
-        "certificate": c.certificate,
+        "certificate": str(c.certificate),
         "rejected": _rejected_dict(c.rejected),
     }
 
@@ -326,7 +326,7 @@ def holonomy(catalog_path, group, m, r, fmt):
             "verdict": verdict.verdict,
             "via": [_class_dict(c) for c in verdict.via],
             "complete": verdict.complete,
-            "certificate": verdict.certificate,
+            "certificate": str(verdict.certificate),
             "rejected": _rejected_dict(verdict.rejected),
         },
         "citations": [f"{hol.group} (m={hol.m}): {hol.provenance}"],

@@ -12,6 +12,16 @@ The parity rule is stated uniformly for all n, r >= 1.  The cases with
 both factors >= 2 are the published images of the covering; n = 1 or
 r = 1 degenerate to the classical spin condition (the other factor's
 class must be even) and are derived, not quoted.
+
+Because the rule reads parities only, a twist that lifts at rank r
+lifts at every higher rank.  If phi: H -> SO(r) passes with sigma, so
+does phi + 1: H -> SO(r + 1), phi with a trivial summand added, that
+is, phi followed by the inclusion SO(r) -> SO(r + 1).  On fundamental
+groups that inclusion is 0 -> Z at r = 1, the reduction Z -> Z2 at
+r = 2 and an isomorphism Z2 -> Z2 for r >= 3; each keeps the parity of
+every image, so each generator's pair keeps equal parities.  Existence
+is therefore monotone in r, and the least rank admitting a structure,
+the spin type, is a threshold: every rank above it admits one too.
 """
 
 from __future__ import annotations

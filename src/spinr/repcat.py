@@ -16,7 +16,8 @@ be a sum of simple ideals plus a central subspace; the engine can
 therefore prove that only the zero map exists, or say "cannot rule
 out", but it never asserts existence.  The verdict is decided once, in
 closed form, by :func:`first_possible_rank`; :func:`hom_rule_trace`
-writes the proof text behind it.
+writes the proof text behind it, which a :class:`RuleProof` renders
+only when an answer is printed.
 """
 
 from __future__ import annotations
@@ -379,8 +380,31 @@ def trivial_family(domain: str, r: int, domain_rank: int) -> OrthRepFamily:
     )
 
 
+class RuleProof(namedtuple("RuleProof", "algebra r")):
+    """The rule engine's proof at an unlisted rank, rendered on demand.
+
+    It prints as ``rule engine: `` and the :func:`hom_rule_trace` text,
+    and its repr is that text's repr; the text is written each time it
+    is asked for, so an answer that is only decided never writes it.
+    Two proofs are equal when their algebra and rank are.
+    """
+
+    __slots__ = ()
+
+    def __str__(self):
+        return f"rule engine: {hom_rule_trace(self.algebra, self.r)}"
+
+    def __repr__(self):
+        return repr(str(self))
+
+
 class EnumResult(namedtuple("EnumResult", "domain r families complete certificate")):
-    """All known families at (domain, r), with a completeness verdict."""
+    """All known families at (domain, r), with a completeness verdict.
+
+    ``certificate`` is the listed families' citations joined by ``; ``
+    (or "incomplete") when a family is listed at (domain, r), and a
+    :class:`RuleProof` when none is.
+    """
 
     __slots__ = ()
 
@@ -475,5 +499,5 @@ def enumerate_homs(catalog, H: str, r: int) -> EnumResult:
         return EnumResult(H, r, families, True, cert)
     return EnumResult(
         H, r, families, no_nontrivial_hom(group.algebra, r),
-        f"rule engine: {hom_rule_trace(group.algebra, r)}",
+        RuleProof(group.algebra, r),
     )

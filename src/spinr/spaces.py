@@ -83,7 +83,13 @@ class Classification(
         defaults=((),),
     )
 ):
-    """The classes at one rank; ``count`` is None for an infinite family."""
+    """The classes at one rank; ``count`` is None for an infinite family.
+
+    ``certificate`` is a string (the listed families' citations,
+    "incomplete", or a note on a distinguished witness) or, at a rank
+    with no listed family, a :class:`~spinr.repcat.RuleProof`, which
+    renders its text with ``str()``.
+    """
 
     __slots__ = ()
 
@@ -373,7 +379,13 @@ def canonical_structure(catalog, space: HomSpaceRec) -> Classification:
 class HolonomyVerdict(
     namedtuple("HolonomyVerdict", "group m r verdict via complete certificate rejected")
 ):
-    """A holonomy lift answer; ``verdict`` is "yes", "no" or "unknown"."""
+    """A holonomy lift answer; ``verdict`` is "yes", "no" or "unknown".
+
+    ``certificate`` is a string (the listed families' citations, or
+    "incomplete") or, at a rank with no listed family, a
+    :class:`~spinr.repcat.RuleProof`, which renders its text with
+    ``str()``.
+    """
 
     __slots__ = ()
 

@@ -131,7 +131,7 @@ def test_criterion_4_negative_verdicts(catalog):
         assert not c.classes, (name, r)
         assert c.complete, (name, r)
         has_parity_witness = any(rej.witnesses for rej in c.rejected)
-        has_trace = "rule engine" in c.certificate
+        has_trace = "rule engine" in str(c.certificate)
         assert has_parity_witness or has_trace, (name, r)
     report("4 negative verdicts", f"{len(cases)} empty complete classifications with proofs")
 

@@ -639,7 +639,7 @@ def test_thirty_ideal_blocks_classify_at_an_unlisted_rank(tmp_path):
         "start = time.perf_counter()\n"
         "cat = load(sys.argv[1])\n"
         "c = classify(cat, cat.space('X5:Ambient'), 4)\n"
-        "print(c.complete, c.count, c.certificate.count('; '))\n"
+        "print(c.complete, c.count, str(c.certificate).count('; '))\n"
         "spinr.cli.main(['--catalog', sys.argv[1], 'classify', 'X5:Ambient',\n"
         "                '--r', '4'])\n"
         "print(time.perf_counter() - start)\n"

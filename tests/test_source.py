@@ -131,6 +131,25 @@ def test_int_is_called_only_by_the_strict_readers():
     assert set(found) == allowed  # the list names only call sites that exist
 
 
+def test_only_a_printed_rule_proof_writes_the_rule_trace():
+    # enumerate_homs returns a RuleProof at an unlisted rank, and its text
+    # is written when an answer is printed; a call to hom_rule_trace
+    # anywhere else would write it on the decision path again, where only
+    # no_nontrivial_hom decides.  A read of the name counts as a call, so
+    # an alias cannot hide one.
+    allowed = {("repcat.py", "RuleProof.__str__")}
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text("utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name == "hom_rule_trace" and isinstance(node.ctx, ast.Load):
+                found.setdefault((path.name, scope), node.lineno)
+    stray = [f"{n}:{line} in {scope}" for (n, scope), line in found.items()
+             if (n, scope) not in allowed]
+    assert stray == []
+    assert set(found) == allowed  # the list names only call sites that exist
+
+
 def test_abelian_records_skip_their_checks_only_at_the_listed_builders():
     # tuple.__new__ (or a named tuple's _make) builds an AbElem or an AbHom
     # without the reduction and well-definedness checks of its __new__; the

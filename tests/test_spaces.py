@@ -90,7 +90,7 @@ def test_classify_sp_u1_congruence(catalog):
 def test_classify_negative_verdicts_with_proofs(catalog):
     c = classify(catalog, catalog.space("S4:SO(5)"), 2)
     assert not c.classes and c.complete
-    assert "so(3) + so(3)" in c.certificate
+    assert "so(3) + so(3)" in str(c.certificate)
     for n in (5, 6, 7):
         for r in range(2, n):
             c = classify(catalog, catalog.space(f"S{n}:SO({n + 1})"), r)
@@ -251,6 +251,37 @@ def test_spin_type_scan_runs_no_enumeration_or_rule_trace(catalog, monkeypatch):
     for space in catalog.spaces.values():
         invariant_spin_type(catalog, space)
     invariant_spin_type(catalog, _so12_space(catalog, 10**9))
+
+
+def test_the_rule_proof_is_written_only_when_printed(catalog, monkeypatch):
+    # at a rank with no listed family an answer carries the rule engine's
+    # proof as a value: deciding and comparing answers writes no trace,
+    # and printing the certificate writes it once
+    original = repcat.hom_rule_trace
+    calls = []
+
+    def counting(a, r):
+        calls.append((a, r))
+        return original(a, r)
+
+    monkeypatch.setattr(repcat, "hom_rule_trace", counting)
+    space = catalog.space("S4:SO(5)")
+
+    def answers():
+        return [(classify(catalog, space, 2), space.H, 2),
+                (holonomy_lift(catalog, "U(2)", 4, 1), "U(2)", 1)]
+
+    first = answers()
+    assert [res for res, _, _ in first] == [res for res, _, _ in answers()]
+    assert calls == []
+    for res, group, r in first:
+        assert not catalog.families_at(group, r)
+        algebra = catalog.lookup(group).algebra
+        text = str(res.certificate)
+        assert calls == [(algebra, r)]
+        assert text == f"rule engine: {scan_hom_rule_trace(algebra, r).trace}"
+        assert repr(res.certificate) == repr(text)
+        calls.clear()
 
 
 def test_solve_parameter_refuses_a_non_integral_image():
