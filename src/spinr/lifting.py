@@ -82,6 +82,16 @@ def lift_subgroup(n: int, r: int) -> Subgroup:
     return Subgroup(ambient, tuple(out))
 
 
+def check_isotropy(n: int, sigma_pi1: AbHom, domain: FgAbGroup):
+    """Refuse an isotropy map that is not a map domain -> pi1(SO(n))."""
+    if sigma_pi1.domain != domain:
+        raise DomainMismatchError(
+            "isotropy and twist maps must share their domain generators"
+        )
+    if not sigma_pi1.codomain.same_presentation(so_pi1(n)):
+        raise DomainMismatchError(f"isotropy map must land in pi1(SO({n}))")
+
+
 class LiftQuery(namedtuple("LiftQuery", "n r sigma_pi1 phi_pi1")):
     """A product homomorphism to test: isotropy side and twist side.
 
@@ -92,12 +102,7 @@ class LiftQuery(namedtuple("LiftQuery", "n r sigma_pi1 phi_pi1")):
     __slots__ = ()
 
     def __new__(cls, n: int, r: int, sigma_pi1: AbHom, phi_pi1: AbHom):
-        if sigma_pi1.domain != phi_pi1.domain:
-            raise DomainMismatchError(
-                "isotropy and twist maps must share their domain generators"
-            )
-        if not sigma_pi1.codomain.same_presentation(so_pi1(n)):
-            raise DomainMismatchError(f"isotropy map must land in pi1(SO({n}))")
+        check_isotropy(n, sigma_pi1, phi_pi1.domain)
         if not phi_pi1.codomain.same_presentation(so_pi1(r)):
             raise DomainMismatchError(f"twist map must land in pi1(SO({r}))")
         return tuple.__new__(cls, (n, r, sigma_pi1, phi_pi1))

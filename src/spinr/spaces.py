@@ -8,7 +8,9 @@ equivalence correspond to conjugacy classes of homomorphisms
 H -> SO(r) whose product with the isotropy passes the parity lifting
 criterion, so everything below reduces to (a) enumerating families and
 (b) running the lift test, exactly or symbolically in the family
-parameter.
+parameter.  The spin-type scan decides every family by the parity rule
+alone (`_solve_parameter`) and builds no lift verdicts; `classify` and
+`holonomy_lift` lift-test constant families and report their witnesses.
 
 Results never overstate completeness: a classification built from an
 uncertified enumeration is marked incomplete, and the minimal-rank scan
@@ -21,11 +23,12 @@ from collections import namedtuple
 
 from .abelian import AbHom, FgAbGroup
 from .catalogfile import Block, CatalogParseError, SpinrError
-from .lifting import LiftQuery, lifts, parity
+from .lifting import LiftQuery, check_isotropy, lifts, parity
 from .liecat import so_pi1, so_pi1_map
 from .repcat import (
     DIAGONAL_FAMILY_NAME,
     HOLONOMY_DIAGONAL_NAME,
+    UNCONSTRAINED,
     Congruence,
     OrthRepFamily,
     enumerate_homs,
@@ -149,16 +152,17 @@ def build_holonomy(entry: tuple, groups) -> HolonomyRec:
 # --- the lift test against one family -------------------------------------------
 
 def _solve_parameter(sigma: AbHom, family: OrthRepFamily) -> Congruence | None:
-    """Exact set of parameter values passing the lift test.
+    """Exact set of parameter values passing the lift test, or None.
 
     With s = rho + mu*t running over the family's admissible values,
     each domain generator imposes a parity condition on the affine
     image, which in t is either vacuous, unsatisfiable, or a single
     class mod 2.  The classes must agree, and the one they fix (if any)
-    converts back to a congruence on s.
+    converts back to a congruence on s.  A constant family, read at
+    s = 0, has only even steps: it passes with all of Z or not at all.
     """
     base = family.param_constraint
-    mu, rho = base.modulus, base.residue
+    mu, rho = base or (0, 0)
     cod_rank = so_pi1(family.target_r).rank
     t_parity = None  # the class of t mod 2, once a generator fixes it
     for i in range(sigma.domain.rank):
@@ -184,51 +188,52 @@ def _solve_parameter(sigma: AbHom, family: OrthRepFamily) -> Congruence | None:
                 return None
             t_parity = want
     if t_parity is None:
-        return base
+        return base or UNCONSTRAINED
     return Congruence(2 * mu, rho + mu * t_parity)
 
 
-def _test_family(
-    space_n: int, sigma: AbHom, family: OrthRepFamily, domain_pi1: FgAbGroup
-) -> tuple[list[ClassRecord], RejectedFamily | None]:
-    r = family.target_r
-    s = None
+def _classes(family: OrthRepFamily, solved: Congruence) -> tuple[ClassRecord, ...]:
+    """The classes of a family that passes with the solved congruence:
+    one per label for a constant family, one with the congruence for a
+    parameterised one."""
+    to = family.extends_to
     if family.parameterized:
-        solved = _solve_parameter(sigma, family)
-        if solved is not None:
-            return [ClassRecord(family.name, constraint=solved,
-                                extends_to=family.extends_to)], None
-        # no admissible value passes, so any one of them gives the witnesses
-        s = family.param_constraint.sample(1)[0]
-    verdict = lifts(LiftQuery(space_n, r, sigma, family.pi1_map(domain_pi1, s)))
-    if family.parameterized or not verdict.lifts:
-        return [], _rejection(family, verdict)
-    return [ClassRecord(family.name, label, extends_to=family.extends_to)
-            for label in family.labels], None
+        return (ClassRecord(family.name, constraint=solved, extends_to=to),)
+    return tuple(ClassRecord(family.name, label, extends_to=to)
+                 for label in family.labels)
+
+
+def _parity_classes(sigma: AbHom, families) -> tuple[ClassRecord, ...]:
+    """The passing classes of the families, each decided by the parity
+    rule alone: no lift query, verdict or witness is built."""
+    return tuple(rec for family in families
+                 if (solved := _solve_parameter(sigma, family)) is not None
+                 for rec in _classes(family, solved))
 
 
 def _lift_families(
     space_n: int, sigma: AbHom, families, domain_pi1: FgAbGroup
 ) -> tuple[list[ClassRecord], list[RejectedFamily]]:
     """The lift test on each family: the passing classes, and the
-    failing families with their witnesses."""
-    passed: list[ClassRecord] = []
-    rejected: list[RejectedFamily] = []
+    failing families with their per-generator witnesses."""
+    passed, rejected = [], []
     for family in families:
-        classes, failed = _test_family(space_n, sigma, family, domain_pi1)
-        passed.extend(classes)
-        if failed is not None:
-            rejected.append(failed)
+        s = None
+        if family.parameterized:
+            solved = _solve_parameter(sigma, family)
+            if solved is not None:
+                passed += _classes(family, solved)
+                continue
+            # no admissible value passes, so any one of them gives the witnesses
+            s = family.param_constraint.sample(1)[0]
+        phi = family.pi1_map(domain_pi1, s)
+        verdict = lifts(LiftQuery(space_n, family.target_r, sigma, phi))
+        if family.parameterized or not verdict.lifts:
+            witnesses = tuple((g, e.coords) for g, e in verdict.witness_failures)
+            rejected.append(RejectedFamily(family.name, witnesses))
+        else:
+            passed += _classes(family, UNCONSTRAINED)
     return passed, rejected
-
-
-def _rejection(family: OrthRepFamily, verdict) -> RejectedFamily:
-    return RejectedFamily(
-        family=family.name,
-        witnesses=tuple(
-            (label, elem.coords) for label, elem in verdict.witness_failures
-        ),
-    )
 
 
 # --- public operations -----------------------------------------------------------
@@ -282,9 +287,11 @@ def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
     An even isotropy class lifts untwisted: the answer is r = 1, with the
     trivial twist and any family listed there as witnesses.  For an
     odd class the trivial twist (parity 0) fails at every rank, so a
-    structure can only come from a listed family: the scan lift-tests
-    the listed ranks r <= n of H in ascending order, and the first one
-    with a passing family is the witness.  Every other rank is empty;
+    structure can only come from a listed family: the scan tests the
+    listed ranks r <= n of H in ascending order, and the first one with
+    a passing family is the witness.  Each family is decided by the
+    parity rule (`_solve_parameter`), so no lift query, verdict or
+    rejection witness is built.  Every other rank is empty;
     it is certainly empty below r0 = first_possible_rank(H), where the
     rule engine excludes every nonzero map.
 
@@ -296,14 +303,16 @@ def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
     canonical rank-n structure, which always exists; with no uncertain
     rank either, the catalog contradicts that structure and the scan
     raises InconsistentCatalogError.  The work grows with the number of
-    listed ranks of H, never with n.
+    listed ranks of H, never with n.  An isotropy map that is not a map
+    pi1(H) -> pi1(SO(n)) raises DomainMismatchError.
     """
     h = _stabiliser(catalog, space)
-    if not parity_nonzero(space.sigma_pi1):
+    sigma = space.sigma_pi1
+    check_isotropy(space.n, sigma, h.pi1)
+    if not parity_nonzero(sigma):
         trivial = trivial_family(h.name, 1, h.pi1.rank)
-        families = (trivial, *catalog.families_at(h.name, 1))
-        classes, _ = _lift_families(space.n, space.sigma_pi1, families, h.pi1)
-        return SpinTypeResult(space.name, "exact", 1, 1, tuple(classes))
+        classes = _parity_classes(sigma, (trivial, *catalog.families_at(h.name, 1)))
+        return SpinTypeResult(space.name, "exact", 1, 1, classes)
     listed = catalog.listed_ranks(h.name)
     # the least unlisted rank >= r0: uncertain, as are all after it
     unlisted = first_possible_rank(h.algebra)
@@ -315,12 +324,12 @@ def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
         if r > space.n:
             break
         families = catalog.families_at(h.name, r)
-        classes, _ = _lift_families(space.n, space.sigma_pi1, families, h.pi1)
+        classes = _parity_classes(sigma, families)
         if classes:
             lo = _least(listed_uncertain, unlisted, r)
             status = "exact" if lo is None else "bounded"
             return SpinTypeResult(
-                space.name, status, r if lo is None else lo, r, tuple(classes)
+                space.name, status, r if lo is None else lo, r, classes
             )
         if listed_uncertain is None and any(f.incomplete for f in families):
             listed_uncertain = r

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import spinr.repcat as repcat
 import spinr.spaces as spaces
 from oracles import pushed_twist, scan_hom_rule_trace, scan_invariant_spin_type
-from spinr.abelian import AbHom, FgAbGroup
+from spinr.abelian import AbHom, DomainMismatchError, FgAbGroup
 from spinr.catalog import Catalog, loads
 from spinr.catalogfile import SpinrError
 from spinr.liecat import AlgebraProfile, SimpleIdeal, so_pi1
@@ -224,6 +224,24 @@ def test_spin_type_work_is_independent_of_the_dimension(catalog):
     )
 
 
+@pytest.mark.parametrize("domain_is_z,cod,message", [
+    (True, 4, "isotropy and twist maps must share their domain generators"),
+    (False, 2, r"isotropy map must land in pi1\(SO\(4\)\)"),
+])
+def test_the_scan_refuses_an_isotropy_map_off_its_stabiliser(
+    catalog, domain_is_z, cod, message
+):
+    # an even isotropy class over SO(4), whose pi1 is Z2, at n = 4: a map
+    # from Z, or one landing in pi1(SO(2)), is not an isotropy map of H
+    h = catalog.lookup("SO(4)")
+    domain = FgAbGroup(1, (), ("loop",)) if domain_is_z else h.pi1
+    target = so_pi1(cod)
+    sigma = AbHom(domain, target, (target.elem([0]),))
+    space = HomSpaceRec("X:SO(4)", "SO(5)", "SO(4)", 4, sigma, "test")
+    with pytest.raises(DomainMismatchError, match=message):
+        invariant_spin_type(catalog, space)
+
+
 def test_a_catalog_without_the_canonical_witness_is_inconsistent(catalog):
     # n = 3 is below r0 = 12 and nothing is listed at SO(12), so every
     # rank up to n is certainly empty: the data contradicts the theorem
@@ -241,16 +259,22 @@ def test_a_catalog_without_the_canonical_witness_is_inconsistent(catalog):
 
 
 def test_spin_type_scan_runs_no_enumeration_or_rule_trace(catalog, monkeypatch):
+    # the scan decides every family by the parity rule alone: no lift
+    # query, verdict or rejection witness is built
     def refuse(*args):
         raise AssertionError("called by the spin-type scan")
 
-    monkeypatch.setattr(spaces, "enumerate_homs", refuse)
+    scale = loads(scale_catalog(200, 1).text, "scale.txt")
+    for name in ("enumerate_homs", "lifts", "LiftQuery", "_lift_families"):
+        monkeypatch.setattr(spaces, name, refuse)
     monkeypatch.setattr(repcat, "hom_rule_trace", refuse)
     odd = [s for s in catalog.spaces.values() if parity_nonzero(s.sigma_pi1)]
     assert 10 < len(odd) < len(catalog.spaces)
-    for space in catalog.spaces.values():
-        invariant_spin_type(catalog, space)
+    for cat in (catalog, scale):
+        for space in cat.spaces.values():
+            invariant_spin_type(cat, space)
     invariant_spin_type(catalog, _so12_space(catalog, 10**9))
+    assert len(scale.spaces) == 199
 
 
 def test_the_rule_proof_is_written_only_when_printed(catalog, monkeypatch):
@@ -445,12 +469,20 @@ def test_spin_type_scan_matches_oracle_on_generated_catalogs(cat):
 
 
 @settings(max_examples=200)
-@given(small_catalogs(parameterized=True))
+@given(st.one_of(small_catalogs(parameterized=True), small_catalogs()))
 def test_solved_congruences_are_exact(cat):
     """A parameterised family passes at exactly the parameter values of
-    its solved congruence, the sampled ones included."""
+    its solved congruence, the sampled ones included; a constant family
+    is solved with all of Z exactly when it passes the lift test."""
     space = cat.space("X")
     h = cat.lookup(space.H)
+    for fam in cat.families:
+        if fam.parameterized:
+            continue
+        q = LiftQuery(space.n, fam.target_r, space.sigma_pi1, fam.pi1_map(h.pi1))
+        solved = _solve_parameter(space.sigma_pi1, fam)
+        assert solved in (None, Congruence(1, 0))
+        assert (solved is not None) == lifts(q).lifts
     if not h.connected:
         return
     for fam in cat.families:
