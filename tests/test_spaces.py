@@ -468,7 +468,7 @@ def test_spin_type_scan_matches_oracle_on_generated_catalogs(cat):
     )
 
 
-@settings(max_examples=200)
+@settings(max_examples=400)
 @given(st.one_of(small_catalogs(parameterized=True), small_catalogs()))
 def test_solved_congruences_are_exact(cat):
     """A parameterised family passes at exactly the parameter values of
