@@ -13,6 +13,10 @@ both factors >= 2 are the published images of the covering; n = 1 or
 r = 1 degenerate to the classical spin condition (the other factor's
 class must be even) and are derived, not quoted.
 
+The parameter solve and the spin-type scan read each parity off a
+coordinate (:func:`image_parities`); :func:`lift_subgroup` reads it through
+the mod-2 map (:func:`parity`), and the tests hold the two readings equal.
+
 Because the rule reads parities only, a twist that lifts at rank r
 lifts at every higher rank.  If phi: H -> SO(r) passes with sigma, so
 does phi + 1: H -> SO(r + 1), phi with a trivial summand added, that
@@ -44,6 +48,13 @@ from .liecat import so_pi1
 def parity(x: AbElem) -> int:
     """Total mod-2 class of an element (sum of its mod2 coordinates)."""
     return sum(mod2(x.group).apply(x).coords) % 2
+
+
+def image_parities(f: AbHom) -> tuple[int, ...]:
+    """:func:`parity` of each domain generator's image, read off its
+    coordinates at the codomain's free and even-order generators."""
+    even = [i for i, d in enumerate(f.codomain.orders) if d % 2 == 0]
+    return tuple([sum([img.coords[i] for i in even]) % 2 for img in f.images])
 
 
 def frame_product_pi1(n: int, r: int) -> FgAbGroup:

@@ -9,7 +9,8 @@ H -> SO(r) whose product with the isotropy passes the parity lifting
 criterion, so everything below reduces to (a) enumerating families and
 (b) running the lift test, exactly or symbolically in the family
 parameter.  The spin-type scan decides every family by the parity rule
-alone (`_solve_parameter`) and builds no lift verdicts; `classify` and
+alone (`_solve_parameter`, on the isotropy parities read once per query
+by `image_parities`) and builds no lift verdicts; `classify` and
 `holonomy_lift` lift-test constant families and report their witnesses.
 
 Results never overstate completeness: a classification built from an
@@ -23,7 +24,8 @@ from collections import namedtuple
 
 from .abelian import AbHom, FgAbGroup
 from .catalogfile import Block, CatalogParseError, SpinrError
-from .lifting import LiftQuery, check_isotropy, lifts, parity
+# parity stays importable here: perfbench/tracer.py counts calls at this site
+from .lifting import LiftQuery, check_isotropy, image_parities, lifts, parity
 from .liecat import so_pi1, so_pi1_map
 from .repcat import (
     DIAGONAL_FAMILY_NAME,
@@ -151,27 +153,25 @@ def build_holonomy(entry: tuple, groups) -> HolonomyRec:
 
 # --- the lift test against one family -------------------------------------------
 
-def _solve_parameter(sigma: AbHom, family: OrthRepFamily) -> Congruence | None:
+def _solve_parameter(parities, family: OrthRepFamily) -> Congruence | None:
     """Exact set of parameter values passing the lift test, or None.
 
-    With s = rho + mu*t running over the family's admissible values,
-    each domain generator imposes a parity condition on the affine
-    image, which in t is either vacuous, unsatisfiable, or a single
-    class mod 2.  The classes must agree, and the one they fix (if any)
-    converts back to a congruence on s.  A constant family, read at
-    s = 0, has only even steps: it passes with all of Z or not at all.
+    ``parities`` holds the isotropy parity of each domain generator
+    (:func:`~spinr.lifting.image_parities` of sigma).  With s = rho + mu*t
+    running over the family's admissible values, each generator imposes
+    a parity condition on the affine image, which in t is either vacuous,
+    unsatisfiable, or a single class mod 2.  The classes must agree, and
+    the one they fix (if any) converts back to a congruence on s.  A
+    constant family, read at s = 0, has only even steps: it passes with
+    all of Z or not at all.  Into the trivial pi1(SO(1)) it passes
+    exactly when every parity is 0.
     """
     base = family.param_constraint
+    if not so_pi1(family.target_r).rank:
+        return None if any(parities) else base or UNCONSTRAINED
     mu, rho = base or (0, 0)
-    cod_rank = so_pi1(family.target_r).rank
     t_parity = None  # the class of t mod 2, once a generator fixes it
-    for i in range(sigma.domain.rank):
-        eps = parity(sigma.images[i])
-        if cod_rank == 0:
-            if eps:
-                return None
-            continue
-        expr = family.pi1_images[i]
+    for eps, expr in zip(parities, family.pi1_images, strict=True):
         step, rest = divmod(expr.num * mu, expr.den)
         if rest:
             raise ValueError(
@@ -203,11 +203,11 @@ def _classes(family: OrthRepFamily, solved: Congruence) -> tuple[ClassRecord, ..
                  for label in family.labels)
 
 
-def _parity_classes(sigma: AbHom, families) -> tuple[ClassRecord, ...]:
+def _parity_classes(parities, families) -> tuple[ClassRecord, ...]:
     """The passing classes of the families, each decided by the parity
     rule alone: no lift query, verdict or witness is built."""
     return tuple(rec for family in families
-                 if (solved := _solve_parameter(sigma, family)) is not None
+                 if (solved := _solve_parameter(parities, family)) is not None
                  for rec in _classes(family, solved))
 
 
@@ -217,10 +217,11 @@ def _lift_families(
     """The lift test on each family: the passing classes, and the
     failing families with their per-generator witnesses."""
     passed, rejected = [], []
+    parities = image_parities(sigma)
     for family in families:
         s = None
         if family.parameterized:
-            solved = _solve_parameter(sigma, family)
+            solved = _solve_parameter(parities, family)
             if solved is not None:
                 passed += _classes(family, solved)
                 continue
@@ -309,9 +310,10 @@ def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
     h = _stabiliser(catalog, space)
     sigma = space.sigma_pi1
     check_isotropy(space.n, sigma, h.pi1)
-    if not parity_nonzero(sigma):
+    parities = image_parities(sigma)
+    if not any(parities):
         trivial = trivial_family(h.name, 1, h.pi1.rank)
-        classes = _parity_classes(sigma, (trivial, *catalog.families_at(h.name, 1)))
+        classes = _parity_classes(parities, (trivial, *catalog.families_at(h.name, 1)))
         return SpinTypeResult(space.name, "exact", 1, 1, classes)
     listed = catalog.listed_ranks(h.name)
     # the least unlisted rank >= r0: uncertain, as are all after it
@@ -324,7 +326,7 @@ def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
         if r > space.n:
             break
         families = catalog.families_at(h.name, r)
-        classes = _parity_classes(sigma, families)
+        classes = _parity_classes(parities, families)
         if classes:
             lo = _least(listed_uncertain, unlisted, r)
             status = "exact" if lo is None else "bounded"
@@ -355,7 +357,7 @@ def _least(listed_uncertain: int | None, unlisted: int | None, below: int):
 
 
 def parity_nonzero(sigma: AbHom) -> bool:
-    return any(parity(img) for img in sigma.images)
+    return any(image_parities(sigma))
 
 
 def canonical_structure(catalog, space: HomSpaceRec) -> Classification:

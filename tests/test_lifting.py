@@ -1,5 +1,8 @@
 import doctest
 import itertools
+import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,19 +11,23 @@ from hypothesis import strategies as st
 import spinr.lifting as lifting
 import spinr.spaces as spaces
 from spinr.abelian import (
+    AbElem,
     AbHom,
     DomainMismatchError,
     FgAbGroup,
     Subgroup,
     contains,
 )
+from spinr.catalog import loads
 from spinr.liecat import so_pi1, so_pi1_map
 from spinr.lifting import (
     LiftQuery,
     LiftVerdict,
     frame_product_pi1,
+    image_parities,
     lift_subgroup,
     lifts,
+    parity,
 )
 from oracles import (
     elements,
@@ -30,6 +37,9 @@ from oracles import (
     subgroup_index,
 )
 from test_abelian import zero_hom
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from gencat import load_catalog, scale_catalog  # noqa: E402  (the benchmark's generators)
 
 
 def test_doctests():
@@ -227,6 +237,49 @@ def _lift_queries(draw):
 @given(_lift_queries())
 def test_lifts_follows_the_parity_rule_on_drawn_queries(q):
     assert _agrees_with_the_parity_rule(q)
+
+
+# --- parities read off coordinates against the mod-2 map ------------------------
+
+def _mod2_parities(f: AbHom) -> tuple[int, ...]:
+    return tuple(parity(img) for img in f.images)
+
+
+def test_image_parities_equal_the_mod2_parities_on_every_catalog_map(catalog):
+    # every isotropy and holonomy map of the bundled and the generated
+    # catalogs; they land in pi1(SO(k)) for k = 1 (trivial), 2 (Z), >= 3 (Z2)
+    maps = []
+    for cat in (catalog, loads(load_catalog(36, 1).text, "load.txt"),
+                loads(scale_catalog(200, 1).text, "scale.txt")):
+        maps += [space.sigma_pi1 for space in cat.spaces.values()]
+        maps += [rec.h_pi1 for rec in cat.holonomies.values()]
+    assert [f for f in maps if image_parities(f) != _mod2_parities(f)] == []
+    assert {p for f in maps for p in image_parities(f)} == {0, 1}
+    assert {f.codomain.orders for f in maps} == {(), (0,), (2,)}
+
+
+@st.composite
+def _abelian_homs(draw):
+    """A well-defined map into a codomain mixing free, even-order and
+    odd-order generators; a free domain generator's free coordinates may
+    be negative."""
+    # free generators drawn twice as often, so free-to-free images are common
+    orders = st.lists(st.sampled_from([0, 0, 2, 3, 4, 5, 6, 9]), min_size=1, max_size=4)
+    domain = FgAbGroup(orders=draw(orders))
+    codomain = FgAbGroup(orders=draw(orders))
+    images = []
+    for d in domain.orders:
+        # a multiple of n / gcd(d, n) keeps d * image = 0 mod n
+        coords = [draw(st.integers(-9, 9)) * (n // math.gcd(d, n) if d else 1)
+                  if n or not d else 0 for n in codomain.orders]
+        images.append(AbElem(codomain, codomain.reduce(coords)))
+    return AbHom(domain, codomain, tuple(images))
+
+
+@settings(max_examples=400)
+@given(_abelian_homs())
+def test_image_parities_equal_the_mod2_parities_on_drawn_maps(f):
+    assert image_parities(f) == _mod2_parities(f)
 
 
 # --- pushing a twist into a larger rank -------------------------------------

@@ -131,23 +131,37 @@ def test_int_is_called_only_by_the_strict_readers():
     assert set(found) == allowed  # the list names only call sites that exist
 
 
+def _calls_outside(name, allowed):
+    """Every read of `name` in the package outside the allowed (file
+    name, scope) pairs, checking that each allowed pair reads it.  A read
+    of the name counts as a call, so an alias cannot hide one; an import
+    is not a read."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text("utf-8"))):
+            read = getattr(node, "id", None) or getattr(node, "attr", None)
+            if read == name and isinstance(node.ctx, ast.Load):
+                found.setdefault((path.name, scope), node.lineno)
+    assert set(found) >= allowed  # the list names only call sites that exist
+    return [f"{n}:{line} in {scope}" for (n, scope), line in found.items()
+            if (n, scope) not in allowed]
+
+
 def test_only_a_printed_rule_proof_writes_the_rule_trace():
     # enumerate_homs returns a RuleProof at an unlisted rank, and its text
     # is written when an answer is printed; a call to hom_rule_trace
     # anywhere else would write it on the decision path again, where only
-    # no_nontrivial_hom decides.  A read of the name counts as a call, so
-    # an alias cannot hide one.
-    allowed = {("repcat.py", "RuleProof.__str__")}
-    found = {}
-    for path in sorted(SRC.rglob("*.py")):
-        for scope, node in _scoped(ast.parse(path.read_text("utf-8"))):
-            name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if name == "hom_rule_trace" and isinstance(node.ctx, ast.Load):
-                found.setdefault((path.name, scope), node.lineno)
-    stray = [f"{n}:{line} in {scope}" for (n, scope), line in found.items()
-             if (n, scope) not in allowed]
-    assert stray == []
-    assert set(found) == allowed  # the list names only call sites that exist
+    # no_nontrivial_hom decides
+    assert _calls_outside("hom_rule_trace", {("repcat.py", "RuleProof.__str__")}) == []
+
+
+def test_only_lift_subgroup_reads_a_parity_through_the_mod2_map():
+    # the parameter solve and the spin-type scan read each isotropy parity
+    # off its coordinate (lifting.image_parities); a call of
+    # lifting.parity anywhere else would build a mod2 map on that path
+    # again.  spaces still imports parity: perfbench/tracer.py counts
+    # calls at that site
+    assert _calls_outside("parity", {("lifting.py", "lift_subgroup")}) == []
 
 
 def test_abelian_records_skip_their_checks_only_at_the_listed_builders():

@@ -1,3 +1,4 @@
+import collections
 import sys
 import time
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinr.lifting as lifting
 import spinr.repcat as repcat
 import spinr.spaces as spaces
 from oracles import pushed_twist, scan_hom_rule_trace, scan_invariant_spin_type
@@ -13,7 +15,7 @@ from spinr.abelian import AbHom, DomainMismatchError, FgAbGroup
 from spinr.catalog import Catalog, loads
 from spinr.catalogfile import SpinrError
 from spinr.liecat import AlgebraProfile, SimpleIdeal, so_pi1
-from spinr.lifting import LiftQuery, lifts
+from spinr.lifting import LiftQuery, image_parities, lifts
 from spinr.repcat import (
     Congruence,
     OrthRepFamily,
@@ -308,6 +310,58 @@ def test_the_rule_proof_is_written_only_when_printed(catalog, monkeypatch):
         calls.clear()
 
 
+def test_the_spin_type_scan_builds_no_mod2_map(catalog, monkeypatch):
+    # the scan reads each isotropy parity off its coordinate, once per
+    # query (lifting.image_parities): neither lifting.parity nor the mod2
+    # map it builds is called
+    calls = collections.Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for module, name in ((spaces, "parity"), (lifting, "parity"), (lifting, "mod2")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, counting(f"{module.__name__}.{name}", original))
+    scale = loads(scale_catalog(200, 1).text, "scale.txt")
+    for cat in (catalog, scale):
+        for space in cat.spaces.values():
+            invariant_spin_type(cat, space)
+    assert calls == {}
+    # the counters are live: the lift test of a constant family reads
+    # parity through the mod2 map
+    classify(catalog, catalog.space("S4:SO(5)"), 3)
+    assert calls["spinr.lifting.parity"] > 0 and calls["spinr.lifting.mod2"] > 0
+
+
+def test_answers_never_lose_a_structure_at_a_higher_rank(catalog):
+    # a twist that lifts at rank r lifts, pushed forward, at every higher
+    # rank, so no complete answer may deny a structure above a rank that
+    # has one: holonomy_lift never says "no" above a "yes", and classify is
+    # never complete and empty above a rank with a class.  Holonomy ranks
+    # run to m + 1; classify ranks to min(n, 40) + 1, to bound the time
+    answers = verdicts = 0
+    wrong = []
+    for cat in (catalog, loads(load_catalog(36, 1).text, "load.txt")):
+        for group, m in cat.holonomies:
+            said = [holonomy_lift(cat, group, m, r).verdict for r in range(1, m + 2)]
+            verdicts += len(said)
+            if "yes" in said and "no" in said[said.index("yes"):]:
+                wrong.append((group, m, said))
+        for space in cat.spaces.values():
+            found = False
+            for r in range(1, min(space.n, 40) + 2):
+                c = classify(cat, space, r)
+                answers += 1
+                if found and c.complete and not c.classes:
+                    wrong.append((space.name, r))
+                found = found or bool(c.classes)
+    assert wrong == []
+    assert (verdicts, answers) == (179 + 6133, 195 + 4099)
+
+
 def test_solve_parameter_refuses_a_non_integral_image():
     h = FgAbGroup(1, (), ("loop",))
     family = OrthRepFamily(
@@ -316,7 +370,7 @@ def test_solve_parameter_refuses_a_non_integral_image():
     )
     cod = so_pi1(3)
     with pytest.raises(ValueError, match="not integral"):
-        _solve_parameter(AbHom(h, cod, (cod.elem([1]),)), family)
+        _solve_parameter(image_parities(AbHom(h, cod, (cod.elem([1]),))), family)
 
 
 def _pi1_image(draw, order: int, r: int) -> int:
@@ -480,7 +534,7 @@ def test_solved_congruences_are_exact(cat):
         if fam.parameterized:
             continue
         q = LiftQuery(space.n, fam.target_r, space.sigma_pi1, fam.pi1_map(h.pi1))
-        solved = _solve_parameter(space.sigma_pi1, fam)
+        solved = _solve_parameter(image_parities(space.sigma_pi1), fam)
         assert solved in (None, Congruence(1, 0))
         assert (solved is not None) == lifts(q).lifts
     if not h.connected:
