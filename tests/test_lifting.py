@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import spinr.lifting as lifting
 import spinr.spaces as spaces
 from spinr.abelian import (
-    AbElem,
     AbHom,
     DomainMismatchError,
     FgAbGroup,
@@ -269,10 +268,11 @@ def _abelian_homs(draw):
     codomain = FgAbGroup(orders=draw(orders))
     images = []
     for d in domain.orders:
-        # a multiple of n / gcd(d, n) keeps d * image = 0 mod n
-        coords = [draw(st.integers(-9, 9)) * (n // math.gcd(d, n) if d else 1)
-                  if n or not d else 0 for n in codomain.orders]
-        images.append(AbElem(codomain, codomain.reduce(coords)))
+        # a multiple of n / gcd(d, n) keeps d * image = 0 mod n; that is 0
+        # for a torsion generator (d > 0) into a free one (n = 0)
+        coords = [draw(st.integers(-9, 9)) * (n // math.gcd(d, n) if n or d else 1)
+                  for n in codomain.orders]
+        images.append(codomain.elem(coords))
     return AbHom(domain, codomain, tuple(images))
 
 
