@@ -17,11 +17,42 @@ floating point.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from _collections import _tuplegetter
 
 
 class DomainMismatchError(ValueError):
     """Elements or homomorphisms combined or compared over different groups."""
+
+
+class Record(tuple):
+    """A read-only tuple with named fields, the base of every spinr record.
+
+    A subclass names its fields once, as the parameters of its own
+    ``__new__``, which builds the tuple; each field is read by the C getter
+    that ``collections.namedtuple`` installs.  Records compare and hash as
+    tuples and print as ``Type(field=value, ...)``.  namedtuple is not used
+    because it compiles every class's ``__new__`` with ``eval`` at import.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        code = cls.__new__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, None))
+
+    def __repr__(self):
+        body = ", ".join([f"{n}={v!r}" for n, v in zip(self._fields, self)])
+        return f"{type(self).__name__}({body})"
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with the fields
+        return tuple(self)
+
+
+# an unchecked record's __new__ returns _new(cls, fields): bound once, a
+# global is found faster than tuple.__new__ on each call
+_new = tuple.__new__
 
 
 class FgAbGroup:
@@ -56,6 +87,9 @@ class FgAbGroup:
 
     def __setattr__(self, *args):
         raise AttributeError("FgAbGroup is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild it; setting its slots raises
+        return FgAbGroup, (0, self.orders, self.labels)
 
     def __repr__(self):
         return f"FgAbGroup(orders={self.orders}, labels={self.labels})"
@@ -116,7 +150,7 @@ def cyclic(order: int, label: str = "g") -> FgAbGroup:
     return FgAbGroup(0, (order,), (label,))
 
 
-class AbElem(namedtuple("AbElem", "group coords")):
+class AbElem(Record):
     """Element of an FgAbGroup, stored as one integer per generator."""
 
     __slots__ = ()
@@ -149,7 +183,7 @@ class AbElem(namedtuple("AbElem", "group coords")):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-class AbHom(namedtuple("AbHom", "domain codomain images")):
+class AbHom(Record):
     """Homomorphism determined by the images of the domain generators.
 
     Well-definedness (d * image = 0 for a domain generator of order d)
@@ -228,7 +262,7 @@ def direct_product(
     return FgAbGroup(orders=a.orders + b.orders, labels=labels)
 
 
-class Subgroup(namedtuple("Subgroup", "ambient generators")):
+class Subgroup(Record):
     """Subgroup of an ambient group given by a finite generating list."""
 
     __slots__ = ()

@@ -12,9 +12,7 @@ of a nontrivial real orthogonal representation.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .abelian import AbHom, FgAbGroup
+from .abelian import AbHom, FgAbGroup, Record, _new
 from .catalogfile import Block, CatalogParseError, SpinrError, is_int
 
 
@@ -28,7 +26,7 @@ class NotInCatalogError(SpinrError, KeyError):
         return self.args[0]
 
 
-class SimpleIdeal(namedtuple("SimpleIdeal", "kind dim min_orth_rep_dim")):
+class SimpleIdeal(Record):
     """A simple ideal of a compact Lie algebra."""
 
     __slots__ = ()
@@ -43,22 +41,24 @@ class SimpleIdeal(namedtuple("SimpleIdeal", "kind dim min_orth_rep_dim")):
         return tuple.__new__(cls, (kind, dim, min_orth_rep_dim))
 
 
-class AlgebraProfile(
-    namedtuple("AlgebraProfile", "center_rank ideals", defaults=((),))
-):
+class AlgebraProfile(Record):
     """Centre dimension plus the tuple of simple ideals."""
 
     __slots__ = ()
+
+    def __new__(cls, center_rank, ideals=()):
+        return _new(cls, (center_rank, ideals))
 
     @property
     def dim(self) -> int:
         return self.center_rank + sum(i.dim for i in self.ideals)
 
 
-class CompactGroupRec(
-    namedtuple("CompactGroupRec", "name pi1 algebra connected provenance")
-):
+class CompactGroupRec(Record):
     __slots__ = ()
+
+    def __new__(cls, name, pi1, algebra, connected, provenance):
+        return _new(cls, (name, pi1, algebra, connected, provenance))
 
 
 # --- the SO(k) family, by formula --------------------------------------------

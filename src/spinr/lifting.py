@@ -30,13 +30,12 @@ the spin type, is a threshold: every rank above it admits one too.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .abelian import (
     AbElem,
     AbHom,
     DomainMismatchError,
     FgAbGroup,
+    Record,
     Subgroup,
     contains,
     direct_product,
@@ -103,7 +102,7 @@ def check_isotropy(n: int, sigma_pi1: AbHom, domain: FgAbGroup):
         raise DomainMismatchError(f"isotropy map must land in pi1(SO({n}))")
 
 
-class LiftQuery(namedtuple("LiftQuery", "n r sigma_pi1 phi_pi1")):
+class LiftQuery(Record):
     """A product homomorphism to test: isotropy side and twist side.
 
     Both induced maps must share a domain (same presentation, same
@@ -119,7 +118,7 @@ class LiftQuery(namedtuple("LiftQuery", "n r sigma_pi1 phi_pi1")):
         return tuple.__new__(cls, (n, r, sigma_pi1, phi_pi1))
 
 
-class LiftVerdict(namedtuple("LiftVerdict", "lifts witness_failures")):
+class LiftVerdict(Record):
     __slots__ = ()
 
     def __new__(cls, lifts: bool, witness_failures: tuple[tuple[str, AbElem], ...]):

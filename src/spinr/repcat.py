@@ -22,11 +22,10 @@ only when an answer is printed.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cache
 from math import gcd, isqrt
 
-from .abelian import AbHom, FgAbGroup, cyclic_images
+from .abelian import AbHom, FgAbGroup, Record, _new, cyclic_images
 from .catalogfile import Block, CatalogParseError, parse_int
 from .liecat import (
     AlgebraProfile, CompactGroupRec, SimpleIdeal, so_pi1_map, so_pi1_target,
@@ -35,7 +34,7 @@ from .liecat import (
 
 # --- congruence constraints ---------------------------------------------------
 
-class Congruence(namedtuple("Congruence", "modulus residue")):
+class Congruence(Record):
     """The set of integers s with s = residue (mod modulus).
 
     modulus 1 is the unconstrained set.  The residue is stored reduced
@@ -92,7 +91,7 @@ def parse_congruence(text: str) -> Congruence:
 
 # --- affine expressions in the family parameter -------------------------------
 
-class AffineInt(namedtuple("AffineInt", "num off den")):
+class AffineInt(Record):
     """(num * s + off) / den, integral on admissible s; lowest terms, den >= 1.
     ``coeff`` and ``offset`` read its coefficients as Fractions."""
 
@@ -161,13 +160,7 @@ def parse_affine(text: str) -> AffineInt:
 
 # --- representation families ---------------------------------------------------
 
-class OrthRepFamily(
-    namedtuple(
-        "OrthRepFamily",
-        "name domain target_r pi1_images labels param_constraint "
-        "distinct_classes extends_to certificate",
-    )
-):
+class OrthRepFamily(Record):
     """One conjugacy family of homomorphisms domain -> SO(target_r).
 
     ``labels`` is set for a finite family (one label per conjugacy
@@ -225,10 +218,13 @@ class OrthRepFamily(
 
 # --- the non-existence rule engine ---------------------------------------------
 
-class RuleTrace(namedtuple("RuleTrace", "lines")):
+class RuleTrace(Record):
     """The kernel-candidate scan: a tuple of lines, printed as a proof sketch."""
 
     __slots__ = ()
+
+    def __new__(cls, lines):
+        return _new(cls, (lines,))
 
     def __str__(self):
         return "; ".join(self.lines)
@@ -380,7 +376,7 @@ def trivial_family(domain: str, r: int, domain_rank: int) -> OrthRepFamily:
     )
 
 
-class RuleProof(namedtuple("RuleProof", "algebra r")):
+class RuleProof(Record):
     """The rule engine's proof at an unlisted rank, rendered on demand.
 
     It prints as ``rule engine: `` and the :func:`hom_rule_trace` text,
@@ -391,6 +387,9 @@ class RuleProof(namedtuple("RuleProof", "algebra r")):
 
     __slots__ = ()
 
+    def __new__(cls, algebra, r):
+        return _new(cls, (algebra, r))
+
     def __str__(self):
         return f"rule engine: {hom_rule_trace(self.algebra, self.r)}"
 
@@ -398,7 +397,7 @@ class RuleProof(namedtuple("RuleProof", "algebra r")):
         return repr(str(self))
 
 
-class EnumResult(namedtuple("EnumResult", "domain r families complete certificate")):
+class EnumResult(Record):
     """All known families at (domain, r), with a completeness verdict.
 
     ``certificate`` is the listed families' citations joined by ``; ``
@@ -407,6 +406,9 @@ class EnumResult(namedtuple("EnumResult", "domain r families complete certificat
     """
 
     __slots__ = ()
+
+    def __new__(cls, domain, r, families, complete, certificate):
+        return _new(cls, (domain, r, families, complete, certificate))
 
 
 _FAMILY_KEYS = frozenset({

@@ -20,9 +20,7 @@ degrades to an honest interval instead of returning a wrong number.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .abelian import AbHom, FgAbGroup
+from .abelian import AbHom, FgAbGroup, Record, _new
 from .catalogfile import Block, CatalogParseError, SpinrError
 # parity stays importable here: perfbench/tracer.py counts calls at this site
 from .lifting import LiftQuery, check_isotropy, image_parities, lifts, parity
@@ -51,43 +49,47 @@ class InconsistentCatalogError(SpinrError, RuntimeError):
     """The catalog's data contradicts the existence theorem."""
 
 
-class HomSpaceRec(namedtuple("HomSpaceRec", "name G H n sigma_pi1 provenance")):
+class HomSpaceRec(Record):
     """One homogeneous realisation, e.g. S7:Sp(2) for the 7-sphere."""
 
     __slots__ = ()
 
+    def __new__(cls, name, G, H, n, sigma_pi1, provenance):
+        return _new(cls, (name, G, H, n, sigma_pi1, provenance))
 
-class HolonomyRec(namedtuple("HolonomyRec", "group m h_pi1 provenance")):
+
+class HolonomyRec(Record):
     """A holonomy group from the irreducible non-symmetric list, acting
     on an m-dimensional tangent space."""
 
     __slots__ = ()
 
+    def __new__(cls, group, m, h_pi1, provenance):
+        return _new(cls, (group, m, h_pi1, provenance))
 
-class ClassRecord(
-    namedtuple("ClassRecord", "family label constraint extends_to", defaults=[None] * 3)
-):
+
+class ClassRecord(Record):
     """One equivalence class (or constrained family of classes) of
     invariant structures: a family reference plus, for parameterised
     families, the exact congruence the parameter must satisfy."""
 
     __slots__ = ()
 
+    def __new__(cls, family, label=None, constraint=None, extends_to=None):
+        return _new(cls, (family, label, constraint, extends_to))
 
-class RejectedFamily(namedtuple("RejectedFamily", "family witnesses")):
+
+class RejectedFamily(Record):
     """A family that fails the lift test, with per-generator witnesses
     (generator label, image pair that escapes the covering subgroup)."""
 
     __slots__ = ()
 
+    def __new__(cls, family, witnesses):
+        return _new(cls, (family, witnesses))
 
-class Classification(
-    namedtuple(
-        "Classification",
-        "space r classes count complete certificate rejected",
-        defaults=((),),
-    )
-):
+
+class Classification(Record):
     """The classes at one rank; ``count`` is None for an infinite family.
 
     ``certificate`` is a string (the listed families' citations,
@@ -98,8 +100,11 @@ class Classification(
 
     __slots__ = ()
 
+    def __new__(cls, space, r, classes, count, complete, certificate, rejected=()):
+        return _new(cls, (space, r, classes, count, complete, certificate, rejected))
 
-class SpinTypeResult(namedtuple("SpinTypeResult", "space status lo hi witnesses")):
+
+class SpinTypeResult(Record):
     """Least twist rank admitting an invariant structure.
 
     status "exact" needs complete (and empty) classifications at every
@@ -108,6 +113,9 @@ class SpinTypeResult(namedtuple("SpinTypeResult", "space status lo hi witnesses"
     """
 
     __slots__ = ()
+
+    def __new__(cls, space, status, lo, hi, witnesses):
+        return _new(cls, (space, status, lo, hi, witnesses))
 
     @property
     def value(self) -> int | None:
@@ -387,9 +395,7 @@ def canonical_structure(catalog, space: HomSpaceRec) -> Classification:
     )
 
 
-class HolonomyVerdict(
-    namedtuple("HolonomyVerdict", "group m r verdict via complete certificate rejected")
-):
+class HolonomyVerdict(Record):
     """A holonomy lift answer; ``verdict`` is "yes", "no" or "unknown".
 
     ``certificate`` is a string (the listed families' citations, or
@@ -399,6 +405,9 @@ class HolonomyVerdict(
     """
 
     __slots__ = ()
+
+    def __new__(cls, group, m, r, verdict, via, complete, certificate, rejected):
+        return _new(cls, (group, m, r, verdict, via, complete, certificate, rejected))
 
 
 def holonomy_lift(catalog, group: str, m: int, r: int) -> HolonomyVerdict:

@@ -738,7 +738,9 @@ def test_the_writer_and_the_loader_round_trip_every_record(make):
 )
 def test_the_writer_refuses_what_the_format_cannot_hold(field, value, message):
     c = bundled.build_catalog()
-    groups = {**c.groups, "SO(4)": c.groups["SO(4)"]._replace(**{field: value})}
+    so4 = c.groups["SO(4)"]
+    altered = liecat.CompactGroupRec(**{**dict(zip(so4._fields, so4)), field: value})
+    groups = {**c.groups, "SO(4)": altered}
     c = Catalog(c.version, groups, c.families, c.spaces, c.holonomies)
     with pytest.raises(ValueError) as err:
         dumps(c)

@@ -2,6 +2,9 @@
 value, printed as ``Type(field=value, ...)``, and checked at
 construction with the messages the loader and callers rely on."""
 
+import collections
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -148,6 +151,36 @@ def test_repr_is_type_then_fields(record):
     assert repr(obj) == f"{cls.__name__}({body})"
 
 
+# Catalog is a slotted class; every other record is an abelian.Record
+TUPLE_RECORDS = [r for r in RECORDS if r[0] is not Catalog]
+
+
+@pytest.mark.parametrize("cls, fields, make", TUPLE_RECORDS,
+                         ids=[t.__name__ for t, _, _ in TUPLE_RECORDS])
+def test_a_record_behaves_as_the_named_tuple_of_its_fields(cls, fields, make):
+    # collections.namedtuple, which the records were declared with before
+    # abelian.Record, is the reference
+    obj = make()
+    reference = collections.namedtuple(cls.__name__, cls._fields)(*obj)
+    assert repr(obj) == repr(reference)
+    assert obj == reference
+    assert hash(obj) == hash(reference)
+    assert tuple(obj) == tuple(reference)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("cls, fields, make", TUPLE_RECORDS,
+                         ids=[t.__name__ for t, _, _ in TUPLE_RECORDS])
+def test_copy_and_pickle_give_an_equal_record(cls, fields, make, clone):
+    obj = make()
+    twin = clone(obj)
+    assert type(twin) is cls
+    assert twin == obj
+    assert repr(twin) == repr(obj)
+
+
 # The cases of the three tables below carry explicit ids, so that deleting
 # one renames no other; each keeps the id it was first collected under.
 @pytest.mark.parametrize(
@@ -174,6 +207,11 @@ def test_repr_is_type_then_fields(record):
 def test_defaults(make, defaults):
     obj = make()
     assert {name: getattr(obj, name) for name in defaults} == defaults
+    if isinstance(obj, tuple):
+        # a record: keywords that leave the defaults out build the same one
+        # as every field given by position
+        given = {n: v for n, v in zip(obj._fields, obj) if n not in defaults}
+        assert type(obj)(**given) == type(obj)(*obj) == obj
 
 
 @pytest.mark.parametrize(

@@ -36,8 +36,8 @@ def test_no_assert_statements_in_the_package():
 
 def test_no_dataclasses_in_the_package():
     # a dataclass generates and execs its methods when its module is
-    # imported, which each CLI process pays for; records are named tuples
-    # or slotted classes instead
+    # imported, which each CLI process pays for; records are abelian.Record
+    # tuples or slotted classes instead
     def imports_dataclasses(node):
         if isinstance(node, ast.Import):
             return any(a.name.split(".")[0] == "dataclasses" for a in node.names)
@@ -165,7 +165,7 @@ def test_only_lift_subgroup_reads_a_parity_through_the_mod2_map():
 
 
 def test_abelian_records_skip_their_checks_only_at_the_listed_builders():
-    # tuple.__new__ (or a named tuple's _make) builds an AbElem or an AbHom
+    # tuple.__new__ (or abelian._new, its alias) builds an AbElem or an AbHom
     # without the reduction and well-definedness checks of its __new__; the
     # builders below make their input reduced and well defined themselves,
     # and tests/test_abelian.py holds each equal to the checked constructor
@@ -181,14 +181,9 @@ def test_abelian_records_skip_their_checks_only_at_the_listed_builders():
     def built(node, scope):
         """The class that a call builds unchecked, or None."""
         func = getattr(node, "func", None)
-        if not isinstance(node, ast.Call) or not isinstance(func, ast.Attribute):
-            return None
-        if func.attr == "_make" and isinstance(func.value, ast.Name):
-            return func.value.id
         if not (
-            func.attr == "__new__"
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "tuple"
+            isinstance(node, ast.Call)
+            and (_is_call(node, "_new") or ast.unparse(func) == "tuple.__new__")
             and node.args
             and isinstance(node.args[0], ast.Name)
         ):
@@ -289,18 +284,21 @@ def _is_call(node, name) -> bool:
 
 
 def _record_fields():
-    """name -> where, for every named-tuple field and every class attribute
-    set to property(...) in the package."""
+    """name -> where, for every record field (a parameter after cls of the
+    __new__ of a class based on Record) and every class attribute set to
+    property(...) in the package."""
     fields = {}
     for n, node in _nodes():
-        if _is_call(node, "namedtuple"):
-            for name in node.args[1].value.replace(",", " ").split():
-                fields.setdefault(name, f"{n}:{node.lineno} {node.args[0].value}")
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.Assign) and _is_call(item.value, "property"):
-                    for target in item.targets:
-                        fields.setdefault(target.id, f"{n}:{item.lineno} {node.name}")
+        if not isinstance(node, ast.ClassDef):
+            continue
+        record = any(getattr(b, "id", None) == "Record" for b in node.bases)
+        for item in node.body:
+            if record and isinstance(item, ast.FunctionDef) and item.name == "__new__":
+                for arg in item.args.args[1:]:
+                    fields.setdefault(arg.arg, f"{n}:{item.lineno} {node.name}")
+            if isinstance(item, ast.Assign) and _is_call(item.value, "property"):
+                for target in item.targets:
+                    fields.setdefault(target.id, f"{n}:{item.lineno} {node.name}")
     return fields
 
 
@@ -364,6 +362,28 @@ def test_importing_the_cli_leaves_out_dataclasses_and_json():
     # the command line is read without argparse, which imported gettext,
     # locale and shutil for its help formatter and messages
     assert out[-3:] == ["[]", "[]", ""]
+
+
+def test_importing_spinr_runs_no_eval():
+    # collections.namedtuple compiles each class's __new__ from source with
+    # eval at every import, code that no .pyc holds; spinr's records name
+    # their fields in a written __new__ instead (abelian.Record).  functools
+    # makes a named tuple of its own under -S, so it and collections come
+    # first.  Only eval is counted: importlib calls exec on every import,
+    # and compile wherever no .pyc exists
+    code = (
+        "import builtins, collections, functools\n"
+        "calls = []\n"
+        "real_eval = builtins.eval\n"
+        "def counted(*args):\n"
+        "    calls.append(args)\n"
+        "    return real_eval(*args)\n"
+        "builtins.eval = counted\n"
+        "import spinr.cli\n"
+        "spinr.cli.load_default()\n"
+        "print(len(calls))\n"
+    )
+    assert _child(code, "-S") == ["0", ""]
 
 
 def test_a_markdown_answer_loads_neither_re_nor_enum():
