@@ -15,8 +15,8 @@ from __future__ import annotations
 from .abelian import FgAbGroup
 from .catalog import Catalog
 from .liecat import (
-    AlgebraProfile, CompactGroupRec, SimpleIdeal, so_group, so_ideal, so_pi1_map,
-    sp_ideal, su_ideal,
+    G2_IDEAL, AlgebraProfile, CompactGroupRec, ideals, simple_ideal, so_algebra,
+    so_group, so_pi1_map,
 )
 from .repcat import UNCONSTRAINED, AffineInt, Congruence, OrthRepFamily
 from .spaces import HolonomyRec, HomSpaceRec
@@ -57,50 +57,43 @@ def _groups() -> list[CompactGroupRec]:
     centre = FgAbGroup(1, (), ("center_loop",))
     for k in range(1, 7):
         groups.append(CompactGroupRec(
-            f"U({k})", centre, AlgebraProfile(1, _series(su_ideal, k, 1)), True,
+            f"U({k})", centre, AlgebraProfile(1, ideals("su", k)), True,
             "det: U(k) -> U(1) induces an isomorphism on pi1;"
             " generator: the loop diag(exp(2 pi i t), 1, ..., 1)",
         ))
     for k in range(1, 7):
         groups.append(CompactGroupRec(
-            f"SU({k})", _SIMPLY_CONNECTED, AlgebraProfile(0, _series(su_ideal, k, 1)),
+            f"SU({k})", _SIMPLY_CONNECTED, AlgebraProfile(0, ideals("su", k)),
             True, "SU(k) is simply connected (SU(1) is the trivial group)",
         ))
     for k in range(0, 5):
         groups.append(CompactGroupRec(
-            f"Sp({k})", _SIMPLY_CONNECTED, AlgebraProfile(0, _series(sp_ideal, k, 0)),
+            f"Sp({k})", _SIMPLY_CONNECTED, AlgebraProfile(0, ideals("sp", k)),
             True, "Sp(k) is simply connected (Sp(0) is the trivial group)",
         ))
     half_diag_z = FgAbGroup(1, (), ("half_diag",))
     for k in range(0, 4):
         groups.append(CompactGroupRec(
             f"Sp({k}){DOT}U(1)", half_diag_z,
-            AlgebraProfile(1, _series(sp_ideal, k, 0)), True, _HALF_DIAG_CITE,
+            AlgebraProfile(1, ideals("sp", k)), True, _HALF_DIAG_CITE,
         ))
     half_diag_z2 = FgAbGroup(0, (2,), ("half_diag",))
     for k in range(0, 4):
         groups.append(CompactGroupRec(
             f"Sp({k}){DOT}Sp(1)", half_diag_z2,
-            AlgebraProfile(0, (*_series(sp_ideal, k, 0), sp_ideal(1))), True,
+            AlgebraProfile(0, (*ideals("sp", k), simple_ideal("sp", 1))), True,
             _HALF_DIAG_CITE,
         ))
-    # g2: the fundamental 7-dimensional rep G2 < SO(7) is its smallest
-    # nontrivial rep
     groups.append(CompactGroupRec(
-        "G2", _SIMPLY_CONNECTED, AlgebraProfile(0, (SimpleIdeal("g2", 14, 7),)),
+        "G2", _SIMPLY_CONNECTED, AlgebraProfile(0, (G2_IDEAL,)),
         True, "the compact exceptional group G2 is simply connected",
     ))
     for k in (7, 9):
         groups.append(CompactGroupRec(
-            f"Spin({k})", _SIMPLY_CONNECTED, AlgebraProfile(0, (so_ideal(k),)), True,
+            f"Spin({k})", _SIMPLY_CONNECTED, so_algebra(k), True,
             f"Spin({k}) is simply connected; its algebra is so({k})",
         ))
     return groups
-
-
-def _series(ideal, k: int, trivial: int) -> tuple[SimpleIdeal, ...]:
-    """(ideal(k),), or no ideal for the trivial group at k = trivial."""
-    return () if k == trivial else (ideal(k),)
 
 
 def _families() -> tuple[OrthRepFamily, ...]:
@@ -202,10 +195,10 @@ def _families() -> tuple[OrthRepFamily, ...]:
             distinct_classes="single nontrivial class",
             extends_to=f"Sp({k + 1}){DOT}Sp(1)",
             certificate=f"sp({k}) has no nontrivial orthogonal rep below"
-            f" dimension {sp_ideal(k).min_orth_rep_dim} > 3, so an so(3)-valued"
-            " map kills it; the sp(1) factor contributes its unique nontrivial"
-            " 3-dimensional class, the adjoint, whose half-diagonal image is the"
-            " pi1 generator",
+            f" dimension {simple_ideal('sp', k).min_orth_rep_dim} > 3, so an"
+            " so(3)-valued map kills it; the sp(1) factor contributes its unique"
+            " nontrivial 3-dimensional class, the adjoint, whose half-diagonal"
+            " image is the pi1 generator",
         ))
     return tuple(families)
 

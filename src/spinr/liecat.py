@@ -1,13 +1,15 @@
 """Compact connected Lie group records: fundamental groups with chosen
 generators, plus the ideal structure of the Lie algebra.
 
-The formulas here are the groups SO(k) (:func:`so_group`) and the
-simple ideals so(k), su(k) and sp(k).  :mod:`spinr.bundled` builds the
-bundled catalog from them, and the loader checks a file's SO(k) groups
-against :func:`so_group`; every group record carries a provenance
-citation.  The ideal profiles feed the non-existence rule engine, which
-needs, for each simple ideal, its dimension and the smallest dimension
-of a nontrivial real orthogonal representation.
+One table gives every classical simple ideal so(k), su(k) and sp(k)
+(:func:`simple_ideal`, :func:`ideals`): each series states its dimension
+and vector representation once, and one map names the exceptional
+isomorphisms onto so(k).  The rule engine needs, for each simple ideal,
+its dimension and the least dimension of a nontrivial real orthogonal
+representation.  :mod:`spinr.bundled` builds the bundled catalog from
+the table, :data:`G2_IDEAL` and the SO(k) records (:func:`so_group`);
+the loader checks a file's SO(k) groups and so(k) ideals against them.
+Every group record carries a provenance citation.
 """
 
 from __future__ import annotations
@@ -61,6 +63,45 @@ class CompactGroupRec(Record):
         return _new(cls, (name, pi1, algebra, connected, provenance))
 
 
+# --- the simple ideals, one table for the classical series -------------------
+
+# series: (the least k at which it is simple, its dimension, the real
+# dimension per unit of k of its vector rep R^k, C^k or H^k).  The vector
+# rep is the least nontrivial orthogonal rep (Onishchik-Vinberg tables)
+# except at the isomorphisms onto so(k) below, A1 = B1 = C1, B2 = C2 and
+# A3 = D3, which take so(k)'s k.  so(4) = D2 = A1 + A1 is not simple.
+_SERIES = {
+    "so": (3, lambda k: k * (k - 1) // 2, 1),
+    "su": (2, lambda k: k * k - 1, 2),
+    "sp": (1, lambda k: k * (2 * k + 1), 4),
+}
+_ISOMORPHIC_TO_SO = {("su", 2): 3, ("sp", 1): 3, ("sp", 2): 5, ("su", 4): 6}
+
+# the 7-dimensional rep G2 < SO(7) is the least nontrivial rep of g2
+G2_IDEAL = SimpleIdeal("g2", 14, 7)
+
+
+def simple_ideal(series: str, k: int) -> SimpleIdeal:
+    """so(k), su(k) or sp(k) (``series`` "so", "su" or "sp") as a simple
+    ideal; only defined where the algebra is simple."""
+    least, dim, vector = _SERIES[series]
+    if k < least or (series, k) == ("so", 4):
+        raise ValueError(f"{series}({k}) is not simple")
+    return SimpleIdeal(
+        f"{series}({k})", dim(k), _ISOMORPHIC_TO_SO.get((series, k), vector * k)
+    )
+
+
+def ideals(series: str, k: int) -> tuple[SimpleIdeal, ...]:
+    """The simple ideals of so(k), su(k) or sp(k), for k >= 0: none when the
+    algebra is abelian (so(0..2), su(0..1), sp(0)), two so(3) for so(4)."""
+    if (series, k) == ("so", 4):
+        return (simple_ideal("so", 3),) * 2
+    if k < _SERIES[series][0]:
+        return ()
+    return (simple_ideal(series, k),)
+
+
 # --- the SO(k) family, by formula --------------------------------------------
 
 SO_GENERATOR = "alpha"  # the plane-rotation loop generating pi1(SO(k))
@@ -100,54 +141,8 @@ def so_pi1_map(domain: FgAbGroup, r: int, values) -> AbHom:
     return AbHom.from_coords(domain, so_pi1_target(r, values), values)
 
 
-def so_ideal(k: int) -> SimpleIdeal:
-    """so(k) as a simple ideal; only defined for k = 3 and k >= 5."""
-    # so(3): the adjoint (= vector) rep in dim 3 is the smallest nontrivial
-    # orthogonal rep; the targets so(1), so(2) are abelian.  k >= 5: the
-    # vector rep in dim k is minimal, and the spinor reps have real
-    # dimension >= k (Onishchik-Vinberg tables).
-    if k == 3:
-        return SimpleIdeal("so(3)", 3, 3)
-    if k >= 5:
-        return SimpleIdeal(f"so({k})", k * (k - 1) // 2, k)
-    raise ValueError(f"so({k}) is not simple")
-
-
-def su_ideal(k: int) -> SimpleIdeal:
-    """su(k) as a simple ideal, for k >= 2."""
-    # su(2) = so(3).  k >= 3: the realified vector rep C^k = R^2k is the
-    # smallest orthogonal rep; the complex irreps below dim k^2 - 1 are the
-    # vector rep and its dual, both of complex type.
-    if k == 2:
-        return SimpleIdeal("su(2)", 3, 3)
-    if k >= 3:
-        return SimpleIdeal(f"su({k})", k * k - 1, 2 * k)
-    raise ValueError(f"su({k}) is not simple")
-
-
-def sp_ideal(k: int) -> SimpleIdeal:
-    """sp(k) as a simple ideal, for k >= 1."""
-    # sp(1) = so(3) and sp(2) = so(5), whose vector rep in dim 5 is minimal.
-    # k >= 3: the realified vector rep H^k = R^4k is the smallest
-    # orthogonal rep (the quaternionic vector irrep doubles; the other
-    # fundamental reps are larger).
-    if k == 1:
-        return SimpleIdeal("sp(1)", 3, 3)
-    if k == 2:
-        return SimpleIdeal("sp(2)", 10, 5)
-    if k >= 3:
-        return SimpleIdeal(f"sp({k})", k * (2 * k + 1), 4 * k)
-    raise ValueError(f"sp({k}) is not simple")
-
-
 def so_algebra(k: int) -> AlgebraProfile:
-    if k <= 1:
-        return AlgebraProfile(0)
-    if k == 2:
-        return AlgebraProfile(1)
-    if k == 4:
-        return AlgebraProfile(0, (so_ideal(3), so_ideal(3)))
-    return AlgebraProfile(0, (so_ideal(k),))
+    return AlgebraProfile(1 if k == 2 else 0, ideals("so", k))
 
 
 def so_group(k: int) -> CompactGroupRec:
@@ -236,8 +231,10 @@ def build_group(entry: tuple) -> CompactGroupRec:
 def _validate_group(rec: CompactGroupRec, line: int):
     """Cross-checks applied at load time.
 
-    SO entries must match the formulaic family exactly, which also
-    pins min_orth_rep_dim(so(k)) = k for k >= 5 and 3 for so(3).
+    SO entries must match the formulaic family exactly, and every so(k)
+    ideal the table's so(k).  su(k), sp(k) and g2 ideals are not checked
+    yet: perfbench/gencat.py writes su(4) with the vector representation's
+    8 in place of so(6)'s 6, and its catalog would be refused.
     """
     name = rec.name
     if name.startswith("SO(") and name.endswith(")"):
@@ -264,14 +261,14 @@ def _validate_group(rec: CompactGroupRec, line: int):
     for ideal in rec.algebra.ideals:
         if ideal.kind.startswith("so(") and ideal.kind.endswith(")"):
             try:
-                ref = so_ideal(_so_index(ideal.kind))
+                ref = simple_ideal("so", _so_index(ideal.kind))
             except ValueError as err:
                 raise CatalogParseError(
                     f"ideal {ideal.kind}: so(k) is simple only for an integer "
                     f"k = 3 or k >= 5, in canonical ASCII decimal",
                     line,
                 ) from err
-            if (ideal.dim, ideal.min_orth_rep_dim) != (ref.dim, ref.min_orth_rep_dim):
+            if ideal != ref:
                 raise CatalogParseError(
                     f"ideal {ideal.kind}: expected dim {ref.dim}, "
                     f"min_orth_rep {ref.min_orth_rep_dim}",

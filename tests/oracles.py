@@ -5,7 +5,10 @@ enumerating integer coefficient vectors over a box, with no shared code
 with the Smith-reduction path under test; a lift is decided by comparing
 two coordinate parities; the catalog text is parsed one character at a
 time; the rule engine's kernel scan visits every centre dimension; the
-spin-type scan runs the full classification at every rank.  The subgroup
+spin-type scan runs the full classification at every rank; a simple
+ideal's dimension and least orthogonal representation come from its
+root data, every dominant weight up to the adjoint's dimension typed in
+turn.  The subgroup
 relations and the index run the library's Smith reduction: they check the
 published covering images and their index, which no answer computes.
 The command line is read by the argparse parser that ``spinr.cli`` used
@@ -378,6 +381,120 @@ def reference_parse(text: str, path: str = "<catalog>") -> list[tuple]:
     if len(stack) > 1:
         raise CatalogParseError("unclosed block", stack[-1][1], path)
     return root[3]
+
+
+# --- simple ideals from their root data ------------------------------------------
+#
+# Bröcker-tom Dieck, Representations of Compact Lie Groups, ch. VI: the
+# irreps of a simple compact algebra are the dominant weights, their
+# dimensions are Weyl's formula, and a self-dual irrep (one with
+# -w0 lambda = lambda) is of real type when <lambda, 2 rho-check> is even
+# and of quaternionic type when it is odd; the others are of complex type.
+# A nontrivial orthogonal rep holds a nontrivial real irrep: V itself for
+# an irrep of real type, V realified (dimension 2 dim V) otherwise.
+
+
+def _simple_roots(kind: str) -> list[tuple[int, ...]]:
+    """Bourbaki's simple roots of so(k), su(k), sp(k) or g2, in an
+    orthonormal basis: A_(k-1), B_n or D_n, C_k and G2."""
+    if kind == "g2":
+        return [(1, -1, 0), (-2, 1, 1)]
+    series, k = re.fullmatch(r"(so|su|sp)\((\d+)\)", kind).groups()
+    k = int(k)
+    n = {"su": k - 1, "so": k // 2, "sp": k}[series]
+    size = k if series == "su" else n
+
+    def e(*terms):  # the vector sum of c e_i over the (i, c) terms
+        v = [0] * size
+        for i, c in terms:
+            v[i] += c
+        return tuple(v)
+
+    if series == "su":
+        return [e((i, 1), (i + 1, -1)) for i in range(n)]
+    chain = [e((i, 1), (i + 1, -1)) for i in range(n - 1)]
+    if series == "sp":
+        return chain + [e((n - 1, 2))]
+    if k % 2:
+        return chain + [e((n - 1, 1))]
+    return chain + [e((n - 2, 1), (n - 1, 1))]
+
+
+def ideal_from_roots(kind: str) -> tuple[int, int]:
+    """(dim, least dimension of a nontrivial real orthogonal rep) of the
+    simple compact algebra ``kind``, from its simple roots alone."""
+    simple = _simple_roots(kind)
+    rank = len(simple)
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in simple] for a in simple]
+    # cartan[i][j] = <alpha_i, alpha_j-check>, and row i is alpha_i in
+    # fundamental-weight coordinates
+    cartan = [[2 * gram[i][j] // gram[j][j] for j in range(rank)] for i in range(rank)]
+    length = [gram[i][i] for i in range(rank)]
+
+    # positive roots in simple-root coordinates, by height: for a root
+    # beta, beta - p alpha_i, ..., beta + q alpha_i is its alpha_i-string
+    # with p - q = <beta, alpha_i-check>
+    unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    positive = list(unit)
+    known = set(positive)
+    for beta in positive:  # grows while it is walked, one height at a time
+        for i in range(rank):
+            if beta == unit[i]:
+                continue
+            p = 0
+            while tuple(c - (p + 1) * (j == i) for j, c in enumerate(beta)) in known:
+                p += 1
+            pairing = sum(beta[j] * cartan[j][i] for j in range(rank))
+            up = tuple(c + (j == i) for j, c in enumerate(beta))
+            if p - pairing > 0 and up not in known:
+                known.add(up)
+                positive.append(up)
+    norm = [sum(c[i] * c[j] * gram[i][j] for i in range(rank) for j in range(rank))
+            for c in positive]
+
+    def weyl_dim(lam):
+        num = den = 1
+        for c in positive:
+            num *= sum(c[i] * (lam[i] + 1) * length[i] for i in range(rank))
+            den *= sum(c[i] * length[i] for i in range(rank))
+        return num // den
+
+    # a reduced word of w0: reflect rho while a label stays positive
+    word, mu = [], [1] * rank
+    while any(m > 0 for m in mu):
+        i = next(i for i, m in enumerate(mu) if m > 0)
+        mu = [m - mu[i] * a for m, a in zip(mu, cartan[i])]
+        word.append(i)
+
+    def real_dim(lam):
+        mu = list(lam)
+        for i in word:
+            mu = [m - mu[i] * a for m, a in zip(mu, cartan[i])]
+        d = weyl_dim(lam)
+        if [-m for m in mu] != list(lam):
+            return 2 * d  # complex type
+        # <lambda, 2 rho-check> sums <lambda, alpha-check> over alpha > 0
+        height = sum(Fraction(sum(c[i] * lam[i] * length[i] for i in range(rank)), n)
+                     for c, n in zip(positive, norm))
+        assert height.denominator == 1
+        return d if height % 2 == 0 else 2 * d
+
+    dim = rank + 2 * len(positive)
+
+    # every nonzero dominant weight with Weyl dimension <= dim, the adjoint
+    # rep's (real) dimension; a label can grow while the weight with the
+    # labels after it at zero, the least completion, stays within the bound
+    def dominant(prefix):
+        if len(prefix) == rank:
+            if any(prefix):
+                yield prefix
+            return
+        v = 0
+        while weyl_dim(prefix + (v,) + (0,) * (rank - len(prefix) - 1)) <= dim:
+            yield from dominant(prefix + (v,))
+            v += 1
+
+    return dim, min(real_dim(lam) for lam in dominant(()))
 
 
 # --- reference kernel scan -----------------------------------------------------

@@ -5,9 +5,13 @@ from hypothesis import strategies as st
 from spinr.abelian import AbElem, AbHom, FgAbGroup
 from spinr.catalog import load, loads
 from spinr.catalogfile import CatalogParseError
-from spinr.liecat import NotInCatalogError, SimpleIdeal, so_group, so_pi1, so_pi1_map
+from spinr.liecat import (
+    G2_IDEAL, NotInCatalogError, SimpleIdeal, ideals, simple_ideal, so_group, so_pi1,
+    so_pi1_map,
+)
 from clirunner import run
 from fixtures import BUNDLED_TEXT
+from oracles import ideal_from_roots
 
 MINIMAL = """
 catalog_version: 1
@@ -111,6 +115,38 @@ def test_simple_ideal_invariants():
         SimpleIdeal("tiny", 2, 3)
     with pytest.raises(ValueError):
         SimpleIdeal("weird", 3, 1)
+
+
+# every simple ideal a catalog names, up to ranks past the bundled ones
+TABLE = [
+    *(simple_ideal("so", k) for k in (3, *range(5, 17))),
+    *(simple_ideal("su", k) for k in range(2, 11)),
+    *(simple_ideal("sp", k) for k in range(1, 9)),
+    G2_IDEAL,
+]
+
+
+@pytest.mark.parametrize("ideal", TABLE, ids=[i.kind for i in TABLE])
+def test_the_ideal_table_matches_the_root_data(ideal):
+    assert (ideal.dim, ideal.min_orth_rep_dim) == ideal_from_roots(ideal.kind)
+
+
+@pytest.mark.parametrize("kinds", [("su(2)", "so(3)", "sp(1)"), ("so(5)", "sp(2)"),
+                                   ("su(4)", "so(6)")])
+def test_isomorphic_root_systems_give_one_profile(kinds):
+    # A1 = B1 = C1, B2 = C2 and A3 = D3 from different simple roots: the
+    # oracle's answer does not hang on how a type is written down
+    assert len({ideal_from_roots(kind) for kind in kinds}) == 1
+
+
+def test_ideals_of_the_abelian_and_split_algebras():
+    so3 = simple_ideal("so", 3)
+    assert [ideals("so", k) for k in range(5)] == [(), (), (), (so3,), (so3, so3)]
+    assert ideals("su", 1) == ideals("sp", 0) == ()
+    assert ideals("su", 5) == (simple_ideal("su", 5),)
+    for series, k in (("so", 2), ("so", 4), ("su", 1), ("sp", 0)):
+        with pytest.raises(ValueError, match=rf"^{series}\({k}\) is not simple$"):
+            simple_ideal(series, k)
 
 
 def test_minimal_catalog_loads():

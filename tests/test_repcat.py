@@ -11,7 +11,9 @@ from oracles import FractionAffine, expand_centre_runs, scan_hom_rule_trace
 from spinr.catalog import loads
 from spinr.catalogfile import CatalogParseError
 from spinr.abelian import FgAbGroup
-from spinr.liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_group
+from spinr.liecat import (
+    G2_IDEAL, AlgebraProfile, CompactGroupRec, SimpleIdeal, simple_ideal, so_group,
+)
 from spinr.repcat import (
     TRACE_ALL_IDEAL_SETS_UP_TO,
     TRIVIAL_FAMILY_NAME,
@@ -37,12 +39,6 @@ CLOSING_LINE = "every nonzero quotient is excluded: only the zero map exists"
 def nontrivial(res):
     """The listed families of an enumeration: all but the synthetic zero map."""
     return tuple(f for f in res.families if f.name != TRIVIAL_FAMILY_NAME)
-
-
-def sp_ideal(k):
-    dims = {1: (3, 3), 2: (10, 5), 3: (21, 12)}
-    d, m = dims[k]
-    return SimpleIdeal(f"sp({k})", d, m)
 
 
 # --- congruences -----------------------------------------------------------------
@@ -284,7 +280,7 @@ def test_so4_cannot_rule_out_so3():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sp_sp1_no_maps_to_so2(k):
-    a = AlgebraProfile(0, (sp_ideal(k), sp_ideal(1)))
+    a = AlgebraProfile(0, (simple_ideal("sp", k), simple_ideal("sp", 1)))
     assert no_nontrivial_hom(a, 2)
     assert not no_nontrivial_hom(a, 3)
 
@@ -310,7 +306,7 @@ def test_min_orth_rule_fires():
     # so(5) fits dimensionally into so(4) (10 = 4*3/2 is false: 6)...
     # use g2 -> so(7+) vs so(6): dim g2 = 14 <= dim so(6) = 15, but g2
     # has no nontrivial orthogonal rep below dim 7
-    g2 = AlgebraProfile(0, (SimpleIdeal("g2", 14, 7),))
+    g2 = AlgebraProfile(0, (G2_IDEAL,))
     assert no_nontrivial_hom(g2, 6)
     assert not no_nontrivial_hom(g2, 7)
     trace = hom_rule_trace(g2, 6)
@@ -369,15 +365,15 @@ def test_threshold_matches_rule_engine_on_every_catalog_group(catalog):
     [
         (AlgebraProfile(0), None),
         (AlgebraProfile(1), 2),
-        (AlgebraProfile(3, (SimpleIdeal("g2", 14, 7),)), 2),
+        (AlgebraProfile(3, (G2_IDEAL,)), 2),
         (so_group(3).algebra, 3),
         (so_group(4).algebra, 3),
-        (AlgebraProfile(0, (sp_ideal(2),)), 5),  # dim 10 = dim so(5)
-        (AlgebraProfile(0, (SimpleIdeal("g2", 14, 7),)), 7),  # min rep decides
-        (AlgebraProfile(0, (SimpleIdeal("su(3)", 8, 6),)), 6),
+        (AlgebraProfile(0, (simple_ideal("sp", 2),)), 5),  # dim 10 = dim so(5)
+        (AlgebraProfile(0, (G2_IDEAL,)), 7),  # min rep decides
+        (AlgebraProfile(0, (simple_ideal("su", 3),)), 6),
         (AlgebraProfile(0, (SimpleIdeal("x", 16, 2),)), 7),  # dim decides: 15 < 16
-        (AlgebraProfile(0, (sp_ideal(3), SimpleIdeal("g2", 14, 7))), 7),
-        (AlgebraProfile(0, (SimpleIdeal("so(3)", 3, 3),) * 40), 3),
+        (AlgebraProfile(0, (simple_ideal("sp", 3), G2_IDEAL)), 7),
+        (AlgebraProfile(0, (simple_ideal("so", 3),) * 40), 3),
     ],
 )
 def test_first_possible_rank(algebra, r0):
@@ -435,9 +431,9 @@ def _candidate_lines(algebra, r):
 
 
 _MIXED_IDEALS = (
-    SimpleIdeal("so(3)", 3, 3),
-    SimpleIdeal("g2", 14, 7),
-    SimpleIdeal("su(3)", 8, 6),
+    simple_ideal("so", 3),
+    G2_IDEAL,
+    simple_ideal("su", 3),
     SimpleIdeal("x", 16, 2),
 )
 

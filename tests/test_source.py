@@ -164,6 +164,21 @@ def test_only_lift_subgroup_reads_a_parity_through_the_mod2_map():
     assert _calls_outside("parity", {("lifting.py", "lift_subgroup")}) == []
 
 
+def test_only_liecat_states_a_simple_ideal():
+    # an ideal's dimension and least orthogonal representation come from
+    # liecat's table, its G2_IDEAL or a catalog file (_build_ideal), so no
+    # other module can state them again.  liecat.ideals and
+    # repcat._ideal_rank name the type only in their annotations
+    allowed = {
+        ("liecat.py", ""),
+        ("liecat.py", "simple_ideal"),
+        ("liecat.py", "ideals"),
+        ("liecat.py", "_build_ideal"),
+        ("repcat.py", "_ideal_rank"),
+    }
+    assert _calls_outside("SimpleIdeal", allowed) == []
+
+
 def test_abelian_records_skip_their_checks_only_at_the_listed_builders():
     # tuple.__new__ (or abelian._new, its alias) builds an AbElem or an AbHom
     # without the reduction and well-definedness checks of its __new__; the
