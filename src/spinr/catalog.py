@@ -201,13 +201,22 @@ def _add(records: dict, kind: str, rec, line: int, path: str):
     records[kind][key] = rec
 
 
+# the most bytes a catalog or data file may hold; the largest catalog
+# perfbench/gencat.py writes holds about 148 KB
+MAX_FILE_BYTES = 64 * 2**20
+
+
 def _read(path: str) -> bytes:
-    """The file's bytes; an OSError becomes a CatalogReadError naming it."""
+    """The file's bytes; an OSError, or more than MAX_FILE_BYTES bytes
+    (say /dev/zero), becomes a CatalogReadError naming it."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            data = fh.read(MAX_FILE_BYTES + 1)
     except OSError as err:
         raise CatalogReadError(err.errno, err.strerror, err.filename) from err
+    if len(data) > MAX_FILE_BYTES:
+        raise CatalogReadError(f"{path}: more than {MAX_FILE_BYTES} bytes")
+    return data
 
 
 def read_data(name: str) -> str:

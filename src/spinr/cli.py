@@ -8,16 +8,22 @@ Four subcommands, each available as markdown (default) or JSON:
 * ``spin-type`` -- minimal twist rank of a space;
 * ``holonomy`` -- tri-state holonomy lifting verdict.
 
+The usual command line, ``[--catalog PATH] COMMAND`` and then the
+command's positional and options, is read without argparse; help, usage
+errors and every other spelling go to an argparse parser built from the
+same table (see "reading the command line" below).
+
 Exit codes: 0 success; 1 verdict mismatch (a table regression, or
 ``--strict`` on a bounded result); 2 unknown name; 3 theorem-hypothesis
 violation (a disconnected stabiliser or holonomy group); 4 catalog error
-(a file that cannot be read or parsed, or whose data contradicts the
-existence theorem); 5 invalid argument (``--r`` or ``--m`` below 1);
-6 usage error (a missing or unknown subcommand or option, or an option
-value of the wrong type or outside its choices); 141 standard output
-closed before the answer was written (128 + SIGPIPE, as a shell reports
-for ``cat`` in the same pipe).  Codes 2 to 5 come from ``EXIT_CODES``,
-keyed by the ``SpinrError`` subclass a command raised.
+(a file that cannot be read or parsed, holds more than 64 MiB, or whose
+data contradicts the existence theorem); 5 invalid argument (``--r`` or
+``--m`` below 1); 6 usage error (a missing or unknown subcommand or
+option, or an option value of the wrong type or outside its choices);
+141 standard output closed before the answer was written, or at start
+(128 + SIGPIPE, as a shell reports for ``cat`` in the same pipe).  A
+closed stderr loses the message, not the code.  Codes 2 to 5 come from
+``EXIT_CODES``, keyed by the ``SpinrError`` subclass a command raised.
 """
 
 from __future__ import annotations
@@ -80,7 +86,19 @@ def _emit(record: dict, fmt: str, render_md):
         text = json.dumps(record, ensure_ascii=False, sort_keys=True)
     else:
         text = render_md(record)
+    if sys.stdout is None:  # the process started with stdout closed (>&-)
+        raise BrokenPipeError
     print(text, flush=True)  # ahead of any stderr line that follows
+
+
+def _warn(*lines: str):
+    """Print lines on stderr.  A closed stderr (2>&-, or 2</dev/null,
+    which leaves it open for reading only) loses them, not the exit code
+    that follows."""
+    try:
+        sys.stderr.write("".join(f"{line}\n" for line in lines))
+    except (AttributeError, OSError):  # stderr is None, or cannot be written
+        pass
 
 
 # --- record builders -----------------------------------------------------------
@@ -116,15 +134,13 @@ def _classification_dict(c: Classification) -> dict:
     }
 
 
-def _citations(catalog: Catalog, space, families) -> list[str]:
-    cites = [f"{space.name}: {space.provenance}"]
-    seen = set()
-    for fam_name in families:
-        for fam in catalog.families:
-            if fam.name == fam_name and fam.name not in seen:
-                seen.add(fam.name)
-                cites.append(f"{fam.name}: {fam.certificate}")
-    return cites
+def _citations(catalog: Catalog, space, classes) -> list[str]:
+    """The space's provenance, then the certificate of each catalog family
+    that the classes come from, in file order (the classes' own order)."""
+    names = {c.family for c in classes}
+    return [f"{space.name}: {space.provenance}"] + [
+        f"{fam.name}: {fam.certificate}" for fam in catalog.families if fam.name in names
+    ]
 
 
 # --- markdown renderers -----------------------------------------------------------
@@ -165,6 +181,14 @@ def _md_classification(record: dict) -> str:
     return "\n".join(lines)
 
 
+def _md_class_lines(classes: list[dict]) -> list[str]:
+    """A "- family [label or constraint]" line for each class."""
+    return [
+        f"- {c['family']}" + (f" [{tag}]" if (tag := c["label"] or c["constraint"]) else "")
+        for c in classes
+    ]
+
+
 def _md_spin_type(record: dict) -> str:
     res = record["result"]
     if res["status"] == "exact":
@@ -177,9 +201,7 @@ def _md_spin_type(record: dict) -> str:
     lines = [head, f"status: {res['status']}"]
     if res["witnesses"]:
         lines.append("witnesses at the upper end:")
-        for c in res["witnesses"]:
-            tag = c["label"] or c["constraint"] or ""
-            lines.append(f"- {c['family']}" + (f" [{tag}]" if tag else ""))
+        lines += _md_class_lines(res["witnesses"])
     for cite in record["citations"]:
         lines.append(f"citation: {cite}")
     return "\n".join(lines)
@@ -194,9 +216,7 @@ def _md_holonomy(record: dict) -> str:
     ]
     if res["via"]:
         lines.append("via:")
-        for c in res["via"]:
-            tag = c["label"] or c["constraint"] or ""
-            lines.append(f"- {c['family']}" + (f" [{tag}]" if tag else ""))
+        lines += _md_class_lines(res["via"])
     lines.append(f"complete enumeration: {res['complete']}")
     return "\n".join(lines)
 
@@ -263,10 +283,7 @@ def table1(catalog_path, fmt):
     }
     _emit(record, fmt, _md_table1)
     if mismatches:
-        print(file=sys.stderr)
-        print("table regression FAILED:", file=sys.stderr)
-        for m in mismatches:
-            print(f"  {m}", file=sys.stderr)
+        _warn("", "table regression FAILED:", *(f"  {m}" for m in mismatches))
         sys.exit(EXIT_MISMATCH)
 
 
@@ -282,9 +299,7 @@ def classify(catalog_path, space, r, fmt):
         "query": {"space": rec.name, "r": r},
         "space": {"name": rec.name, "G": rec.G, "H": rec.H, "n": rec.n},
         "result": _classification_dict(result),
-        "citations": _citations(
-            catalog, rec, [c.family for c in result.classes]
-        ),
+        "citations": _citations(catalog, rec, result.classes),
     }
     _emit(record, fmt, _md_classification)
 
@@ -304,7 +319,7 @@ def spin_type(catalog_path, space, strict, fmt):
             "hi": res.hi,
             "witnesses": [_class_dict(c) for c in res.witnesses],
         },
-        "citations": _citations(catalog, rec, [c.family for c in res.witnesses]),
+        "citations": _citations(catalog, rec, res.witnesses),
     }
     _emit(record, fmt, _md_spin_type)
     if strict and res.status != "exact":
@@ -336,29 +351,27 @@ def holonomy(catalog_path, group, m, r, fmt):
 
 # --- reading the command line --------------------------------------------------
 #
-# The reader keeps every rule of the argparse parser it replaced, which
-# tests/oracles.argparse_cli still builds to check it against: no option
-# is abbreviated, "--opt=value" gives a value, the last of a repeated
-# option wins, -h or --help prints help where it is read, --catalog comes
-# before the command, every token after "--" is an argument, and a usage
-# error prints argparse's usage and error lines.  Help is argparse's
-# rendering at 80 columns, whatever the terminal.
+# _read_argv reads the usual form itself: [--catalog PATH] COMMAND, then
+# the command's positional and options in any order, each option as
+# "--opt VALUE", "--opt=VALUE" or "--flag", the last of a repeated option
+# winning, and no bare value starting with "-".  Every other argv (help,
+# any usage error, any value refused, any other spelling) goes to an
+# argparse parser built from the same table, so only those pay for the
+# import.  tests/oracles.argparse_cli builds the parser independently and
+# checks both paths against it.
 
 # An option: (flag, keyword, metavar, read, default, help).  A flag with
 # no metavar takes no value and stores True; read is None for any text,
 # int for an integer read by _ascii_int, or the tuple of allowed values;
 # a default of ... makes the option required.
+_CATALOG = ("--catalog", "catalog_path", "PATH", None, None,
+            "Path to a catalog file (default: bundled; also $SPINR_CATALOG).")
 _FORMAT = ("--format", "fmt", "{md,json}", ("md", "json"), "md", "Output format.")
 _R = ("--r", "r", "R", int, ..., "Twist rank r >= 1.")
-_HELP = ("-h", None, None, None, None, "show this help message and exit")
 
-# the program, and each command: (function, positional, options).  A
-# command's help is its function's docstring; its positional is read
-# into the keyword of its lower-cased name
-_PROGRAM = (None, "COMMAND", (
-    ("--catalog", "catalog_path", "PATH", None, None,
-     "Path to a catalog file (default: bundled; also $SPINR_CATALOG)."),
-))
+# each command: (function, positional, options).  A command's help is its
+# function's docstring; its positional is read into the keyword of its
+# lower-cased name
 _COMMANDS = {
     "table1": (table1, None, (_FORMAT,)),
     "classify": (classify, "SPACE", (_R, _FORMAT)),
@@ -380,177 +393,103 @@ def _doc(fn) -> str:
     return " ".join(fn.__doc__.split())
 
 
-def _usage(prog, run, positional, options) -> str:
-    parts = [f"usage: {prog} [-h]"]
-    for flag, _, metavar, _, default, _ in options:
-        part = f"{flag} {metavar}" if metavar else flag
-        parts.append(part if default is ... else f"[{part}]")
-    if positional:
-        parts.append(positional if run else "COMMAND ...")
-    return " ".join(parts)
-
-
-def _help(prog, run, positional, options) -> str:
-    """The help screen of the program (run None) or of one command."""
-    import textwrap  # only help pays for it
-
-    rows = [(2, "-h, --help", _HELP[-1])]
-    rows += [(2, f"{flag} {metavar}" if metavar else flag, text)
-             for flag, _, metavar, _, _, text in options]
-    sections = [("options", rows)]
-    if run is None:
-        commands = [(4, name, _doc(fn)) for name, (fn, *_) in _COMMANDS.items()]
-        sections.append(("commands", [(2, positional, None), *commands]))
-    elif positional:
-        sections.insert(0, ("positional arguments", [(2, positional, None)]))
-    column = min(max(i + len(name) for _, rs in sections for i, name, _ in rs) + 2, 24)
-    blocks = [_usage(prog, run, positional, options),
-              textwrap.fill(_doc(run) if run else _DESCRIPTION, 78)]
-    for title, rs in sections:
-        lines = [f"{title}:"]
-        for indent, name, text in rs:
-            head = " " * indent + name
-            if text is None:
-                lines.append(head)
-                continue
-            first, *more = textwrap.wrap(text, 78 - column)
-            lines.append(head.ljust(column) + first)
-            lines += [" " * column + line for line in more]
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
-
-
-def _negative_number(token: str) -> bool:
-    # argparse's ^-\d+$|^-\d*\.\d+$, whose $ also matches before a final
-    # newline; a token that looks like one is an argument
-    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
-    if dot:
-        return (not whole or whole.isdecimal()) and fraction.isdecimal()
-    return whole.isdecimal()
-
-
-def _flags(options) -> dict:
-    return {"-h": _HELP, "--help": _HELP, **{o[0]: o for o in options}}
-
-
-def _kind(token: str, flags: dict):
-    """How a parser with these flags reads a token before any "--": None
-    for an argument, else (option, or None for a flag the parser does not
-    know; the value given with "=" or glued to -h, or None)."""
-    if token in flags:
-        return flags[token], None
-    if len(token) < 2 or token[0] != "-":
-        return None
-    flag, eq, value = token.partition("=")
-    if not (eq and flag in flags):
-        if token[1] != "h":
-            return None if _negative_number(token) or " " in token else (None, None)
-        flag, value = "-h", token[2:]
-    if flag == "-h" and value:  # argparse reads -hh as -h -h
-        value = value.lstrip("h") or None
-    return flags[flag], value
-
-
 def _read_argv(argv: list, prog: str):
-    """(command function, keyword arguments) read from argv.  Help prints
-    and exits 0; a usage error prints the usage line and exits
-    EXIT_USAGE."""
-    if argv[-1:] == ["--"]:
-        argv = argv[:-1]  # ends the options and adds nothing
-    top = parser = (prog, *_PROGRAM)
-    _, run, pending, options = parser  # pending: the positional not yet read
-    flags = _flags(options)
-    kwargs, extras = {"catalog_path": None}, []
-
-    def fail(message, at=None):
-        at = at or parser
-        sys.stderr.write(f"{_usage(*at)}\n{at[0]}: error: {message}\n")
-        sys.exit(EXIT_USAGE)
-
-    def enter(name):
-        """Read the rest of argv with the parser of command name."""
-        nonlocal parser, run, pending, options, flags
-        if name not in _COMMANDS:
-            choices = ", ".join(map(repr, _COMMANDS))
-            fail(f"argument COMMAND: invalid choice: {name!r} (choose from {choices})")
-        parser = (f"{prog} {name}", *_COMMANDS[name])
-        _, run, pending, options = parser
-        flags = _flags(options)
-        kwargs.update((o[1], o[4]) for o in options if o[4] is not ...)
-
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        i += 1
-        if token == "--":  # every later token is an argument
-            rest = argv[i:]
-            if run is None and rest:
-                enter(token)  # argparse takes the "--" itself for the command
-            if pending and rest:
-                kwargs[pending.lower()] = rest.pop(0)
-                pending = None
-            else:
-                extras.append(token)
-            extras += rest
+    """(command function, keyword arguments) read from argv: the usual
+    form here, any other argv by _read_with_argparse."""
+    run, positional, options = None, None, {"--catalog": _CATALOG}
+    kwargs = {"catalog_path": None}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if run is None and token in _COMMANDS:
+                run, positional, listed = _COMMANDS[token]
+                options = {o[0]: o for o in listed}
+                kwargs.update((o[1], o[4]) for o in listed if o[4] is not ...)
+            elif positional:
+                kwargs[positional.lower()] = token
+                positional = None
+            else:  # an unknown command, or a second positional
+                break
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in options:
             break
-        kind = _kind(token, flags)
-        if kind is None:  # an argument
-            if run is None:
-                enter(token)
-            elif not pending:
-                extras.append(token)
-            else:
-                kwargs[pending.lower()] = token
-                pending = None
-                if argv[i:i + 1] == ["--"]:
-                    extras += argv[i + 1:]  # argparse's positional takes the "--" too
-                    break
-            continue
-        option, value = kind
-        if option is None:
-            extras.append(token)
-            continue
-        flag, key, metavar, read, _, _ = option
-        if metavar is None:
-            if value is not None:
-                name = "-h/--help" if option is _HELP else flag
-                fail(f"argument {name}: ignored explicit argument {value!r}")
-            if option is _HELP:
-                try:
-                    sys.stdout.write(_help(*parser))
-                except OSError:  # help into a closed pipe exits 0, as argparse's did
-                    pass
-                sys.exit(0)
+        _, key, metavar, read, _, _ = options[flag]
+        if metavar is None:  # a flag
+            if eq:
+                break
             kwargs[key] = True
             continue
-        if value is None:
-            if i == len(argv) or argv[i] == "--" or _kind(argv[i], flags):
-                fail(f"argument {flag}: expected one argument")
-            value = argv[i]
-            i += 1
+        if not eq:
+            value = next(tokens, "-")  # "-" stands for a missing value
+            if value.startswith("-"):
+                break
         if read is int:
-            number = _ascii_int(value)
-            if number is None:
-                fail(f"argument {flag}: invalid int value: {value!r}")
-            value = number
+            value = _ascii_int(value)
+            if value is None:
+                break
         elif read and value not in read:
-            choices = ", ".join(map(repr, read))
-            fail(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+            break
         kwargs[key] = value
-    missing = [pending] if pending else []
-    missing += [o[0] for o in options if o[4] is ... and o[1] not in kwargs]
-    if missing:
-        fail(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        fail(f"unrecognized arguments: {' '.join(extras)}", top)
-    return run, kwargs
+    else:  # every token read
+        if run and not positional and all(o[1] in kwargs for o in options.values()):
+            return run, kwargs
+    return _read_with_argparse(argv, prog)
+
+
+def _read_with_argparse(argv: list, prog: str):
+    """(command function, keyword arguments) read by an argparse parser
+    built from _COMMANDS.  Help prints at 80 columns, whatever $COLUMNS
+    says, and exits 0; a usage error prints the usage line and exits
+    EXIT_USAGE."""
+    import argparse  # only help, usage errors and odd spellings pay for it
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse's lines, and EXIT_USAGE for its 2
+            self.exit(EXIT_USAGE, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+    def integer(text):
+        value = _ascii_int(text)
+        if value is None:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        return value
+
+    def add(parser, options):
+        for flag, key, metavar, read, default, text in options:
+            if metavar is None:
+                parser.add_argument(flag, dest=key, action="store_true", help=text)
+                continue
+            parser.add_argument(
+                flag, dest=key, metavar=metavar, help=text,
+                type=integer if read is int else None,
+                choices=read if isinstance(read, tuple) else None,
+                required=default is ..., default=None if default is ... else default,
+            )
+
+    common = {"allow_abbrev": False,
+              "formatter_class": lambda prog: argparse.HelpFormatter(prog, width=78)}
+    parser = Parser(prog=prog, description=_DESCRIPTION, **common)
+    add(parser, (_CATALOG,))
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for name, (run, positional, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=_doc(run), description=_doc(run), **common)
+        sub.set_defaults(run=run)
+        if positional:
+            sub.add_argument(positional.lower(), metavar=positional)
+        add(sub, options)
+    if argv[-1:] == ["--"]:
+        argv = argv[:-1]  # ends the options and adds nothing
+    kwargs = vars(parser.parse_args(argv))
+    return kwargs.pop("run"), kwargs
 
 
 def _utf8_if_ascii(stream):
     """Write UTF-8 where the locale says ASCII (LC_ALL=C with UTF-8 mode
     off), instead of failing on the middle dot of a group name or the
-    table's "≠"."""
-    if stream.encoding and codecs.lookup(stream.encoding).name == "ascii":
+    table's "≠"; a stream that is None (closed at start) is left so."""
+    if stream is None or not stream.encoding:
+        return
+    if codecs.lookup(stream.encoding).name == "ascii":
         stream.reconfigure(encoding="utf-8", errors=stream.errors)
 
 
@@ -566,12 +505,13 @@ def main(args=None, prog_name="spinr"):
         run(**kwargs)
     except SpinrError as err:
         code, prefix = EXIT_CODES[type(err)]
-        print(f"{prefix}{err}", file=sys.stderr)
+        _warn(f"{prefix}{err}")
         sys.exit(code)
     except BrokenPipeError:
         # the reader went away; point stdout at devnull so the
         # interpreter's final flush does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(EXIT_CLOSED_STDOUT)
 
 

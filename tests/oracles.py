@@ -11,8 +11,9 @@ root data, every dominant weight up to the adjoint's dimension typed in
 turn.  The subgroup
 relations and the index run the library's Smith reduction: they check the
 published covering images and their index, which no answer computes.
-The command line is read by the argparse parser that ``spinr.cli`` used
-before it had its own reader.
+The command line is read by an argparse parser written out here call by
+call, not built from ``spinr.cli``'s option table as the CLI's own
+parser is.
 """
 
 from __future__ import annotations
@@ -602,7 +603,9 @@ def scan_invariant_spin_type(catalog, space) -> SpinTypeResult:
 # --- the argparse command line -------------------------------------------------
 #
 # The parser that spinr.cli built before it read its command line itself,
-# kept as the reference the reader is checked against.
+# kept as the reference for both of its readers: _read_argv, which takes
+# the usual form, and the parser that _read_with_argparse builds from the
+# same table for every other argv.
 
 # the reference for catalogfile.is_int: an optional '-' and ASCII digits
 ASCII_INT_RE = re.compile(r"^-?[0-9]+$")

@@ -463,6 +463,19 @@ def test_a_file_that_cannot_be_read_is_a_spinr_error_and_an_oserror(tmp_path):
         load_default(str(tmp_path))
 
 
+def test_a_file_longer_than_the_size_bound_is_a_read_error_naming_it(tmp_path, monkeypatch):
+    # the bound stands at 20 bytes here; the CLI meets the real 64 MiB one
+    # in tests/test_mutations.py
+    monkeypatch.setattr(catalog_module, "MAX_FILE_BYTES", 20)
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"catalog_version: 1\n\n")
+    assert load(str(path)).version == 1
+    path.write_bytes(b"catalog_version: 1\n\n\n")
+    with pytest.raises(CatalogReadError) as err:
+        load(str(path))
+    assert str(err.value) == f"{path}: more than 20 bytes"
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinr.catalog
+import spinr.cli
 from spinr.catalog import loads
 from spinr.catalogfile import SpinrError
 from spinr.cli import EXIT_CLOSED_STDOUT, EXIT_CODES, _read_argv, entry, main
@@ -107,6 +108,26 @@ def test_classify_citations_present(schema):
     )
     assert record["result"]["count"] == 2
     assert any("so4-factor-projections" in c for c in record["citations"])
+
+
+def test_citations_name_each_family_once_in_the_order_of_the_classes(tmp_path):
+    # a copy of SO(4)'s family, listed after it under a name that sorts
+    # first: classes follow the file, and so do the citations
+    text = BUNDLED_TEXT
+    at = text.index('name: "so4-factor-projections"')
+    start, end = text.rindex("repfamily {", 0, at), text.index("\n}\n", at) + 3
+    copy = text[start:end].replace('"so4-factor-projections"', '"so4-a-copy"')
+    path = tmp_path / "two-families.txt"
+    path.write_text(text[:end] + copy + text[end:], encoding="utf-8")
+    args = ("--catalog", str(path))
+    for record, classes in [
+        (run_json(*args, "classify", "S4:SO(5)", "--r", "3", "--format", "json"), "classes"),
+        (run_json(*args, "spin-type", "S4:SO(5)", "--format", "json"), "witnesses"),
+    ]:
+        families = [c["family"] for c in record["result"][classes]]
+        assert families == ["so4-factor-projections"] * 2 + ["so4-a-copy"] * 2
+        cited = [c.partition(":")[0] for c in record["citations"]]
+        assert cited == ["S4", "so4-factor-projections", "so4-a-copy"]
 
 
 def test_classify_unknown_space_exit_two():
@@ -713,6 +734,35 @@ def test_help_into_a_closed_stdout_exits_0_without_a_traceback(args):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+@pytest.mark.parametrize(
+    "args, redirect, code",
+    [
+        (("spin-type", "S8:SO(9)"), ">&-", EXIT_CLOSED_STDOUT),
+        (("table1", "--format", "json"), ">&-", EXIT_CLOSED_STDOUT),
+        (("--help",), ">&-", 0),
+        (("classify", "S8:SO(7)", "--r", "1"), "2>&-", 2),
+        (("classify", "S8:SO(7)", "--r", "1"), "2</dev/null", 2),  # writes fail: EBADF
+        (("classify", "S4:SO(5)", "--r", "x"), "2>&-", 6),
+    ],
+)
+def test_a_stream_closed_at_start_keeps_the_exit_code(args, redirect, code):
+    # the shell starts spinr with the stream closed, so Python sets it to
+    # None; an answer exits 141 as for a pipe closed later, and a message
+    # that stderr cannot take is lost while its exit code is not
+    script = f'exec "$0" -m spinr.cli "$@" {redirect}'
+    proc = subprocess.run(
+        ["sh", "-c", script, sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, timeout=60,
+    )
+    assert proc.returncode == code
+    assert b"Traceback" not in proc.stderr
+    if redirect != ">&-":
+        assert proc.stdout == b""  # the message went nowhere, not to stdout
+    elif code:
+        assert proc.stderr == b""
+
+
 def test_an_ascii_locale_still_gets_utf8_output():
     args = ("holonomy", "Sp(3)·Sp(1)", "--m", "12", "--r", "2")
     proc = _spinr_process(*args, env={"PYTHONIOENCODING": "ascii"}, capture_output=True)
@@ -846,3 +896,79 @@ def test_the_reader_reads_odd_spellings_as_argparse_did(token, at):
     argv = ["spin-type", "S4:SO(5)", "--format", "md"]
     argv.insert(at, token)
     assert _reading(_read, argv) == _reading(_argparse_read, argv)
+
+
+# the usual form: [--catalog PATH] COMMAND, then the command's positional
+# and options in any order, "--opt VALUE", "--opt=VALUE" or "--flag", each
+# option once or more.  Every value is drawn from VALUES
+VALUES = ["0", "3", "-1", "٣", LONG, "md", "json", "xml", "", "S4:SO(5)"]
+
+
+def _taken(read, value: str, bare: bool) -> bool:
+    """Whether the usual form takes value for an option that reads it as
+    read (None, int or a tuple of choices), given as its own token (bare)
+    or after "="."""
+    if bare and value.startswith("-"):
+        return False
+    if read is int:
+        return value in ("0", "3", "-1")  # ٣ is not ASCII, and int() refuses LONG
+    return read is None or value in read
+
+
+@st.composite
+def usual_argv(draw):
+    """(an argv in the usual form, whether the usual form takes every
+    value in it)."""
+    taken = True
+
+    def option(spec):
+        nonlocal taken
+        flag, _, metavar, read, _, _ = spec
+        if metavar is None:
+            return [flag]
+        value = draw(st.sampled_from(VALUES))
+        glued = draw(st.booleans())
+        taken = taken and _taken(read, value, bare=not glued)
+        return [f"{flag}={value}"] if glued else [flag, value]
+
+    catalog = [option(spinr.cli._CATALOG) for _ in range(draw(st.integers(0, 2)))]
+    name = draw(st.sampled_from(list(spinr.cli._COMMANDS)))
+    _, positional, options = spinr.cli._COMMANDS[name]
+    units = [option(spec) for spec in options
+             for _ in range(draw(st.integers(1 if spec[4] is ... else 0, 2)))]
+    if positional:
+        value = draw(st.sampled_from(VALUES))
+        taken = taken and _taken(None, value, bare=True)
+        units.append([value])
+    units = draw(st.permutations(units))  # the positional anywhere
+    return [token for unit in (*catalog, [name], *units) for token in unit], taken
+
+
+@settings(max_examples=600)
+@given(usual_argv())
+@example((["--catalog=", "holonomy", "--r=-1", "", "--m", "0", "--m=3"], True))
+@example((["--catalog", "", "spin-type", "--strict", "S4:SO(5)", "--strict"], True))
+@example((["classify", "--format=json", "md", "--r", "3", "--format", "md"], True))
+@example((["table1", "--format", "xml"], False))
+@example((["classify", "S4:SO(5)", "--r", "-1"], False))
+def test_the_usual_form_is_read_without_argparse(case):
+    # the same reading as argparse's; a draw whose values the usual form
+    # takes never reaches argparse, and any other draw always does
+    argv, taken = case
+    slow = mock.patch.object(
+        spinr.cli, "_read_with_argparse", wraps=spinr.cli._read_with_argparse)
+    with slow as calls:
+        assert _reading(_read, argv) == _reading(_argparse_read, argv)
+    assert calls.call_count == (0 if taken else 1)
+
+
+HELP_SCREENS = [(), ("table1",), ("classify",), ("spin-type",), ("holonomy",)]
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("command", HELP_SCREENS, ids=lambda c: c[0] if c else "spinr")
+def test_help_is_laid_out_at_80_columns_whatever_columns_says(command, columns):
+    argv = [*command, "--help"]
+    res = run(*argv, env={"COLUMNS": columns})
+    code, _, out, err = _reading(_argparse_read, argv)  # at 80 columns
+    assert (res.exit_code, res.stdout, res.stderr) == (code, out, err) == (0, out, "")

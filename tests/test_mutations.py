@@ -99,11 +99,16 @@ def test_a_mutant_catalog_answers_or_raises_a_spinr_error(mutation):
 
 
 def _limited_run(text: str, directory: Path, *args: str):
-    """spinr --catalog <text written to a file> args..., in a child process
-    whose address space is limited to 512 MB; the limit holds in the child
-    only."""
+    """spinr --catalog <text written to a file> args..., as _limited runs
+    it."""
     path = directory / "c.txt"
     path.write_text(text, "utf-8")
+    return path, _limited("--catalog", str(path), *args)
+
+
+def _limited(*args: str):
+    """spinr args..., in a child process whose address space is limited to
+    512 MB; the limit holds in the child only."""
     code = (
         "import resource, sys\n"
         "limit = 512 * 2**20\n"
@@ -112,11 +117,18 @@ def _limited_run(text: str, directory: Path, *args: str):
         "main(sys.argv[1:])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    res = subprocess.run(
-        [sys.executable, "-c", code, "--catalog", str(path), *args],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, timeout=15, env=env,
     )
-    return path, res
+
+
+def test_a_catalog_file_without_end_exits_four_under_a_memory_limit():
+    # the whole file was read, so /dev/zero ended in a MemoryError
+    # traceback; at most catalog.MAX_FILE_BYTES + 1 bytes are read now
+    res = _limited("--catalog", "/dev/zero", "table1")
+    assert (res.returncode, res.stdout) == (4, "")
+    assert res.stderr == "catalog error: /dev/zero: more than 67108864 bytes\n"
 
 
 def test_a_huge_free_rank_without_labels_exits_four_under_a_memory_limit(tmp_path):

@@ -366,7 +366,9 @@ def test_importing_the_cli_leaves_out_dataclasses_and_json():
         "for argv in (['table1'], ['classify', 'S2:SO(3)', '--r', '2'],\n"
         "             ['classify', 'S3:Sp(1)\u00b7U(1)', '--r', '2'],\n"
         "             ['spin-type', 'S5:U(3)'],\n"
-        "             ['holonomy', 'U(2)', '--m', '4', '--r', '2']):\n"
+        "             ['holonomy', 'U(2)', '--m', '4', '--r', '2'],\n"
+        "             ['classify', 'S2:SO(3)', '--r=2', '--format=json'],\n"
+        "             ['spin-type', '--strict', 'S6:G2']):\n"
         "    spinr.cli.main(argv)\n"
         "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
         "print(sorted({'argparse', 'gettext', 'locale', 'shutil'} & set(sys.modules)))\n"
@@ -374,8 +376,9 @@ def test_importing_the_cli_leaves_out_dataclasses_and_json():
     out = _child(code, "-S")
     assert out[:3] == ["True", "[]", "[0, 0, 0]"]
     assert "| sp0u1-circle-powers | - | s ≡ 2 mod 4 |" in out  # the s/2 family
-    # the command line is read without argparse, which imported gettext,
-    # locale and shutil for its help formatter and messages
+    # the usual form of the command line, in either option spelling and
+    # with the positional anywhere, is read without argparse, which
+    # imports gettext, locale and shutil for its help formatter and messages
     assert out[-3:] == ["[]", "[]", ""]
 
 
