@@ -19,6 +19,7 @@ from .catalogfile import CatalogParseError, SpinrError
 from .liecat import CompactGroupRec, NotInCatalogError, build_group
 from .repcat import OrthRepFamily, build_family
 from .spaces import HolonomyRec, HomSpaceRec, build_holonomy, build_space
+from .spaces import build_scan_table
 
 ENV_CATALOG = "SPINR_CATALOG"
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -36,14 +37,14 @@ def normalize_name(name: str) -> str:
 
 
 class Catalog:
-    """The loaded records plus a family index built from them.
+    """The loaded records, a family index and scan tables built from them.
 
-    Read-only, so the index cannot fall out of step with ``families``;
-    build a new Catalog to change a record.
+    Read-only, so neither can fall out of step with the records; build
+    a new Catalog to change a record.
     """
 
     _FIELDS = ("version", "groups", "families", "spaces", "holonomies", "path")
-    __slots__ = _FIELDS + ("_families_by_target", "_ranks_by_domain")
+    __slots__ = _FIELDS + ("_families_by_target", "_ranks_by_domain", "_scan_tables")
 
     def __init__(
         self,
@@ -71,6 +72,7 @@ class Catalog:
         object.__setattr__(
             self, "_ranks_by_domain", {d: tuple(sorted(v)) for d, v in ranks.items()}
         )
+        object.__setattr__(self, "_scan_tables", {})
 
     def __setattr__(self, *args):
         raise AttributeError("Catalog is immutable")
@@ -115,6 +117,12 @@ class Catalog:
     def listed_ranks(self, domain: str) -> tuple[int, ...]:
         """The ranks r at which (domain, r) lists a family, ascending."""
         return self._ranks_by_domain.get(domain, ())
+
+    def scan_table(self, group: CompactGroupRec) -> tuple:
+        """spaces.build_scan_table(self, group), built once; == and repr skip it."""
+        tables = self._scan_tables
+        return tables.get(group.name) or tables.setdefault(
+            group.name, build_scan_table(self, group))
 
 
 def loads(text: str, path: str = "<catalog>") -> Catalog:

@@ -20,8 +20,9 @@ violation (a disconnected stabiliser or holonomy group); 4 catalog error
 data contradicts the existence theorem); 5 invalid argument (``--r`` or
 ``--m`` below 1); 6 usage error (a missing or unknown subcommand or
 option, or an option value of the wrong type or outside its choices);
-141 standard output closed before the answer was written, or at start
-(128 + SIGPIPE, as a shell reports for ``cat`` in the same pipe).  A
+141 standard output closed before the answer was written, closed at
+start, or open for reading only (128 + SIGPIPE, as a shell reports for
+``cat`` in the same pipe).  A
 closed stderr loses the message, not the code.  Codes 2 to 5 come from
 ``EXIT_CODES``, keyed by the ``SpinrError`` subclass a command raised.
 """
@@ -29,6 +30,7 @@ closed stderr loses the message, not the code.  Codes 2 to 5 come from
 from __future__ import annotations
 
 import codecs
+import errno
 import gc
 import os
 import sys
@@ -88,7 +90,10 @@ def _emit(record: dict, fmt: str, render_md):
         text = render_md(record)
     if sys.stdout is None:  # the process started with stdout closed (>&-)
         raise BrokenPipeError
-    print(text, flush=True)  # ahead of any stderr line that follows
+    try:
+        print(text, flush=True)  # ahead of any stderr line that follows
+    except OSError as err:  # EBADF: open for reading only (1</dev/null)
+        raise BrokenPipeError if err.errno == errno.EBADF else err
 
 
 def _warn(*lines: str):

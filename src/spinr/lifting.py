@@ -94,11 +94,12 @@ def lift_subgroup(n: int, r: int) -> Subgroup:
 
 def check_isotropy(n: int, sigma_pi1: AbHom, domain: FgAbGroup):
     """Refuse an isotropy map that is not a map domain -> pi1(SO(n))."""
-    if sigma_pi1.domain != domain:
+    if sigma_pi1.domain is not domain and sigma_pi1.domain != domain:  # identity first
         raise DomainMismatchError(
             "isotropy and twist maps must share their domain generators"
         )
-    if not sigma_pi1.codomain.same_presentation(so_pi1(n)):
+    target, cod = so_pi1(n), sigma_pi1.codomain
+    if cod is not target and not cod.same_presentation(target):
         raise DomainMismatchError(f"isotropy map must land in pi1(SO({n}))")
 
 

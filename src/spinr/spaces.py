@@ -24,7 +24,7 @@ from .abelian import AbHom, FgAbGroup, Record, _new
 from .catalogfile import Block, CatalogParseError, SpinrError
 # parity stays importable here: perfbench/tracer.py counts calls at this site
 from .lifting import LiftQuery, check_isotropy, image_parities, lifts, parity
-from .liecat import so_pi1, so_pi1_map
+from .liecat import so_pi1_map
 from .repcat import (
     DIAGONAL_FAMILY_NAME,
     HOLONOMY_DIAGONAL_NAME,
@@ -161,42 +161,54 @@ def build_holonomy(entry: tuple, groups) -> HolonomyRec:
 
 # --- the lift test against one family -------------------------------------------
 
-def _solve_parameter(parities, family: OrthRepFamily) -> Congruence | None:
+def _parity_terms(family: OrthRepFamily) -> tuple:
+    """The family, its base congruence (None for a constant family, read
+    at s = 0) and, per domain generator, whether the step mu*a of its
+    image a on s = rho + mu*t is odd and the parity of a at rho; or the
+    error message of an image not integral on the admissible values.
+    (An image into the trivial pi1(SO(1)) is 0: the loader refuses others.)"""
+    base = family.param_constraint
+    mu, rho = base or (0, 0)
+    terms = []
+    for expr in family.pi1_images:
+        step, rest = divmod(expr.num * mu, expr.den)
+        v0, rest_at_rho = divmod(expr.num * rho + expr.off, expr.den)
+        terms.append(f"family {family.name}: image {expr} is not integral on the "
+                     f"parameter's admissible values" if rest or rest_at_rho
+                     else (step % 2, v0 % 2))
+    return family, base, tuple(terms)
+
+
+def _solve_parameter(parities, terms) -> Congruence | None:
     """Exact set of parameter values passing the lift test, or None.
 
     ``parities`` holds the isotropy parity of each domain generator
-    (:func:`~spinr.lifting.image_parities` of sigma).  With s = rho + mu*t
-    running over the family's admissible values, each generator imposes
-    a parity condition on the affine image, which in t is either vacuous,
+    (:func:`~spinr.lifting.image_parities` of sigma), and ``terms`` are
+    the family's :func:`_parity_terms`.  With s = rho + mu*t running
+    over the family's admissible values, each generator imposes a
+    parity condition on the affine image, which in t is either vacuous,
     unsatisfiable, or a single class mod 2.  The classes must agree, and
     the one they fix (if any) converts back to a congruence on s.  A
-    constant family, read at s = 0, has only even steps: it passes with
-    all of Z or not at all.  Into the trivial pi1(SO(1)) it passes
-    exactly when every parity is 0.
+    constant family has only even steps: it passes with all of Z or not
+    at all.  A term left as an error message raises ValueError when the
+    solve reaches it.
     """
-    base = family.param_constraint
-    if not so_pi1(family.target_r).rank:
-        return None if any(parities) else base or UNCONSTRAINED
-    mu, rho = base or (0, 0)
+    _, base, generator_terms = terms
     t_parity = None  # the class of t mod 2, once a generator fixes it
-    for eps, expr in zip(parities, family.pi1_images, strict=True):
-        step, rest = divmod(expr.num * mu, expr.den)
-        if rest:
-            raise ValueError(
-                f"family {family.name}: image {expr} is not integral on "
-                f"the parameter's admissible values"
-            )
-        v0 = expr.eval(rho)
-        if step % 2 == 0:
-            if v0 % 2 != eps:
+    for eps, term in zip(parities, generator_terms, strict=True):
+        if term.__class__ is str:
+            raise ValueError(term)
+        odd_step, v0 = term
+        if not odd_step:
+            if v0 != eps:
                 return None
-        else:
-            want = (eps - v0) % 2
-            if t_parity not in (None, want):
-                return None
-            t_parity = want
+        elif t_parity is None:
+            t_parity = eps ^ v0
+        elif t_parity != eps ^ v0:
+            return None
     if t_parity is None:
         return base or UNCONSTRAINED
+    mu, rho = base
     return Congruence(2 * mu, rho + mu * t_parity)
 
 
@@ -211,12 +223,12 @@ def _classes(family: OrthRepFamily, solved: Congruence) -> tuple[ClassRecord, ..
                  for label in family.labels)
 
 
-def _parity_classes(parities, families) -> tuple[ClassRecord, ...]:
-    """The passing classes of the families, each decided by the parity
-    rule alone: no lift query, verdict or witness is built."""
-    return tuple(rec for family in families
-                 if (solved := _solve_parameter(parities, family)) is not None
-                 for rec in _classes(family, solved))
+def _parity_classes(parities, rows) -> tuple[ClassRecord, ...]:
+    """The passing classes of the families' parity terms, each decided by
+    the parity rule alone: no lift query, verdict or witness is built."""
+    return tuple(rec for terms in rows
+                 if (solved := _solve_parameter(parities, terms)) is not None
+                 for rec in _classes(terms[0], solved))
 
 
 def _lift_families(
@@ -229,7 +241,7 @@ def _lift_families(
     for family in families:
         s = None
         if family.parameterized:
-            solved = _solve_parameter(parities, family)
+            solved = _solve_parameter(parities, _parity_terms(family))
             if solved is not None:
                 passed += _classes(family, solved)
                 continue
@@ -290,6 +302,26 @@ def classify(catalog, space: HomSpaceRec, r: int) -> Classification:
     )
 
 
+def build_scan_table(catalog, h) -> tuple:
+    """What the spin-type scan reads of the catalog and h alone, built
+    once per group (Catalog.scan_table): the first uncertain rank (the
+    least listed rank with an incomplete family or unlisted rank >= r0 =
+    first_possible_rank(h), or None); the classes of an even isotropy
+    class, passing at r = 1, the trivial twist's first; and per listed
+    rank, ascending, the rank and its families' parity terms."""
+    listed = catalog.listed_ranks(h.name)
+    unlisted = first_possible_rank(h.algebra)
+    while unlisted in listed:
+        unlisted += 1
+    uncertain = [r for r in listed
+                 if any(f.incomplete for f in catalog.families_at(h.name, r))]
+    uncertain = min(uncertain + ([] if unlisted is None else [unlisted]), default=None)
+    ones = (trivial_family(h.name, 1, h.pi1.rank), *catalog.families_at(h.name, 1))
+    even = _parity_classes((0,) * h.pi1.rank, map(_parity_terms, ones))
+    return uncertain, even, tuple(
+        (r, tuple(map(_parity_terms, catalog.families_at(h.name, r)))) for r in listed)
+
+
 def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
     """The least rank r <= n admitting an invariant structure.
 
@@ -311,40 +343,28 @@ def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
     n it is [first uncertain rank, n], witnessed for n >= 3 by the
     canonical rank-n structure, which always exists; with no uncertain
     rank either, the catalog contradicts that structure and the scan
-    raises InconsistentCatalogError.  The work grows with the number of
-    listed ranks of H, never with n.  An isotropy map that is not a map
-    pi1(H) -> pi1(SO(n)) raises DomainMismatchError.
+    raises InconsistentCatalogError.  What depends on the catalog and H
+    alone is read from H's table (:func:`build_scan_table`), built at
+    H's first query; a query then walks the table's rows up to n, so its
+    work grows with the number of listed ranks of H, never with n.  An
+    isotropy map that is not a map pi1(H) -> pi1(SO(n)) raises
+    DomainMismatchError.
     """
     h = _stabiliser(catalog, space)
     sigma = space.sigma_pi1
     check_isotropy(space.n, sigma, h.pi1)
     parities = image_parities(sigma)
+    lo, even, rows = catalog.scan_table(h)
     if not any(parities):
-        trivial = trivial_family(h.name, 1, h.pi1.rank)
-        classes = _parity_classes(parities, (trivial, *catalog.families_at(h.name, 1)))
-        return SpinTypeResult(space.name, "exact", 1, 1, classes)
-    listed = catalog.listed_ranks(h.name)
-    # the least unlisted rank >= r0: uncertain, as are all after it
-    unlisted = first_possible_rank(h.algebra)
-    for r in listed:
-        if unlisted is not None and r == unlisted:
-            unlisted += 1
-    listed_uncertain: int | None = None
-    for r in listed:
+        return SpinTypeResult(space.name, "exact", 1, 1, even)
+    for r, families in rows:
         if r > space.n:
             break
-        families = catalog.families_at(h.name, r)
-        classes = _parity_classes(parities, families)
-        if classes:
-            lo = _least(listed_uncertain, unlisted, r)
-            status = "exact" if lo is None else "bounded"
-            return SpinTypeResult(
-                space.name, status, r if lo is None else lo, r, classes
-            )
-        if listed_uncertain is None and any(f.incomplete for f in families):
-            listed_uncertain = r
-    lo = _least(listed_uncertain, unlisted, space.n + 1)
-    if lo is None:
+        if classes := _parity_classes(parities, families):
+            if lo is None or lo >= r:
+                return SpinTypeResult(space.name, "exact", r, r, classes)
+            return SpinTypeResult(space.name, "bounded", lo, r, classes)
+    if lo is None or lo > space.n:
         # A complete, empty classification at every rank up to n
         # contradicts the canonical rank-n witness.
         raise InconsistentCatalogError(
@@ -356,12 +376,6 @@ def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
     if space.n >= 3:
         witnesses = canonical_structure(catalog, space).classes
     return SpinTypeResult(space.name, "bounded", lo, space.n, witnesses)
-
-
-def _least(listed_uncertain: int | None, unlisted: int | None, below: int):
-    """The first uncertain rank below `below`, or None."""
-    ranks = [r for r in (listed_uncertain, unlisted) if r is not None and r < below]
-    return min(ranks, default=None)
 
 
 def parity_nonzero(sigma: AbHom) -> bool:

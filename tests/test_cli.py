@@ -723,6 +723,26 @@ def test_a_closed_stdout_exits_141_without_a_traceback(args):
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize(
+    "args", [("spin-type", "S8:SO(9)"), ("spin-type", "S8:SO(9)", "--format", "json")]
+)
+def test_a_stdout_open_for_reading_only_exits_141_without_a_traceback(args):
+    # as under 1</dev/null: the write fails with EBADF, not EPIPE
+    with open(os.devnull, "rb") as read_only:
+        proc = _spinr_process(*args, stdout=read_only, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (EXIT_CLOSED_STDOUT, b"")
+
+
+def test_a_stdout_that_cannot_take_the_answer_is_not_taken_for_closed():
+    # /dev/full refuses the write with ENOSPC: a fault to show, not exit 141
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "wb") as full:
+        proc = _spinr_process("spin-type", "S8:SO(9)", stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 1
+    assert b"No space left on device" in proc.stderr
+
+
 @pytest.mark.parametrize("args", [("--help",), ("classify", "-h")])
 def test_help_into_a_closed_stdout_exits_0_without_a_traceback(args):
     read_end, write_end = os.pipe()

@@ -12,6 +12,7 @@ import spinr.repcat as repcat
 import spinr.spaces as spaces
 from oracles import pushed_twist, scan_hom_rule_trace, scan_invariant_spin_type
 from spinr.abelian import AbHom, DomainMismatchError, FgAbGroup
+from spinr.bundled import build_catalog
 from spinr.catalog import Catalog, loads
 from spinr.catalogfile import SpinrError
 from spinr.liecat import AlgebraProfile, SimpleIdeal, so_pi1
@@ -29,6 +30,7 @@ from spinr.spaces import (
     HypothesisError,
     InconsistentCatalogError,
     InvalidArgumentError,
+    _parity_terms,
     _solve_parameter,
     canonical_structure,
     classify,
@@ -201,18 +203,40 @@ def test_spin_type_scan_matches_oracle_on_generated_spheres():
             ), space.name
 
 
-def _so12_space(catalog, n: int) -> HomSpaceRec:
-    """A space over the bundled SO(12), isotropy class odd, dimension n."""
-    h, cod = catalog.lookup("SO(12)"), so_pi1(n)
+def _odd_space(catalog, group: str, n: int, G: str = "G") -> HomSpaceRec:
+    """A space over a bundled group with pi1 = Z2, isotropy class odd,
+    dimension n."""
+    h, cod = catalog.lookup(group), so_pi1(n)
     return HomSpaceRec(
-        "X:SO(12)", "SO(13)", "SO(12)", n, AbHom(h.pi1, cod, (cod.elem([1]),)), "test"
+        f"X:{group}", G, group, n, AbHom(h.pi1, cod, (cod.elem([1]),)), "test"
     )
 
 
-def test_spin_type_work_is_independent_of_the_dimension(catalog):
+def _so12_space(catalog, n: int) -> HomSpaceRec:
+    return _odd_space(catalog, "SO(12)", n, "SO(13)")
+
+
+def _counting(calls, name, original):
+    def wrapper(*args):
+        calls[name] += 1
+        return original(*args)
+    return wrapper
+
+
+def test_spin_type_work_is_independent_of_the_dimension(catalog, monkeypatch):
     # nothing is listed at SO(12); so(12) first fits at r = 12, so every
-    # rank from 12 on is uncertain and the canonical witness closes at n
+    # rank from 12 on is uncertain and the canonical witness closes at n.
+    # Over SO(8), listed at 8 and 9, the witness is at 8.  Beside the wall
+    # clock, count the table rows each query walks: one _parity_classes
+    # call per row, the same at every n, once the tables are built
+    for group in ("SO(12)", "SO(8)"):
+        catalog.scan_table(catalog.lookup(group))
+    walked = collections.Counter()
+    monkeypatch.setattr(spaces, "_parity_classes",
+                        _counting(walked, "rows", spaces._parity_classes))
+    rows = []
     for n in (13, 10**4, 10**9):
+        walked.clear()
         space = _so12_space(catalog, n)
         start = time.perf_counter()
         res = invariant_spin_type(catalog, space)
@@ -221,9 +245,59 @@ def test_spin_type_work_is_independent_of_the_dimension(catalog):
         (witness,) = res.witnesses
         assert witness.family == DIAGONAL_FAMILY_NAME
         assert elapsed < 0.05, (n, elapsed)
+        twelve = walked["rows"]
+        walked.clear()
+        res = invariant_spin_type(catalog, _odd_space(catalog, "SO(8)", n))
+        assert (res.status, res.lo, res.hi) == ("exact", 8, 8)
+        rows.append((twelve, walked["rows"]))
+    assert rows == [(0, 1)] * 3
     assert invariant_spin_type(catalog, _so12_space(catalog, 13)) == (
         scan_invariant_spin_type(catalog, _so12_space(catalog, 13))
     )
+
+
+def test_the_scan_table_is_built_once_per_catalog_and_group(monkeypatch):
+    # what the scan reads of (catalog, H) alone is computed at the first
+    # query of H in that catalog: r0 and the trivial twist, once each,
+    # however often H is queried; a second equal catalog builds its own
+    calls = collections.Counter()
+    for name in ("first_possible_rank", "trivial_family"):
+        monkeypatch.setattr(spaces, name, _counting(calls, name, getattr(spaces, name)))
+    scale_text = scale_catalog(200, 1).text
+    for make in (build_catalog, lambda: loads(scale_text, "scale.txt")):
+        fresh, scanned = make(), make()
+        stabilisers = {space.H for space in scanned.spaces.values()}
+        for _ in range(3):
+            answers = [invariant_spin_type(scanned, s) for s in scanned.spaces.values()]
+            assert calls == dict.fromkeys(calls, len(stabilisers))
+        assert set(calls) == {"first_possible_rank", "trivial_family"}
+        # the tables are no field: a scanned catalog equals, and prints as,
+        # one never queried
+        assert scanned == fresh and repr(scanned) == repr(fresh)
+        assert [invariant_spin_type(fresh, s) for s in fresh.spaces.values()] == answers
+        assert calls == dict.fromkeys(calls, 2 * len(stabilisers))
+        calls.clear()
+
+
+def test_the_scan_accepts_an_isotropy_map_on_equal_groups_not_the_same(catalog):
+    # check_isotropy compares each group by identity first: a domain equal
+    # to pi1(H) and a codomain equal to pi1(SO(n)), each a different
+    # object, still pass, as does a codomain of the same orders under
+    # other labels
+    for name in ("S8:SO(9)", "S7:Sp(2)·U(1)", "S3:U(2)"):
+        space = catalog.space(name)
+        sigma = space.sigma_pi1
+        pi1, target = sigma.domain, so_pi1(space.n)
+        assert pi1 is catalog.lookup(space.H).pi1 and sigma.codomain is target
+        domain = FgAbGroup(orders=pi1.orders, labels=pi1.labels)
+        cod = FgAbGroup(orders=target.orders, labels=target.labels)
+        relabelled = FgAbGroup(orders=target.orders, labels=("other",))
+        assert domain == pi1 and domain is not pi1 and cod == target and cod is not target
+        expected = invariant_spin_type(catalog, space)
+        for d, c in ((domain, target), (pi1, cod), (domain, cod), (pi1, relabelled)):
+            images = tuple(c.elem(img.coords) for img in sigma.images)
+            copy = HomSpaceRec(name, space.G, space.H, space.n, AbHom(d, c, images), "test")
+            assert invariant_spin_type(catalog, copy) == expected
 
 
 @pytest.mark.parametrize("domain_is_z,cod,message", [
@@ -370,7 +444,9 @@ def test_solve_parameter_refuses_a_non_integral_image():
     )
     cod = so_pi1(3)
     with pytest.raises(ValueError, match="not integral"):
-        _solve_parameter(image_parities(AbHom(h, cod, (cod.elem([1]),))), family)
+        _solve_parameter(
+            image_parities(AbHom(h, cod, (cod.elem([1]),))), _parity_terms(family)
+        )
 
 
 def _pi1_image(draw, order: int, r: int) -> int:
@@ -534,7 +610,7 @@ def test_solved_congruences_are_exact(cat):
         if fam.parameterized:
             continue
         q = LiftQuery(space.n, fam.target_r, space.sigma_pi1, fam.pi1_map(h.pi1))
-        solved = _solve_parameter(image_parities(space.sigma_pi1), fam)
+        solved = _solve_parameter(image_parities(space.sigma_pi1), _parity_terms(fam))
         assert solved in (None, Congruence(1, 0))
         assert (solved is not None) == lifts(q).lifts
     if not h.connected:
