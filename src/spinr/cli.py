@@ -22,9 +22,9 @@ data contradicts the existence theorem); 5 invalid argument (``--r`` or
 option, or an option value of the wrong type or outside its choices);
 141 standard output closed before the answer was written, closed at
 start, or open for reading only (128 + SIGPIPE, as a shell reports for
-``cat`` in the same pipe).  A
-closed stderr loses the message, not the code.  Codes 2 to 5 come from
-``EXIT_CODES``, keyed by the ``SpinrError`` subclass a command raised.
+``cat`` in the same pipe).  A closed stderr loses the message, not the
+code.  Codes 2 to 5 come from ``EXIT_CODES``, keyed by the
+``SpinrError`` subclass a command raised.
 """
 
 from __future__ import annotations
