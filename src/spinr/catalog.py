@@ -40,7 +40,8 @@ class Catalog:
     """The loaded records, a family index and scan tables built from them.
 
     Read-only, so neither can fall out of step with the records; build
-    a new Catalog to change a record.
+    a new Catalog to change a record.  Scan tables fill from the records
+    alone, as queries first bring a stabiliser or a parity vector.
     """
 
     _FIELDS = ("version", "groups", "families", "spaces", "holonomies", "path")
@@ -118,11 +119,10 @@ class Catalog:
         """The ranks r at which (domain, r) lists a family, ascending."""
         return self._ranks_by_domain.get(domain, ())
 
-    def scan_table(self, group: CompactGroupRec) -> tuple:
-        """spaces.build_scan_table(self, group), built once; == and repr skip it."""
+    def scan_table(self, name: str) -> tuple:
+        """spaces.build_scan_table(self, name), built once; == and repr skip it."""
         tables = self._scan_tables
-        return tables.get(group.name) or tables.setdefault(
-            group.name, build_scan_table(self, group))
+        return tables.get(name) or tables.setdefault(name, build_scan_table(self, name))
 
 
 def loads(text: str, path: str = "<catalog>") -> Catalog:

@@ -275,9 +275,9 @@ def _require_rank(r: int):
         raise InvalidArgumentError(f"twist rank must be >= 1, got {r}")
 
 
-def _stabiliser(catalog, space: HomSpaceRec):
+def _stabiliser(catalog, name: str):
     return _connected_group(
-        catalog, space.H, "stabiliser", "classification correspondence"
+        catalog, name, "stabiliser", "classification correspondence"
     )
 
 
@@ -285,7 +285,7 @@ def classify(catalog, space: HomSpaceRec, r: int) -> Classification:
     """All invariant rank-r structures on the space, as lift-passing
     conjugacy classes with exactly solved parameter constraints."""
     _require_rank(r)
-    h = _stabiliser(catalog, space)
+    h = _stabiliser(catalog, space.H)
     enum = enumerate_homs(catalog, space.H, r)
     classes, rejected = _lift_families(
         space.n, space.sigma_pi1, enum.families, h.pi1
@@ -302,13 +302,15 @@ def classify(catalog, space: HomSpaceRec, r: int) -> Classification:
     )
 
 
-def build_scan_table(catalog, h) -> tuple:
-    """What the spin-type scan reads of the catalog and h alone, built
-    once per group (Catalog.scan_table): the first uncertain rank (the
-    least listed rank with an incomplete family or unlisted rank >= r0 =
-    first_possible_rank(h), or None); the classes of an even isotropy
-    class, passing at r = 1, the trivial twist's first; and per listed
-    rank, ascending, the rank and its families' parity terms."""
+def build_scan_table(catalog, name: str) -> tuple:
+    """What the spin-type scan reads of the catalog and the stabiliser
+    ``name`` alone (Catalog.scan_table): the group h, refused as
+    `_stabiliser` refuses it; the first uncertain rank (the least listed
+    rank with an incomplete family or unlisted rank >= r0 =
+    first_possible_rank(h), or None); per rank, 1 and the listed ones
+    ascending, its families' parity terms, the trivial twist first at
+    r = 1; and the entries, filled by `_least_passing` per parity vector."""
+    h = _stabiliser(catalog, name)
     listed = catalog.listed_ranks(h.name)
     unlisted = first_possible_rank(h.algebra)
     while unlisted in listed:
@@ -316,25 +318,34 @@ def build_scan_table(catalog, h) -> tuple:
     uncertain = [r for r in listed
                  if any(f.incomplete for f in catalog.families_at(h.name, r))]
     uncertain = min(uncertain + ([] if unlisted is None else [unlisted]), default=None)
-    ones = (trivial_family(h.name, 1, h.pi1.rank), *catalog.families_at(h.name, 1))
-    even = _parity_classes((0,) * h.pi1.rank, map(_parity_terms, ones))
-    return uncertain, even, tuple(
-        (r, tuple(map(_parity_terms, catalog.families_at(h.name, r)))) for r in listed)
+    trivial = (trivial_family(h.name, 1, h.pi1.rank),)
+    return h, uncertain, tuple(
+        (r, tuple(map(_parity_terms, trivial * (r == 1) + catalog.families_at(h.name, r))))
+        for r in sorted({1, *listed})), {}
+
+
+def _least_passing(parities, rows) -> tuple:
+    """The least rank of the rows with a passing family and its classes,
+    or (None, ()): one walk of the rows, made once per parity vector."""
+    for r, families in rows:
+        if classes := _parity_classes(parities, families):
+            return r, classes
+    return None, ()
 
 
 def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
     """The least rank r <= n admitting an invariant structure.
 
-    An even isotropy class lifts untwisted: the answer is r = 1, with the
-    trivial twist and any family listed there as witnesses.  For an
-    odd class the trivial twist (parity 0) fails at every rank, so a
-    structure can only come from a listed family: the scan tests the
-    listed ranks r <= n of H in ascending order, and the first one with
-    a passing family is the witness.  Each family is decided by the
-    parity rule (`_solve_parameter`), so no lift query, verdict or
-    rejection witness is built.  Every other rank is empty;
-    it is certainly empty below r0 = first_possible_rank(H), where the
-    rule engine excludes every nonzero map.
+    The trivial twist lifts exactly when the isotropy class is even:
+    then the answer is r = 1, with the trivial twist and any family
+    listed there as witnesses.  For an odd class the trivial twist
+    (parity 0) fails at every rank, so a structure can only come from a
+    listed family: the least listed rank of H with a passing family is
+    the witness.  Each family is decided by the parity rule
+    (`_solve_parameter`), so no lift query, verdict or rejection witness
+    is built.  Every other rank is empty; it is certainly empty below
+    r0 = first_possible_rank(H), where the rule engine excludes every
+    nonzero map.
 
     The uncertain ranks are the listed ranks with an incomplete family
     and the unlisted ranks in [r0, n].  The result is "exact" when no
@@ -343,27 +354,22 @@ def invariant_spin_type(catalog, space: HomSpaceRec) -> SpinTypeResult:
     n it is [first uncertain rank, n], witnessed for n >= 3 by the
     canonical rank-n structure, which always exists; with no uncertain
     rank either, the catalog contradicts that structure and the scan
-    raises InconsistentCatalogError.  What depends on the catalog and H
-    alone is read from H's table (:func:`build_scan_table`), built at
-    H's first query; a query then walks the table's rows up to n, so its
-    work grows with the number of listed ranks of H, never with n.  An
-    isotropy map that is not a map pi1(H) -> pi1(SO(n)) raises
+    raises InconsistentCatalogError.  The witness depends on the space
+    only through its isotropy parity vector, so it is read off H's table
+    (:func:`build_scan_table`): a vector's first query walks the rows
+    once and stores its entry, and a later one is a dict lookup, whatever
+    n is.  An isotropy map that is not a map pi1(H) -> pi1(SO(n)) raises
     DomainMismatchError.
     """
-    h = _stabiliser(catalog, space)
-    sigma = space.sigma_pi1
-    check_isotropy(space.n, sigma, h.pi1)
-    parities = image_parities(sigma)
-    lo, even, rows = catalog.scan_table(h)
-    if not any(parities):
-        return SpinTypeResult(space.name, "exact", 1, 1, even)
-    for r, families in rows:
-        if r > space.n:
-            break
-        if classes := _parity_classes(parities, families):
-            if lo is None or lo >= r:
-                return SpinTypeResult(space.name, "exact", r, r, classes)
-            return SpinTypeResult(space.name, "bounded", lo, r, classes)
+    h, lo, rows, entries = catalog.scan_table(space.H)
+    check_isotropy(space.n, space.sigma_pi1, h.pi1)
+    parities = image_parities(space.sigma_pi1)
+    r, classes = entries.get(parities) or entries.setdefault(
+        parities, _least_passing(parities, rows))
+    if r is not None and r <= space.n:
+        if lo is None or lo >= r:
+            return SpinTypeResult(space.name, "exact", r, r, classes)
+        return SpinTypeResult(space.name, "bounded", lo, r, classes)
     if lo is None or lo > space.n:
         # A complete, empty classification at every rank up to n
         # contradicts the canonical rank-n witness.
@@ -388,8 +394,10 @@ def canonical_structure(catalog, space: HomSpaceRec) -> Classification:
     itself, which the parity rule accepts unconditionally.
 
     The diagonal branch returns a single distinguished witness, not an
-    enumeration, so it is marked incomplete.
+    enumeration, so it is marked incomplete.  Both branches first refuse
+    the stabiliser and the isotropy map as invariant_spin_type does.
     """
+    check_isotropy(space.n, space.sigma_pi1, catalog.scan_table(space.H)[0].pi1)
     if space.n < 3:
         raise HypothesisError(
             f"canonical structure needs dimension >= 3, got n = {space.n}"

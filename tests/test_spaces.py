@@ -15,7 +15,14 @@ from spinr.abelian import AbHom, DomainMismatchError, FgAbGroup
 from spinr.bundled import build_catalog
 from spinr.catalog import Catalog, loads
 from spinr.catalogfile import SpinrError
-from spinr.liecat import AlgebraProfile, SimpleIdeal, so_pi1
+from spinr.liecat import (
+    AlgebraProfile,
+    CompactGroupRec,
+    NotInCatalogError,
+    SimpleIdeal,
+    so_group,
+    so_pi1,
+)
 from spinr.lifting import LiftQuery, image_parities, lifts
 from spinr.repcat import (
     Congruence,
@@ -102,8 +109,7 @@ def test_classify_negative_verdicts_with_proofs(catalog):
             assert c.rejected, (n, r)
 
 
-def test_classify_refuses_disconnected_stabiliser(catalog):
-    text = """
+DISCONNECTED_CATALOG = """
 catalog_version: 1
 
 group {
@@ -143,7 +149,10 @@ space {
   provenance: "test"
 }
 """
-    cat = loads(text)
+
+
+def test_classify_refuses_disconnected_stabiliser():
+    cat = loads(DISCONNECTED_CATALOG)
     with pytest.raises(HypothesisError):
         classify(cat, cat.space("X2:Ambient"), 1)
 
@@ -227,16 +236,15 @@ def test_spin_type_work_is_independent_of_the_dimension(catalog, monkeypatch):
     # nothing is listed at SO(12); so(12) first fits at r = 12, so every
     # rank from 12 on is uncertain and the canonical witness closes at n.
     # Over SO(8), listed at 8 and 9, the witness is at 8.  Beside the wall
-    # clock, count the table rows each query walks: one _parity_classes
-    # call per row, the same at every n, once the tables are built
-    for group in ("SO(12)", "SO(8)"):
-        catalog.scan_table(catalog.lookup(group))
+    # clock, count the table rows each query walks (one _parity_classes
+    # call per row): none at any n, once each (group, parity vector)
+    # entry is filled
+    for space in (_so12_space(catalog, 13), _odd_space(catalog, "SO(8)", 13)):
+        invariant_spin_type(catalog, space)
     walked = collections.Counter()
     monkeypatch.setattr(spaces, "_parity_classes",
                         _counting(walked, "rows", spaces._parity_classes))
-    rows = []
     for n in (13, 10**4, 10**9):
-        walked.clear()
         space = _so12_space(catalog, n)
         start = time.perf_counter()
         res = invariant_spin_type(catalog, space)
@@ -245,12 +253,9 @@ def test_spin_type_work_is_independent_of_the_dimension(catalog, monkeypatch):
         (witness,) = res.witnesses
         assert witness.family == DIAGONAL_FAMILY_NAME
         assert elapsed < 0.05, (n, elapsed)
-        twelve = walked["rows"]
-        walked.clear()
         res = invariant_spin_type(catalog, _odd_space(catalog, "SO(8)", n))
         assert (res.status, res.lo, res.hi) == ("exact", 8, 8)
-        rows.append((twelve, walked["rows"]))
-    assert rows == [(0, 1)] * 3
+        assert walked["rows"] == 0, n
     assert invariant_spin_type(catalog, _so12_space(catalog, 13)) == (
         scan_invariant_spin_type(catalog, _so12_space(catalog, 13))
     )
@@ -277,6 +282,25 @@ def test_the_scan_table_is_built_once_per_catalog_and_group(monkeypatch):
         assert [invariant_spin_type(fresh, s) for s in fresh.spaces.values()] == answers
         assert calls == dict.fromkeys(calls, 2 * len(stabilisers))
         calls.clear()
+
+
+def test_a_scan_table_is_built_from_the_catalogs_own_group():
+    # scan_table takes a stabiliser name, never a record, and reads the
+    # group through the catalog's lookup: a record that borrowed SO(8)'s
+    # name with so(3)'s algebra once made S8:SO(9) read bounded [3, 8]
+    c = build_catalog()
+    so8 = c.lookup("SO(8)")
+    impostor = CompactGroupRec("SO(8)", so8.pi1, so_group(3).algebra, True, "x")
+    with pytest.raises((AttributeError, TypeError)):
+        c.scan_table(impostor)
+    assert not c._scan_tables
+    for name in ("SO(8)", " SO(8)"):
+        assert c.scan_table(name)[0] is so8
+    res = invariant_spin_type(c, c.space("S8:SO(9)"))
+    assert (res.status, res.lo, res.hi) == ("exact", 8, 8)
+    with pytest.raises(NotInCatalogError):
+        c.scan_table("NoSuch")
+    assert set(c._scan_tables) == {"SO(8)", " SO(8)"}
 
 
 def test_the_scan_accepts_an_isotropy_map_on_equal_groups_not_the_same(catalog):
@@ -492,12 +516,20 @@ def _group_block(name, orders, center, ideals, connected):
     )
 
 
+def _space_block(name, n, sigma):
+    return (
+        f'space {{\n  name: "{name}"\n  G: "Ambient"\n  H: "H"\n  n: {n}\n'
+        f'  sigma_pi1_images: [{sigma}]\n  provenance: "generated"\n}}\n'
+    )
+
+
 @st.composite
-def small_catalogs(draw, parameterized: bool = False):
+def small_catalogs(draw, parameterized: bool = False, space_count: int = 1):
     """One space X over a generated stabiliser H and a few families
     listed at random ranks: finite or parameterised, some incomplete.
     With `parameterized`, every family (at least one) has an integer
-    parameter.
+    parameter.  With `space_count` above 1, spaces X1, X2, ... over H follow,
+    each with its own dimension and isotropy parity per generator.
 
     H has a centre (the rule engine then cannot rule out a map at any
     rank r >= 2) or none, and up to two simple ideals whose first
@@ -571,10 +603,16 @@ def small_catalogs(draw, parameterized: bool = False):
         "1" if odd and _may_be_odd(d, n) else str(_pi1_image(draw, d, n))
         for d in orders
     )
-    blocks.append(
-        f'space {{\n  name: "X"\n  G: "Ambient"\n  H: "H"\n  n: {n}\n'
-        f'  sigma_pi1_images: [{sigma}]\n  provenance: "generated"\n}}\n'
-    )
+    blocks.append(_space_block("X", n, sigma))
+    for k in range(1, space_count):
+        # each generator odd or even on its own: mixed parity vectors
+        n = draw(st.integers(1, 9))
+        sigma = ", ".join(
+            "1" if draw(st.booleans()) and _may_be_odd(d, n)
+            else str(_pi1_image(draw, d, n))
+            for d in orders
+        )
+        blocks.append(_space_block(f"X{k}", n, sigma))
     cat = loads("\n".join(blocks))
     if not refused:
         return cat
@@ -596,6 +634,32 @@ def test_spin_type_scan_matches_oracle_on_generated_catalogs(cat):
     assert _outcome(invariant_spin_type, cat, space) == _outcome(
         scan_invariant_spin_type, cat, space
     )
+
+
+@settings(max_examples=200)
+@given(small_catalogs(space_count=6).filter(lambda cat: cat.lookup("H").pi1.rank <= 3),
+       st.data())
+def test_each_parity_vector_walks_the_rows_once(cat, data):
+    # several spaces over one H share its table's entries: queried in a
+    # drawn order and then again, every answer is the oracle's, and the
+    # rows are walked once per distinct parity vector, at most 2^k of them
+    unscanned = Catalog(cat.version, cat.groups, cat.families, cat.spaces, cat.holonomies)
+    expected = {name: _outcome(scan_invariant_spin_type, unscanned, space)
+                for name, space in cat.spaces.items()}
+    order = data.draw(st.permutations(list(cat.spaces.values())))
+    walks = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_least_passing",
+                   _counting(walks, "walks", spaces._least_passing))
+        for space in order + order:
+            assert _outcome(invariant_spin_type, cat, space) == expected[space.name]
+    h = cat.lookup("H")
+    if not h.connected:
+        assert not walks
+        return
+    entries = cat.scan_table("H")[3]
+    assert set(entries) == {image_parities(space.sigma_pi1) for space in order}
+    assert walks["walks"] == len(entries) <= 2 ** h.pi1.rank
 
 
 @settings(max_examples=400)
@@ -707,6 +771,41 @@ def test_spin_type_bounded_below_first_witness():
 
 
 # --- canonical structure --------------------------------------------------------------
+
+def _u2_space_into_so2(catalog):
+    # pi1(U(2)) = Z into pi1(SO(2)) = Z at n = 5: the wrong codomain
+    h, cod = catalog.lookup("U(2)"), so_pi1(2)
+    return HomSpaceRec("X", "U(3)", "U(2)", 5, AbHom(h.pi1, cod, (cod.elem([1]),)), "t")
+
+
+def _space_from_z(H):
+    # a map from Z into pi1(SO(5)), over a stabiliser named H
+    domain, cod = FgAbGroup(1, (), ("loop",)), so_pi1(5)
+    return HomSpaceRec("X", "G", H, 5, AbHom(domain, cod, (cod.elem([1]),)), "t")
+
+
+@pytest.mark.parametrize("case,error", [
+    ("unknown H", NotInCatalogError), ("disconnected H", HypothesisError),
+    ("wrong domain", DomainMismatchError), ("wrong codomain", DomainMismatchError),
+])
+def test_canonical_structure_refuses_what_the_spin_type_refuses(catalog, case, error):
+    # both functions read H through the scan table and run check_isotropy
+    # before either branch, so they fail alike
+    if case == "disconnected H":
+        catalog = loads(DISCONNECTED_CATALOG)
+        space = _space_from_z("O(2)-like")
+    elif case == "wrong codomain":
+        space = _u2_space_into_so2(catalog)
+    else:
+        # SO(4)'s pi1 is Z2, not Z: the wrong domain
+        space = _space_from_z("NoSuch" if case == "unknown H" else "SO(4)")
+    outcomes = []
+    for decide in (invariant_spin_type, canonical_structure):
+        with pytest.raises(error) as err:
+            decide(catalog, space)
+        outcomes.append((type(err.value), str(err.value)))
+    assert outcomes[0] == outcomes[1]
+
 
 def test_canonical_untwisted_for_spin_spaces(catalog):
     c = canonical_structure(catalog, catalog.space("S7:Spin(7)"))
