@@ -1,15 +1,15 @@
 """Exact arithmetic for finitely generated abelian groups.
 
-A group is stored with a *fixed ordered generating set*: first the free
-generators, then one generator per torsion order.  Nothing is ever put
+A group is a record of a *fixed ordered generating set*: one order per
+generator, 0 for a free one, and one label each.  Nothing is ever put
 into a canonical form behind the caller's back, because the whole point
 of this module is bookkeeping of distinguished fundamental-group
 generators.  All arithmetic is integer-exact; membership questions are
 settled by Smith-style row reduction of integer matrices, never by
 floating point.
 
->>> Z = FgAbGroup(1, (), ("t",))
->>> Z2 = cyclic(2)
+>>> Z = FgAbGroup((0,), ("t",))
+>>> Z2 = FgAbGroup((2,))
 >>> f = AbHom(Z, Z2, (Z2.elem([5]),))   # reduction mod 2
 >>> f.apply(Z.elem([3])).coords
 (1,)
@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from _collections import _tuplegetter
 
+from .catalogfile import SpinrError
 
-class DomainMismatchError(ValueError):
+
+class DomainMismatchError(SpinrError, ValueError):
     """Elements or homomorphisms combined or compared over different groups."""
 
 
@@ -55,64 +57,34 @@ class Record(tuple):
 _new = tuple.__new__
 
 
-class FgAbGroup:
+class FgAbGroup(Record):
     """Finitely generated abelian group with labelled generators.
 
     Generator i has order ``orders[i]``, with 0 marking an
-    infinite-order (free) generator; the usual constructor lists the
-    free generators first, but products keep factor order, so free and
-    torsion generators may interleave.  Two groups compare equal when
-    they have the same presentation: the same orders and the same
-    labels, in order.  That is not isomorphism: Z6 and Z2 x Z3 compare
-    unequal.  Element arithmetic needs only :meth:`same_presentation`,
-    which compares the orders.
+    infinite-order (free) generator; free and torsion generators may
+    interleave, and products keep factor order.  Labels default to
+    ``g0, g1, ...``.  Two groups compare equal when they have the same
+    presentation: the same orders and the same labels, in order.  That
+    is not isomorphism: Z6 and Z2 x Z3 compare unequal.  Element
+    arithmetic needs only :meth:`same_presentation`, which compares the
+    orders.
     """
 
-    __slots__ = ("orders", "labels")
+    __slots__ = ()
 
-    def __init__(self, free_rank=0, torsion_orders=(), labels=(), *, orders=None):
-        if orders is None:
-            if free_rank < 0:
-                raise ValueError(f"free rank must be >= 0, got {free_rank}")
-            orders = (0,) * free_rank + tuple(torsion_orders)
-        orders = tuple(int(d) for d in orders)
+    def __new__(cls, orders: tuple[int, ...] = (), labels: tuple[str, ...] = ()):
+        orders = tuple([int(d) for d in orders])
         for d in orders:
             if d == 1 or d < 0:
                 raise ValueError(f"torsion order must be >= 2, got {d}")
-        labels = tuple(labels) or tuple(f"g{i}" for i in range(len(orders)))
+        labels = tuple(labels) or tuple([f"g{i}" for i in range(len(orders))])
         if len(labels) != len(orders):
             raise ValueError(f"{len(labels)} labels for {len(orders)} generators")
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FgAbGroup is immutable")
-
-    def __reduce__(self):  # copy and pickle rebuild it; setting its slots raises
-        return FgAbGroup, (0, self.orders, self.labels)
-
-    def __repr__(self):
-        return f"FgAbGroup(orders={self.orders}, labels={self.labels})"
-
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for d in self.orders if d == 0)
-
-    @property
-    def torsion_orders(self) -> tuple[int, ...]:
-        return tuple(d for d in self.orders if d)
+        return _new(cls, (orders, labels))
 
     @property
     def rank(self) -> int:
         return len(self.orders)
-
-    def __eq__(self, other):
-        if not isinstance(other, FgAbGroup):
-            return NotImplemented
-        return self.orders == other.orders and self.labels == other.labels
-
-    def __hash__(self):
-        return hash((self.orders, self.labels))
 
     def same_presentation(self, other: FgAbGroup) -> bool:
         """Coordinate-compatible equality: the ordered order-lists match."""
@@ -130,24 +102,13 @@ class FgAbGroup:
     def zero(self) -> AbElem:
         return self.elem([0] * self.rank)
 
-    def generator(self, i: int) -> AbElem:
-        coords = [0] * self.rank
-        coords[i] = 1
-        return self.elem(coords)
-
     def generators(self) -> list[AbElem]:
-        return [self.generator(i) for i in range(self.rank)]
+        n = self.rank
+        return [self.elem([0] * i + [1] + [0] * (n - i - 1)) for i in range(n)]
 
     def describe(self) -> str:
         parts = ["Z" if d == 0 else f"Z{d}" for d in self.orders]
         return " x ".join(parts) if parts else "0"
-
-
-def cyclic(order: int, label: str = "g") -> FgAbGroup:
-    """Z for order 0, Z/order otherwise."""
-    if order == 0:
-        return FgAbGroup(1, (), (label,))
-    return FgAbGroup(0, (order,), (label,))
 
 
 class AbElem(Record):
@@ -259,7 +220,7 @@ def direct_product(
     labels = tuple(f"{prefixes[0]}.{s}" for s in a.labels) + tuple(
         f"{prefixes[1]}.{s}" for s in b.labels
     )
-    return FgAbGroup(orders=a.orders + b.orders, labels=labels)
+    return FgAbGroup(a.orders + b.orders, labels)
 
 
 class Subgroup(Record):
@@ -378,7 +339,7 @@ def contains(s: Subgroup, x: AbElem) -> bool:
     Solved as an integer linear system with the ambient torsion
     relations adjoined as extra columns, via Smith-style reduction.
 
-    >>> ZZ = FgAbGroup(2, (), ("a", "b"))
+    >>> ZZ = FgAbGroup((0, 0), ("a", "b"))
     >>> s = Subgroup(ZZ, (ZZ.elem([1, 1]), ZZ.elem([1, -1])))
     >>> contains(s, ZZ.elem([3, 5]))
     True
@@ -404,7 +365,7 @@ def mod2(g: FgAbGroup) -> AbHom:
         if d == 0 or d % 2 == 0:
             positions[i] = len(targets)
             targets.append(g.labels[i])
-    codomain = FgAbGroup(0, (2,) * len(targets), tuple(f"{s}_mod2" for s in targets))
+    codomain = FgAbGroup((2,) * len(targets), tuple(f"{s}_mod2" for s in targets))
     images = []
     for i in range(g.rank):
         coords = [0] * len(targets)

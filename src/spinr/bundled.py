@@ -54,7 +54,7 @@ def build_catalog() -> Catalog:
 
 def _groups() -> list[CompactGroupRec]:
     groups = [so_group(k) for k in range(1, 13)]
-    centre = FgAbGroup(1, (), ("center_loop",))
+    centre = FgAbGroup((0,), ("center_loop",))
     for k in range(1, 7):
         groups.append(CompactGroupRec(
             f"U({k})", centre, AlgebraProfile(1, ideals("su", k)), True,
@@ -71,13 +71,13 @@ def _groups() -> list[CompactGroupRec]:
             f"Sp({k})", _SIMPLY_CONNECTED, AlgebraProfile(0, ideals("sp", k)),
             True, "Sp(k) is simply connected (Sp(0) is the trivial group)",
         ))
-    half_diag_z = FgAbGroup(1, (), ("half_diag",))
+    half_diag_z = FgAbGroup((0,), ("half_diag",))
     for k in range(0, 4):
         groups.append(CompactGroupRec(
             f"Sp({k}){DOT}U(1)", half_diag_z,
             AlgebraProfile(1, ideals("sp", k)), True, _HALF_DIAG_CITE,
         ))
-    half_diag_z2 = FgAbGroup(0, (2,), ("half_diag",))
+    half_diag_z2 = FgAbGroup((2,), ("half_diag",))
     for k in range(0, 4):
         groups.append(CompactGroupRec(
             f"Sp({k}){DOT}Sp(1)", half_diag_z2,

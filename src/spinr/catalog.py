@@ -120,9 +120,14 @@ class Catalog:
         return self._ranks_by_domain.get(domain, ())
 
     def scan_table(self, name: str) -> tuple:
-        """spaces.build_scan_table(self, name), built once; == and repr skip it."""
+        """spaces.build_scan_table(self, name), built once per group and
+        filed under the key that lookup reads; == and repr skip it."""
         tables = self._scan_tables
-        return tables.get(name) or tables.setdefault(name, build_scan_table(self, name))
+        table = tables.get(name)  # a key filed below is its own normal form
+        if table is None:
+            key = normalize_name(name)
+            table = tables.get(key) or tables.setdefault(key, build_scan_table(self, name))
+        return table
 
 
 def loads(text: str, path: str = "<catalog>") -> Catalog:

@@ -35,6 +35,7 @@ import gc
 import os
 import sys
 
+from .abelian import DomainMismatchError
 from .catalog import Catalog, CatalogReadError, load_default, read_data
 from .catalogfile import CatalogParseError, SpinrError, is_int
 from .liecat import NotInCatalogError
@@ -60,6 +61,7 @@ EXIT_CODES = {
     HypothesisError: (3, "hypothesis violation: "),
     CatalogParseError: (4, "catalog error: "),
     CatalogReadError: (4, "catalog error: "),
+    DomainMismatchError: (4, "catalog error: "),
     InconsistentCatalogError: (4, "catalog error: "),
     InvalidArgumentError: (5, "invalid argument: "),
 }

@@ -114,9 +114,9 @@ _SO_PI1_CITATION = (
 
 # pi1(SO(1)), pi1(SO(2)) and pi1(SO(k)) for every k >= 3
 _SO_PI1 = (
-    FgAbGroup(0, (), ()),
-    FgAbGroup(1, (), (SO_GENERATOR,)),
-    FgAbGroup(0, (2,), (SO_GENERATOR,)),
+    FgAbGroup(),
+    FgAbGroup((0,), (SO_GENERATOR,)),
+    FgAbGroup((2,), (SO_GENERATOR,)),
 )
 
 
@@ -183,10 +183,10 @@ def _build_pi1(entry: tuple) -> FgAbGroup:
                 f"torsion entries must be >= 2, got {d}", node.child("torsion")[1]
             )
     labels = tuple(node.list_of("generators", str))
-    n = free_rank + len(torsion)  # checked before FgAbGroup sizes anything by free_rank
+    n = free_rank + len(torsion)  # checked before a tuple is sized by free_rank
     if len(labels) != n:
         raise CatalogParseError(f"{len(labels)} labels for {n} generators", node.line)
-    return node.build(FgAbGroup, free_rank, tuple(torsion), labels)
+    return node.build(FgAbGroup, (0,) * free_rank + tuple(torsion), labels)
 
 
 def _build_ideal(entry: tuple) -> SimpleIdeal:

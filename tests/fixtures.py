@@ -27,7 +27,7 @@ def _coords(pi1_map) -> list[int]:
 
 def _group(g) -> list[str]:
     pi1, algebra = g.pi1, g.algebra
-    free = pi1.free_rank
+    free = pi1.orders.count(0)
     if any(pi1.orders[:free]):
         raise ValueError(f"group {g.name}: free generators must be listed first")
     lines = [

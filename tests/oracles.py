@@ -13,16 +13,19 @@ relations and the index run the library's Smith reduction: they check the
 published covering images and their index, which no answer computes.
 The command line is read by an argparse parser written out here call by
 call, not built from ``spinr.cli``'s option table as the CLI's own
-parser is.
+parser is.  A loop's lift to Spin(n) is computed in the Clifford algebra
+Cl(n), not read off any parity.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -110,7 +113,7 @@ def agreement_instances(rng, count: int):
         kind = produced % 3
         if kind == 0:
             orders = rng.choice(torsion_menu)
-            g = FgAbGroup(0, orders)
+            g = FgAbGroup(orders)
             gens = tuple(
                 g.elem([rng.randint(0, 7) for _ in range(g.rank)])
                 for _ in range(rng.randint(0, 3))
@@ -119,7 +122,7 @@ def agreement_instances(rng, count: int):
         elif kind == 1:
             free = rng.randint(1, 2)
             torsion = tuple(rng.choices([2, 3, 4, 5, 6, 7, 8], k=rng.randint(0, 1)))
-            g = FgAbGroup(free, torsion)
+            g = FgAbGroup((0,) * free + torsion)
             gens = tuple(
                 g.elem([rng.randint(-2, 2) for _ in range(g.rank)])
                 for _ in range(rng.randint(1, 3))
@@ -130,7 +133,7 @@ def agreement_instances(rng, count: int):
         else:
             free = rng.randint(1, 2)
             torsion = tuple(rng.choices([2, 3, 4, 5, 6, 7, 8], k=rng.randint(0, 1)))
-            g = FgAbGroup(free, torsion)
+            g = FgAbGroup((0,) * free + torsion)
             gens = []
             for i in range(g.rank):
                 if rng.random() < 0.7:
@@ -147,7 +150,7 @@ def agreement_instances(rng, count: int):
 def enumerate_torsion_subgroup(s: Subgroup) -> set[tuple[int, ...]]:
     """All elements of a subgroup of a finite ambient group, by closure."""
     amb = s.ambient
-    assert amb.free_rank == 0
+    assert 0 not in amb.orders
     seen = {amb.zero().coords}
     frontier = [amb.zero()]
     while frontier:
@@ -163,7 +166,7 @@ def enumerate_torsion_subgroup(s: Subgroup) -> set[tuple[int, ...]]:
 
 def elements(g: FgAbGroup):
     """Iterate all elements; only allowed for finite groups."""
-    if g.free_rank:
+    if 0 in g.orders:
         raise ValueError("cannot enumerate an infinite group")
     for coords in itertools.product(*(range(d) for d in g.orders)):
         yield g.elem(coords)
@@ -233,6 +236,67 @@ def pushed_twist(phi: AbHom, s: int) -> AbHom:
     loop, so each generator keeps its integer, which ``so_pi1_map`` reduces
     into pi1(SO(s)): mod 2 for s >= 3, and nothing out of pi1(SO(1))."""
     return so_pi1_map(phi.domain, s, [sum(img.coords) for img in phi.images])
+
+# --- Spin(n) in the Clifford algebra Cl(n) --------------------------------------
+#
+# Lawson-Michelsohn, Spin Geometry, ch. I: Cl(n) is generated by e_1 ... e_n
+# with e_i e_j = -e_j e_i for i != j and e_i^2 = -1; Spin(n) lies in its
+# even part and covers SO(n) twice by g -> (v -> g v g^-1).  A multivector
+# is a dict from blade bitmasks (bit i - 1 for e_i) to floats.
+
+@cache
+def _blade_sign(a: int, b: int) -> int:
+    """The sign of the product of blades a and b, written as blade a ^ b:
+    one factor -1 per transposition that sorts it, and per e_i^2."""
+    swaps, x = 0, a >> 1
+    while x:
+        swaps += (x & b).bit_count()
+        x >>= 1
+    return -1 if (swaps + (a & b).bit_count()) % 2 else 1
+
+
+def cl_mul(x: dict, y: dict) -> dict:
+    out = {}
+    for a, u in x.items():
+        for b, v in y.items():
+            out[a ^ b] = out.get(a ^ b, 0.0) + _blade_sign(a, b) * u * v
+    return out
+
+
+def cl_reverse(x: dict) -> dict:
+    """The reversion of x: the inverse of an element of Spin(n)."""
+    return {a: -u if a.bit_count() % 4 > 1 else u for a, u in x.items()}
+
+
+def torus_lift(k, t: float) -> dict:
+    """g(t) = prod_i (cos(pi k_i t) + sin(pi k_i t) e_{2i-1} e_{2i}) in
+    Spin(n), n >= 2 len(k): the lift started at 1 of the torus loop that
+    turns plane (e_{2i-1}, e_{2i}) by 2 pi k_i t; k = () gives g = 1."""
+    g = {0: 1.0}
+    for i, ki in enumerate(k):
+        angle = math.pi * ki * t
+        g = cl_mul(g, {0: math.cos(angle), 0b11 << 2 * i: math.sin(angle)})
+    return g
+
+
+def torus_rotation(k, t: float, v: dict) -> dict:
+    """The torus loop k at time t applied to the vector v."""
+    out = dict(v)
+    for i, ki in enumerate(k):
+        a, b = 1 << 2 * i, 1 << 2 * i + 1
+        c, s = math.cos(2 * math.pi * ki * t), math.sin(2 * math.pi * ki * t)
+        x, y = v.get(a, 0.0), v.get(b, 0.0)
+        out[a], out[b] = c * x - s * y, s * x + c * y
+    return out
+
+
+def spin_sign(g: dict) -> int:
+    """g as the scalar +1 or -1, the kernel of Spin(n) -> SO(n)."""
+    sign = 1 if g.get(0, 0.0) > 0 else -1
+    if abs(g.get(0, 0.0) - sign) > 1e-9 or any(abs(u) > 1e-9 for a, u in g.items() if a):
+        raise ValueError(f"{g} is not +-1")
+    return sign
+
 
 # --- reference affine expressions ---------------------------------------------
 #

@@ -746,7 +746,7 @@ def test_the_writer_and_the_loader_round_trip_every_record(make):
         ("provenance", 'say "x"', """cannot hold the string 'say "x"'"""),
         ("provenance", "one\ntwo", r"cannot hold the string 'one\ntwo'"),
         ("provenance", "one\u2028two", r"cannot hold the string 'one\u2028two'"),
-        ("pi1", FgAbGroup(orders=(2, 0), labels=("t", "z")),
+        ("pi1", FgAbGroup((2, 0), ("t", "z")),
          "group SO(4): free generators must be listed first"),
     ],
     ids=["quote", "newline", "line-separator", "free-after-torsion"],

@@ -132,7 +132,7 @@ def test_a_catalog_file_without_end_exits_four_under_a_memory_limit():
 
 
 def test_a_huge_free_rank_without_labels_exits_four_under_a_memory_limit(tmp_path):
-    # FgAbGroup sized a tuple and a default label list by free_rank, so
+    # the pi1 builder sized a tuple and a default label list by free_rank, so
     # this one line asked for gigabytes before any check refused it
     old = 'name: "SO(1)"\n  pi1 {\n    free_rank: 0'
     at = BUNDLED_TEXT.index(old) + len(old) - 1

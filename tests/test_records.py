@@ -8,6 +8,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinr.abelian import (
     AbElem,
@@ -15,7 +17,6 @@ from spinr.abelian import (
     DomainMismatchError,
     FgAbGroup,
     Subgroup,
-    cyclic,
 )
 from spinr.catalog import Catalog, loads
 from spinr.liecat import AlgebraProfile, CompactGroupRec, SimpleIdeal, so_group, so_pi1
@@ -39,8 +40,8 @@ from spinr.spaces import (
 )
 from test_catalog import BASE
 
-Z2 = cyclic(2)
-Z = cyclic(0)
+Z2 = FgAbGroup((2,), ("g",))
+Z = FgAbGroup((0,), ("g",))
 
 
 def _sigma():
@@ -63,6 +64,7 @@ def _rejected():
 
 # (type, its fields in order, a factory that builds a fresh instance)
 RECORDS = [
+    (FgAbGroup, ("orders", "labels"), lambda: FgAbGroup((0, 2), ("z", "alpha"))),
     (AbElem, ("group", "coords"), lambda: Z2.elem([1])),
     (AbHom, ("domain", "codomain", "images"), _sigma),
     (Subgroup, ("ambient", "generators"), lambda: Subgroup(Z2, (Z2.elem([1]),))),
@@ -252,6 +254,26 @@ def test_derived_values(value, expected):
     assert value() == expected
 
 
+@st.composite
+def _groups(draw):
+    orders = tuple(draw(st.lists(st.sampled_from((0, 2, 3)), max_size=2)))
+    n = len(orders)
+    labels = draw(st.just(()) | st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
+    return FgAbGroup(orders, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_groups(), b=_groups())
+def test_a_group_is_equal_and_hashed_by_its_orders_and_labels(a, b):
+    # the reference is FgAbGroup's own __eq__, __hash__ and __repr__ from
+    # before it was a Record: compare and hash (orders, labels), print both
+    assert (a == b) == ((a.orders, a.labels) == (b.orders, b.labels))
+    assert (a != b) == (not a == b)
+    twin = FgAbGroup(a.orders, a.labels)
+    assert twin == a and hash(twin) == hash(a) == hash((a.orders, a.labels))
+    assert repr(a) == f"FgAbGroup(orders={a.orders}, labels={a.labels})"
+
+
 def test_congruence_stores_its_residue_reduced():
     assert Congruence(4, 6).residue == 2
     assert Congruence(4, -1).residue == 3
@@ -259,8 +281,8 @@ def test_congruence_stores_its_residue_reduced():
     assert str(Congruence(4, 6)) == "s ≡ 2 mod 4"
 
 
-_Z2xZ2 = FgAbGroup(0, (2, 2), ("a", "b"))
-_Z2_other = FgAbGroup(0, (2,), ("beta",))
+_Z2xZ2 = FgAbGroup((2, 2), ("a", "b"))
+_Z2_other = FgAbGroup((2,), ("beta",))
 
 
 def _check(build, error, message, suffix=""):
@@ -271,6 +293,9 @@ def _check(build, error, message, suffix=""):
 @pytest.mark.parametrize(
     "build, error, message",
     [
+        _check(lambda: FgAbGroup((2, 1)), ValueError, "torsion order must be >= 2, got 1"),
+        _check(lambda: FgAbGroup((-4,)), ValueError, "torsion order must be >= 2, got -4"),
+        _check(lambda: FgAbGroup((0, 2), ("z",)), ValueError, "1 labels for 2 generators"),
         _check(lambda: AbElem(Z2, (0, 1)), ValueError, "2 coordinates in a rank-1 group"),
         _check(lambda: AbElem(Z2, (3,)), ValueError, "coordinates (3,) not reduced"),
         _check(lambda: AbElem(Z2, [1]), ValueError, "coordinates [1] not reduced"),

@@ -100,7 +100,7 @@ def test_the_family_check_agrees_with_a_window_of_admissible_values(
     # an affine image integral and well defined at two consecutive
     # admissible values is so at all of them: the two samples decide
     group = CompactGroupRec(
-        "D", FgAbGroup(orders=orders), AlgebraProfile(1), True, "generated"
+        "D", FgAbGroup(orders), AlgebraProfile(1), True, "generated"
     )
     images = tuple(
         data.draw(st.builds(_affine, _RATIONALS, _RATIONALS)) for _ in orders
@@ -120,7 +120,7 @@ def test_the_family_check_agrees_with_a_window_of_admissible_values(
 @given(st.lists(_ORDERS, max_size=3), st.integers(1, 4), st.data())
 def test_the_family_check_of_a_finite_family_agrees_with_its_map(orders, r, data):
     group = CompactGroupRec(
-        "D", FgAbGroup(orders=orders), AlgebraProfile(1), True, "generated"
+        "D", FgAbGroup(orders), AlgebraProfile(1), True, "generated"
     )
     images = tuple(
         _affine(Fraction(0), data.draw(_RATIONALS)) for _ in orders

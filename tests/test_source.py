@@ -109,7 +109,7 @@ def test_int_is_called_only_by_the_strict_readers():
     # reaches it only through a reader that catalogfile.is_int has accepted
     # (or an equally strict pattern); the other calls take integers
     allowed = {
-        ("abelian.py", "FgAbGroup.__init__"),
+        ("abelian.py", "FgAbGroup.__new__"),
         ("abelian.py", "FgAbGroup.reduce"),
         ("abelian.py", "smith_diagonalize"),
         ("catalogfile.py", "parse_int"),
@@ -221,7 +221,6 @@ def test_abelian_records_skip_their_checks_only_at_the_listed_builders():
 # Definitions that stay even if nothing in the package calls them, each
 # with the reason.
 ENTRY_POINTS = {
-    "cyclic": "public constructor of Z and Z/n; the abelian doctests use it",
     "main": "the in-process entry: tests/clirunner.py and perfbench/cli_child.py "
             "call cli.main, which cli.entry runs for a process",
 }
